@@ -51,6 +51,13 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 # changed results — the one thing it must never do.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -R "CacheDifferential"
 
+# Golden fingerprint gate, surfaced on its own for the same reason: the
+# committed (spec, seed) -> archive fingerprint table pins the ABSOLUTE
+# answers of the PMO2-over-photosynthesis workloads.  A solver change that
+# claims bit-identical answers (a reordered cycle path, a cheaper integrator
+# loop) fails here first if it moved any of them.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -R "GoldenFingerprint"
+
 # rmp_run smoke: the spec-driven front door must list its registries, execute
 # a ZDT1+pmo2 spec, and emit a result artifact that parses as JSON and carries
 # an archive fingerprint (the cross-machine reproducibility identity).

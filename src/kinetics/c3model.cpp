@@ -1150,24 +1150,35 @@ SteadyState C3Model::steady_state(std::span<const double> mult,
   return finalize(std::move(last));
 }
 
-SteadyState C3Model::cycle_shoot(std::span<const double> start,
-                                 std::span<const double> mult) const {
-  SteadyState ss;
+namespace {
 
-  const auto rhs_fn = [this, mult](double, std::span<const double> y,
-                                   num::Vec& dydt) {
-    derivatives(y, mult, dydt);
-  };
-  const num::OdeRhs rhs = rhs_fn;
-  const auto jacobian_fn = [this, mult](double, std::span<const double> y,
-                                        num::Matrix& jac) {
-    jacobian_at(y, mult, jac);
-  };
-  const auto uptake_fn = [this, mult](std::span<const double> y) {
-    return co2_uptake(y, mult);
-  };
-  const num::CycleObservable observable = uptake_fn;
+// The windowed cycle average (v1 path): ride out a 400-unit transient, then
+// average the state at the end of each of 40 consecutive 10-unit legs.
+constexpr double kTransient = 400.0;
+constexpr int kWindowLegs = 40;
+constexpr double kWindowLeg = 10.0;
 
+// The cold bootstrap's period scan: 240 units after the same transient,
+// sampled every half unit — exactly the stretch the first 24 window legs
+// cover, so the window can sample it on the way.
+constexpr double kScanHorizon = 240.0;
+constexpr double kScanDt = 0.5;
+constexpr int kGateLegs = static_cast<int>(kScanHorizon / kWindowLeg);
+constexpr std::size_t kScanRows =
+    static_cast<std::size_t>(kScanHorizon / kScanDt) + 1;
+
+/// Whether the cold bootstrap runs, given the upward mean-crossings the
+/// window's samples showed (nullopt: the window broke off before the
+/// samples were complete, so there is nothing to decide on).  The window
+/// rides ROS2, not the scan's Ros3, so the gate asks for one crossing fewer
+/// than the scan needs.
+bool bootstrap_gate_open(std::optional<std::size_t> crossings) {
+  return !crossings || *crossings >= num::kGateMinCrossings;
+}
+
+/// Shooting options of the cycle path (the flow-map integrator without its
+/// Jacobian: callers attach their own named Jacobian callable).
+num::ShootingOptions cycle_shooting_options(const C3Config& config) {
   num::ShootingOptions sopts;
   // The third-order Rosenbrock rides the stiff orbit at a fraction of the
   // step-doubling ROW2 cost; tolerances match the windowed fallback — the
@@ -1184,7 +1195,6 @@ SteadyState C3Model::cycle_shoot(std::span<const double> start,
   sopts.ode.initial_step = 1e-3;
   sopts.ode.state_floor = 0.0;
   sopts.ode.max_step = 20.0;
-  if (config_.analytic_jacobian) sopts.ode.jacobian = jacobian_fn;
   // Pseudo-cycle drift budget (see C3Config::cycle_drift_tolerance).
   // Each aligned round is one PLAIN period flight, and doubles as
   // relaxation — the fast modes contract every round — so a generous cap
@@ -1192,7 +1202,7 @@ SteadyState C3Model::cycle_shoot(std::span<const double> start,
   // needs 10-12 rounds still costs a fraction of timing out into the cold
   // bootstrap (a 400-unit transient plus a 240-unit period scan) it would
   // otherwise trigger.
-  sopts.drift_tolerance = config_.cycle_drift_tolerance;
+  sopts.drift_tolerance = config.cycle_drift_tolerance;
   sopts.max_iterations = 16;
   // Fast-remainder gate for the aligned residual split: 2e-4 * scale ~ 0.3
   // mmol/l.  Two forces size it.  Downward pressure is answer quality — a
@@ -1206,31 +1216,35 @@ SteadyState C3Model::cycle_shoot(std::span<const double> start,
   // 4-8 rounds and timed a third of them out into the cold path, erasing
   // the shooting advantage outright).
   sopts.tolerance = 2e-4;
+  return sopts;
+}
 
-  const auto shoot = [&](std::span<const double> y0, double period) {
-    return num::solve_limit_cycle(rhs, y0, period, sopts, observable);
+}  // namespace
+
+num::ShootingResult C3Model::shoot_cycle(std::span<const double> y0,
+                                         double period,
+                                         std::span<const double> mult) const {
+  const auto rhs_fn = [this, mult](double, std::span<const double> y,
+                                   num::Vec& dydt) {
+    derivatives(y, mult, dydt);
   };
+  const num::OdeRhs rhs = rhs_fn;
+  const auto jacobian_fn = [this, mult](double, std::span<const double> y,
+                                        num::Matrix& jac) {
+    jacobian_at(y, mult, jac);
+  };
+  const auto uptake_fn = [this, mult](std::span<const double> y) {
+    return co2_uptake(y, mult);
+  };
+  const num::CycleObservable observable = uptake_fn;
+  num::ShootingOptions sopts = cycle_shooting_options(config_);
+  if (config_.analytic_jacobian) sopts.ode.jacobian = jacobian_fn;
+  return num::solve_limit_cycle(rhs, y0, period, sopts, observable);
+}
 
-  num::ShootingResult cyc;
-  // Warm restart: the nearest pooled cycle anchor's on-orbit point and
-  // period.  Pure function of (candidate, snapshot), like every warm start.
-  const WarmStartPool::Hit hit = warm_pool_.nearest_cycle(mult);
-  if (hit.entry != nullptr) {
-    cyc = shoot(hit.entry->cycle_point, hit.entry->period);
-  }
-  if (!cyc.converged) {
-    // Cold bootstrap: ride out the transient, then read (y0, T) off the
-    // most-oscillatory coordinate's mean crossings.  Both legs only need to
-    // land NEAR the attractor — the aligned-Picard rounds do the precision
-    // work.
-    num::Vec y(start.begin(), start.end());
-    const num::OdeResult leg = num::integrate(rhs, 0.0, y, 400.0, sopts.ode);
-    if (!leg.success || !num::all_finite(leg.y)) return ss;
-    const num::PeriodEstimate est =
-        num::estimate_period(rhs, leg.y, 240.0, 0.5, sopts.ode);
-    if (!est.valid) return ss;
-    cyc = shoot(est.anchor_state, est.period);
-  }
+SteadyState C3Model::cycle_result(const num::ShootingResult& cyc,
+                                  std::span<const double> mult) const {
+  SteadyState ss;
   if (!cyc.converged || !physical_state(cyc.average_state, config_)) return ss;
 
   ss.state = cyc.average_state;
@@ -1250,13 +1264,30 @@ SteadyState C3Model::cycle_shoot(std::span<const double> start,
   return ss;
 }
 
-SteadyState C3Model::cycle_average(std::span<const double> start,
-                                   std::span<const double> mult) const {
-  if (config_.cycle_shooting) {
-    SteadyState shot = cycle_shoot(start, mult);
-    if (shot.converged) return shot;
-  }
+num::PeriodEstimate C3Model::cold_period_scan(
+    std::span<const double> start, std::span<const double> mult) const {
+  const auto rhs_fn = [this, mult](double, std::span<const double> y,
+                                   num::Vec& dydt) {
+    derivatives(y, mult, dydt);
+  };
+  const num::OdeRhs rhs = rhs_fn;
+  const auto jacobian_fn = [this, mult](double, std::span<const double> y,
+                                        num::Matrix& jac) {
+    jacobian_at(y, mult, jac);
+  };
+  num::OdeOptions ode = cycle_shooting_options(config_).ode;
+  if (config_.analytic_jacobian) ode.jacobian = jacobian_fn;
+  // Ride out the transient, then read (y0, T) off the most-oscillatory
+  // coordinate's mean crossings.  Both legs only need to land NEAR the
+  // attractor — the aligned-Picard rounds do the precision work.
+  const num::OdeResult leg = num::integrate(rhs, 0.0, start, kTransient, ode);
+  if (!leg.success || !num::all_finite(leg.y)) return {};
+  return num::estimate_period(rhs, leg.y, kScanHorizon, kScanDt, ode);
+}
 
+SteadyState C3Model::window_average(std::span<const double> start,
+                                    std::span<const double> mult,
+                                    CycleGate at_gate) const {
   num::OdeOptions iopts;
   iopts.method = num::OdeMethod::kRosenbrockW;
   iopts.abs_tol = 1e-6;
@@ -1281,29 +1312,53 @@ SteadyState C3Model::cycle_average(std::span<const double> start,
   SteadyState ss;
   // Skip the initial transient, then average over a sampling window.
   num::Vec y(start.begin(), start.end());
-  num::OdeResult leg = num::integrate(rhs, 0.0, y, 400.0, iopts);
-  if (!leg.success || !num::all_finite(leg.y)) return ss;
+  num::OdeResult leg = num::integrate(rhs, 0.0, y, kTransient, iopts);
+  if (!leg.success || !num::all_finite(leg.y)) {
+    if (at_gate) at_gate(std::nullopt);
+    return ss;
+  }
   y = leg.y;
 
   num::Vec mean_state(kNumMetabolites, 0.0);
   double mean_uptake = 0.0;
-  constexpr int kSamples = 40;
-  constexpr double kDt = 10.0;
-  double t = 400.0;
-  for (int s = 0; s < kSamples; ++s) {
+  double t = kTransient;
+  const auto advance = [&]() {
     // Step-size continuation across sampling windows: without it every
     // window re-ramps the adaptive step from 1e-3, which used to cost more
     // steps than the windows themselves.
     if (leg.last_step > 0.0) iopts.initial_step = leg.last_step;
-    leg = num::integrate(rhs, t, y, t + kDt, iopts);
-    if (!leg.success || !num::all_finite(leg.y)) return ss;
+    leg = num::integrate(rhs, t, y, t + kWindowLeg, iopts);
+    if (!leg.success || !num::all_finite(leg.y)) return false;
     y = leg.y;
     t = leg.t;
     num::add_inplace(mean_state, y);
     mean_uptake += co2_uptake(y, mult);
+    return true;
+  };
+
+  int s = 0;
+  if (at_gate) {
+    // The first legs cover the scan's stretch of trajectory; a sampler on
+    // their step observer records it for the gate's crossing count without
+    // touching their steps.
+    std::optional<std::size_t> crossings;
+    {
+      num::TrajectorySampler sampler(rhs, num::Workspace::thread_local_instance(),
+                                     t, y, kScanDt, kScanRows);
+      iopts.step_observer = sampler;
+      while (s < kGateLegs && advance()) ++s;
+      iopts.step_observer = nullptr;
+      if (s == kGateLegs && sampler.complete()) {
+        crossings = num::count_mean_crossings(sampler.samples(), kScanDt).count;
+      }
+    }
+    if (at_gate(crossings) || s < kGateLegs) return ss;
   }
-  num::scale_inplace(mean_state, 1.0 / kSamples);
-  mean_uptake /= kSamples;
+  for (; s < kWindowLegs; ++s) {
+    if (!advance()) return ss;
+  }
+  num::scale_inplace(mean_state, 1.0 / kWindowLegs);
+  mean_uptake /= kWindowLegs;
 
   ss.state = std::move(mean_state);
   ss.co2_uptake = mean_uptake;
@@ -1314,6 +1369,57 @@ SteadyState C3Model::cycle_average(std::span<const double> start,
   ss.oscillatory = true;
   ss.used_integration_fallback = true;
   return ss;
+}
+
+SteadyState C3Model::cycle_average(std::span<const double> start,
+                                   std::span<const double> mult) const {
+  if (!config_.cycle_shooting) return window_average(start, mult, nullptr);
+
+  // Warm restart: the nearest pooled cycle anchor's on-orbit point and
+  // period.  Pure function of (candidate, snapshot), like every warm start.
+  // A converged warm shot settles the shooting question even when its
+  // average is unphysical: the window answers then, with no cold bootstrap.
+  const WarmStartPool::Hit hit = warm_pool_.nearest_cycle(mult);
+  if (hit.entry != nullptr) {
+    const num::ShootingResult warm =
+        shoot_cycle(hit.entry->cycle_point, hit.entry->period, mult);
+    if (warm.converged) {
+      SteadyState shot = cycle_result(warm, mult);
+      return shot.converged ? shot : window_average(start, mult, nullptr);
+    }
+  }
+
+  // Cold path: one trajectory.  The window's ROS2 legs run first; once they
+  // have covered the period scan's stretch, the Ros3 bootstrap (transient,
+  // scan, shot) runs only when the window saw the trajectory oscillate.
+  // Most cold candidates drift instead (one pool grows linearly), the scan
+  // would fail on them, and the bootstrap would be thrown away.  A cycle
+  // the bootstrap converges is the answer; otherwise the window finishes.
+  SteadyState shot;
+  const auto at_gate = [&](std::optional<std::size_t> crossings) {
+    if (!bootstrap_gate_open(crossings)) return false;
+    const num::PeriodEstimate est = cold_period_scan(start, mult);
+    if (est.valid) {
+      shot = cycle_result(shoot_cycle(est.anchor_state, est.period, mult), mult);
+    }
+    return shot.converged;
+  };
+  SteadyState window = window_average(start, mult, at_gate);
+  return shot.converged ? shot : window;
+}
+
+CycleGateAudit C3Model::audit_cycle_gate(std::span<const double> mult) const {
+  const num::Vec& start = natural_.converged ? natural_.state : default_initial_state();
+  CycleGateAudit audit;
+  const auto at_gate = [&](std::optional<std::size_t> crossings) {
+    audit.samples_complete = crossings.has_value();
+    audit.crossings = crossings.value_or(0);
+    audit.bootstrap_runs = bootstrap_gate_open(crossings);
+    audit.scan_valid = cold_period_scan(start, mult).valid;
+    return true;
+  };
+  (void)window_average(start, mult, at_gate);
+  return audit;
 }
 
 std::optional<double> C3Model::steady_uptake(std::span<const double> mult) const {

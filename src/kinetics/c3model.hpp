@@ -31,6 +31,7 @@
 #include "kinetics/warm_start.hpp"
 #include "numeric/matrix.hpp"
 #include "numeric/ode.hpp"
+#include "numeric/shooting.hpp"
 #include "numeric/vec.hpp"
 
 namespace rmp::kinetics {
@@ -275,6 +276,22 @@ struct TangentPrediction {
   bool cycle = false;
 };
 
+/// What the cold cycle path decides for one candidate, and what the
+/// bootstrap's period scan would have said (see C3Model::audit_cycle_gate).
+struct CycleGateAudit {
+  /// The window's ROS2 legs covered the scan's whole stretch, so the gate
+  /// had samples to decide on.
+  bool samples_complete = false;
+  /// Upward mean-crossings of the most-oscillatory coordinate in those
+  /// samples; 0 unless samples_complete.
+  std::size_t crossings = 0;
+  /// The gate lets the cold bootstrap run.
+  bool bootstrap_runs = false;
+  /// The bootstrap's Ros3 period scan is valid — the only case in which
+  /// the bootstrap can return a cycle.
+  bool scan_valid = false;
+};
+
 class C3Model {
  public:
   explicit C3Model(C3Config config = {});
@@ -355,6 +372,14 @@ class C3Model {
     warm_pool_.load_state(doc);
   }
 
+  /// Runs the cold cycle path's gate and the cold bootstrap's period scan
+  /// side by side for one candidate, from the start steady_state() hands
+  /// the cycle path, and reports both verdicts.  No shot is taken and the
+  /// warm-start pool is untouched.  Tests use it to check the premise the
+  /// gate rests on: every candidate whose scan is valid passes the gate.
+  [[nodiscard]] CycleGateAudit audit_cycle_gate(
+      std::span<const double> mult) const;
+
   /// Steady-state CO2 uptake; 0 with converged=false propagated via optional.
   [[nodiscard]] std::optional<double> steady_uptake(std::span<const double> mult) const;
 
@@ -413,15 +438,38 @@ class C3Model {
   /// config_.cycle_shooting (one converged period, pooled cycle anchors as
   /// warm restarts), falling back to the windowed long integration whenever
   /// shooting gives up — so the classification never depends on the knob.
+  /// A cold candidate integrates one trajectory: the window's legs run
+  /// first, and the Ros3 bootstrap (period scan + shot) runs only when the
+  /// legs covering the scan's stretch saw the trajectory oscillate.
   [[nodiscard]] SteadyState cycle_average(std::span<const double> start,
                                           std::span<const double> mult) const;
 
-  /// The shooting leg of cycle_average: bootstrap (y0, T) from a pooled
-  /// cycle anchor or estimate_period on the post-transient orbit, run
-  /// num::solve_limit_cycle, and — on a converged physical cycle — stage it
-  /// as a pool anchor.  converged = false means "fall back to the window".
-  [[nodiscard]] SteadyState cycle_shoot(std::span<const double> start,
-                                        std::span<const double> mult) const;
+  /// Called by window_average once the legs covering the period scan's
+  /// stretch are done, with the upward mean-crossings they showed (nullopt
+  /// when the window broke off first).  Returning true ends the window.
+  using CycleGate = num::FunctionRef<bool(std::optional<std::size_t>)>;
+
+  /// The windowed long integration: a 400-unit ROS2 transient, then the
+  /// mean over 40 legs of 10 units.  With a gate, the first 24 legs are
+  /// sampled on the way and the gate is consulted after them.
+  [[nodiscard]] SteadyState window_average(std::span<const double> start,
+                                           std::span<const double> mult,
+                                           CycleGate at_gate) const;
+
+  /// num::solve_limit_cycle from (y0, period) with the cycle path's options.
+  [[nodiscard]] num::ShootingResult shoot_cycle(
+      std::span<const double> y0, double period,
+      std::span<const double> mult) const;
+
+  /// The answer for a converged physical cycle, staged as a pool cycle
+  /// anchor; converged = false for an unconverged or unphysical one.
+  [[nodiscard]] SteadyState cycle_result(const num::ShootingResult& cyc,
+                                         std::span<const double> mult) const;
+
+  /// The cold bootstrap's (y0, T) guess: a 400-unit Ros3 transient from
+  /// `start`, then num::estimate_period over the next 240 units.
+  [[nodiscard]] num::PeriodEstimate cold_period_scan(
+      std::span<const double> start, std::span<const double> mult) const;
 
   /// Newton-only attempt from one starting state (no integration).
   [[nodiscard]] SteadyState newton_attempt(std::span<const double> start,

@@ -215,25 +215,25 @@ OdeResult integrate_rk4(OdeRhs f, double t0, std::span<const double> y0,
   return res;
 }
 
-// One ROS2 step (Verwer's 2-stage, order-2, L-stable Rosenbrock) from (t, y)
-// with step h, using the supplied Jacobian.  Returns false when the linear
-// solve fails (singular W).
-bool ros2_step(OdeRhs f, double t, const Vec& y, double h, const Matrix& j,
-               Vec& y_new, Workspace& ws, OdeResult& stats) {
-  const std::size_t n = y.size();
+// W = I - gamma h J for one ROS2 step of size h (Verwer's 2-stage, order-2,
+// L-stable Rosenbrock), factored into lu.  Returns false when W is singular.
+bool ros2_factor(const Matrix& j, double h, Matrix& w, LuFactorization& lu) {
+  const std::size_t n = j.rows();
   const double gamma = 1.0 - 1.0 / std::sqrt(2.0);
-  ScratchMat w(ws, n, n);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c)
       w(r, c) = (r == c ? 1.0 : 0.0) - gamma * h * j(r, c);
-  ScratchLu lu(ws);
-  if (!lu.get().factor(w.get())) return false;
+  return lu.factor(w);
+}
 
-  ScratchVec f0(ws, n), k1(ws, n), y1(ws, n), f1(ws, n), rhs2(ws, n), k2(ws, n);
-  f0.get().assign(n, 0.0);
-  f(t, y, f0.get());
-  ++stats.rhs_evals;
-  lu.get().solve_into(f0, k1.get());
+// One ROS2 step from (t, y) with step h, given W(h) factored in lu and the
+// stage-1 slope f0 = f(t, y).
+void ros2_step(OdeRhs f, double t, const Vec& y, const Vec& f0, double h,
+               const LuFactorization& lu, Vec& y_new, Workspace& ws,
+               OdeResult& stats) {
+  const std::size_t n = y.size();
+  ScratchVec k1(ws, n), y1(ws, n), f1(ws, n), rhs2(ws, n), k2(ws, n);
+  lu.solve_into(f0, k1.get());
 
   y1.get() = y;
   axpy(y1.get(), h, k1);
@@ -241,11 +241,10 @@ bool ros2_step(OdeRhs f, double t, const Vec& y, double h, const Matrix& j,
   f(t + h, y1, f1.get());
   ++stats.rhs_evals;
   for (std::size_t i = 0; i < n; ++i) rhs2[i] = f1[i] - 2.0 * k1[i];
-  lu.get().solve_into(rhs2, k2.get());
+  lu.solve_into(rhs2, k2.get());
 
   y_new = y;
   for (std::size_t i = 0; i < n; ++i) y_new[i] += h * (1.5 * k1[i] + 0.5 * k2[i]);
-  return true;
 }
 
 /// Builds the augmented-system Jacobian (df/dy block; appended time state
@@ -295,8 +294,10 @@ OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
   res.t = t0;
   const std::size_t n = res.y.size();
 
-  ScratchVec y_full(ws, n), y_half(ws, n), y_two(ws, n), err(ws, n);
-  ScratchMat j(ws, n, n);
+  ScratchVec y_full(ws, n), y_half(ws, n), y_two(ws, n), err(ws, n), f0(ws, n),
+      f_mid(ws, n);
+  ScratchMat j(ws, n, n), w(ws, n, n);
+  ScratchLu lu_full(ws), lu_half(ws);
   double h = std::clamp(opts.initial_step, opts.min_step, opts.max_step);
 
   while (res.t < t_end && res.steps < opts.max_steps) {
@@ -306,11 +307,28 @@ OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
     rosenbrock_jacobian(f, opts.jacobian, res.t, res.y, n_user, ws, j.get(),
                         res);
 
-    const bool ok =
-        ros2_step(f, res.t, res.y, h, j.get(), y_full.get(), ws, res) &&
-        ros2_step(f, res.t, res.y, 0.5 * h, j.get(), y_half.get(), ws, res) &&
-        ros2_step(f, res.t + 0.5 * h, y_half.get(), 0.5 * h, j.get(),
-                  y_two.get(), ws, res);
+    // One trial = a full step and two half steps, all on the Jacobian at
+    // (t, y).  Both half steps use the same W(h/2), and the full step and
+    // the first half step the same stage-1 slope f(t, y), so each is
+    // computed once: two factorizations and five RHS evaluations per trial.
+    bool ok = ros2_factor(j.get(), h, w.get(), lu_full.get());
+    if (ok) {
+      f0.get().assign(n, 0.0);
+      f(res.t, res.y, f0.get());
+      ++res.rhs_evals;
+      ros2_step(f, res.t, res.y, f0.get(), h, lu_full.get(), y_full.get(), ws,
+                res);
+      ok = ros2_factor(j.get(), 0.5 * h, w.get(), lu_half.get());
+    }
+    if (ok) {
+      ros2_step(f, res.t, res.y, f0.get(), 0.5 * h, lu_half.get(), y_half.get(),
+                ws, res);
+      f_mid.get().assign(n, 0.0);
+      f(res.t + 0.5 * h, y_half, f_mid.get());
+      ++res.rhs_evals;
+      ros2_step(f, res.t + 0.5 * h, y_half.get(), f_mid.get(), 0.5 * h,
+                lu_half.get(), y_two.get(), ws, res);
+    }
     if (!ok) {
       h *= 0.5;
       ++res.rejected;
@@ -363,10 +381,10 @@ OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
 // a31 = a21 and a32 = 0 make the second and third stage share one F
 // evaluation, and the embedded second-order solution reuses the stage
 // slopes, so error control costs nothing extra (unlike the ROS2 driver's
-// step-doubling, which integrates every interval three times).  This is the
-// limit-cycle integration path: cycle averaging integrates long horizons at
-// moderate tolerance, exactly where an embedded order-3 estimate beats an
-// order-2 Richardson loop.
+// step-doubling, which integrates every interval three times and factors
+// twice).  This is the limit-cycle integration path: cycle averaging
+// integrates long horizons at moderate tolerance, exactly where an embedded
+// order-3 estimate beats an order-2 Richardson loop.
 constexpr double kRos3Gamma = 0.43586652150845899941601945119356;
 constexpr double kRos3A21 = 1.0;
 constexpr double kRos3C21 = -1.0156171083877702091975600115545;

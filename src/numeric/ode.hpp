@@ -89,7 +89,9 @@ struct OdeResult {
   std::size_t rejected = 0; ///< rejected trial steps (adaptive methods)
   std::size_t rhs_evals = 0;
   bool success = false;     ///< reached t_end (or steady state when requested)
-  /// Step size the adaptive methods would take next — feed it back as
+  /// The controller's step size for the last trial, as it stood before that
+  /// trial was truncated to t_end and before an accepted step grew it —
+  /// not the step the controller would take next.  Feed it back as
   /// initial_step when integrating onward from res.y (windowed averaging,
   /// leg-by-leg fallbacks) so every leg after the first skips the ramp-up
   /// from a cold initial_step.  0 for the fixed-step method.

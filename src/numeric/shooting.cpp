@@ -588,7 +588,7 @@ PeriodEstimate estimate_period(OdeRhs f, std::span<const double> y0,
       static_cast<std::size_t>(horizon / dt_sample), 4096);
 
   ScratchMat traj(ws, samples + 1, n);
-  ScratchVec y_cur(ws, n), mean(ws, n);
+  ScratchVec y_cur(ws, n);
   y_cur.get().assign(y0.begin(), y0.end());
   std::copy(y_cur.get().begin(), y_cur.get().end(), traj.get().row(0).begin());
   OdeOptions leg = ode_opts;
@@ -602,64 +602,117 @@ PeriodEstimate estimate_period(OdeRhs f, std::span<const double> y0,
               traj.get().row(s).begin());
   }
 
+  const std::size_t rhs_evals = est.rhs_evals;
+  est = period_from_samples(traj.get(), dt_sample);
+  est.rhs_evals = rhs_evals;
+  return est;
+}
+
+MeanCrossings count_mean_crossings(const Matrix& traj, double dt_sample) {
+  MeanCrossings mc;
+  const std::size_t rows = traj.rows();
+  if (rows < 2) return mc;
+
   // The most-oscillatory coordinate carries the cleanest crossings.
-  mean.get().assign(n, 0.0);
-  for (std::size_t s = 0; s <= samples; ++s) {
-    add_inplace(mean.get(), traj.get().row(s));
-  }
-  scale_inplace(mean.get(), 1.0 / static_cast<double>(samples + 1));
-  std::size_t coord = 0;
+  const double inv_rows = 1.0 / static_cast<double>(rows);
   double best_var = -1.0;
-  for (std::size_t c = 0; c < n; ++c) {
+  double level = 0.0;
+  for (std::size_t c = 0; c < traj.cols(); ++c) {
+    double mean = 0.0;
+    for (std::size_t s = 0; s < rows; ++s) mean += traj(s, c);
+    mean *= inv_rows;
     double var = 0.0;
-    for (std::size_t s = 0; s <= samples; ++s) {
-      const double d = traj.get()(s, c) - mean[c];
+    for (std::size_t s = 0; s < rows; ++s) {
+      const double d = traj(s, c) - mean;
       var += d * d;
     }
     if (var > best_var) {
       best_var = var;
-      coord = c;
+      mc.coordinate = c;
+      level = mean;
     }
   }
-  if (best_var / static_cast<double>(samples + 1) < 1e-12) return est;
+  if (best_var / static_cast<double>(rows) < 1e-12) return mc;
 
   // Upward mean-crossings, linearly interpolated between samples.
-  double crossings[64];
-  std::size_t crossing_count = 0;
-  std::size_t last_idx = 0;
-  const double level = mean[coord];
-  for (std::size_t s = 0; s + 1 <= samples && crossing_count < 64; ++s) {
-    const double a = traj.get()(s, coord);
-    const double b = traj.get()(s + 1, coord);
+  for (std::size_t s = 0; s + 1 < rows && mc.count < mc.times.size(); ++s) {
+    const double a = traj(s, mc.coordinate);
+    const double b = traj(s + 1, mc.coordinate);
     if (a < level && b >= level) {
       const double frac = (level - a) / (b - a);
-      crossings[crossing_count++] =
-          (static_cast<double>(s) + frac) * dt_sample;
-      last_idx = s + 1;
+      mc.times[mc.count++] = (static_cast<double>(s) + frac) * dt_sample;
+      mc.last_row = s + 1;
     }
   }
-  if (crossing_count < 3) return est;
+  return mc;
+}
+
+PeriodEstimate period_from_samples(const Matrix& traj, double dt_sample) {
+  PeriodEstimate est;
+  const MeanCrossings mc = count_mean_crossings(traj, dt_sample);
+  if (mc.count < 3) return est;
 
   // Period = mean spacing of the last few crossings; reject drifting
   // (non-periodic) spacings.
-  const std::size_t use =
-      std::min<std::size_t>(crossing_count - 1, 5);
+  const std::size_t use = std::min<std::size_t>(mc.count - 1, 5);
   double mean_gap = 0.0;
-  for (std::size_t i = crossing_count - use; i < crossing_count; ++i) {
-    mean_gap += crossings[i] - crossings[i - 1];
+  for (std::size_t i = mc.count - use; i < mc.count; ++i) {
+    mean_gap += mc.times[i] - mc.times[i - 1];
   }
   mean_gap /= static_cast<double>(use);
   if (!(mean_gap > 0.0)) return est;
-  for (std::size_t i = crossing_count - use; i < crossing_count; ++i) {
-    const double gap = crossings[i] - crossings[i - 1];
+  for (std::size_t i = mc.count - use; i < mc.count; ++i) {
+    const double gap = mc.times[i] - mc.times[i - 1];
     if (std::fabs(gap - mean_gap) > 0.25 * mean_gap) return est;
   }
 
   est.valid = true;
   est.period = mean_gap;
-  est.anchor_state.assign(traj.get().row(last_idx).begin(),
-                          traj.get().row(last_idx).end());
+  est.anchor_state.assign(traj.row(mc.last_row).begin(),
+                          traj.row(mc.last_row).end());
   return est;
+}
+
+TrajectorySampler::TrajectorySampler(OdeRhs f, Workspace& ws, double t0,
+                                     std::span<const double> y0, double dt,
+                                     std::size_t rows)
+    : f_(f), t0_(t0), dt_(dt), t_prev_(t0), samples_(ws, rows, y0.size()),
+      y_prev_(ws, y0.size()), f_prev_(ws, y0.size()), f_new_(ws, y0.size()) {
+  y_prev_.get().assign(y0.begin(), y0.end());
+  f_prev_.get().assign(y0.size(), 0.0);
+  f_(t0, y0, f_prev_.get());
+  if (rows > 0) {
+    std::copy(y0.begin(), y0.end(), samples_.get().row(0).begin());
+    filled_ = 1;
+  }
+}
+
+void TrajectorySampler::operator()(double t, double, std::span<const double> y) {
+  const std::size_t n = y.size();
+  if (complete()) return;
+  f_new_.get().assign(n, 0.0);
+  f_(t, y, f_new_.get());
+  // Cubic Hermite on [t_prev, t] through both endpoint states and slopes.
+  const double h = t - t_prev_;
+  while (filled_ < samples_.get().rows()) {
+    const double ts = t0_ + static_cast<double>(filled_) * dt_;
+    if (ts > t) break;
+    const double th = (ts - t_prev_) / h;
+    const double th2 = th * th;
+    const double th3 = th2 * th;
+    const double h00 = 2.0 * th3 - 3.0 * th2 + 1.0;
+    const double h10 = (th3 - 2.0 * th2 + th) * h;
+    const double h01 = -2.0 * th3 + 3.0 * th2;
+    const double h11 = (th3 - th2) * h;
+    const std::span<double> row = samples_.get().row(filled_);
+    for (std::size_t i = 0; i < n; ++i) {
+      row[i] = h00 * y_prev_[i] + h10 * f_prev_[i] + h01 * y[i] + h11 * f_new_[i];
+    }
+    ++filled_;
+  }
+  t_prev_ = t;
+  y_prev_.get().assign(y.begin(), y.end());
+  std::swap(f_prev_.get(), f_new_.get());
 }
 
 }  // namespace rmp::num

@@ -57,13 +57,19 @@
 //
 // estimate_period bootstraps the (y0, T) guess from a trajectory: it
 // samples the post-transient flow, picks the most-oscillatory coordinate,
-// and reads the period off successive upward mean-crossings.
+// and reads the period off successive upward mean-crossings.  The analysis
+// half (count_mean_crossings, period_from_samples) works on any sample
+// matrix, so a caller that integrates the same stretch of trajectory for
+// another purpose can record it with a TrajectorySampler riding its step
+// observer and count the crossings without a second integration.
 #pragma once
 
+#include <array>
 #include <span>
 
 #include "numeric/ode.hpp"
 #include "numeric/vec.hpp"
+#include "numeric/workspace.hpp"
 
 namespace rmp::num {
 
@@ -148,5 +154,63 @@ struct PeriodEstimate {
                                              std::span<const double> y0,
                                              double horizon, double dt_sample,
                                              const OdeOptions& ode_opts);
+
+/// Upward mean-crossings of the most-oscillatory (highest-variance)
+/// coordinate of a sampled trajectory.
+struct MeanCrossings {
+  std::size_t coordinate = 0;
+  /// Crossings seen, at most times.size(); 0 for a numerically flat
+  /// trajectory (per-sample variance under 1e-12 on every coordinate).
+  std::size_t count = 0;
+  std::size_t last_row = 0;  ///< sample row just past the last crossing
+  std::array<double, 64> times{};  ///< crossing times, linearly interpolated
+};
+
+/// Crossings a gate in front of a period scan asks for before the scan is
+/// worth running.  period_from_samples needs three; a trajectory recorded
+/// by a different integrator over the same stretch may show one fewer.
+inline constexpr std::size_t kGateMinCrossings = 2;
+
+/// Counts the upward mean-crossings of `traj` (row s = the state at time
+/// s * dt_sample).
+[[nodiscard]] MeanCrossings count_mean_crossings(const Matrix& traj,
+                                                 double dt_sample);
+
+/// The analysis half of estimate_period over a sample matrix: valid when
+/// count_mean_crossings sees at least three crossings and the last (up to
+/// five) intervals agree with their mean to 25%.  rhs_evals is 0.
+[[nodiscard]] PeriodEstimate period_from_samples(const Matrix& traj,
+                                                 double dt_sample);
+
+/// Step observer that records a trajectory on the uniform grid
+/// t0 + k * dt, k = 0 .. rows - 1: row 0 is y0, and every later row is the
+/// cubic-Hermite interpolant of the accepted step that covers its time,
+/// built from both endpoint states and slopes (one RHS evaluation per
+/// accepted step while rows remain).  It only observes, so the integration
+/// it rides takes the same steps with or without it.  Install it as
+/// OdeOptions::step_observer for consecutive integrations starting at t0
+/// from y0.  Scratch is checked out of `ws` for the sampler's lifetime.
+class TrajectorySampler {
+ public:
+  TrajectorySampler(OdeRhs f, Workspace& ws, double t0,
+                    std::span<const double> y0, double dt, std::size_t rows);
+
+  void operator()(double t, double h, std::span<const double> y);
+
+  /// Every grid row has been reached.
+  [[nodiscard]] bool complete() const {
+    return filled_ == samples_.get().rows();
+  }
+  [[nodiscard]] const Matrix& samples() const { return samples_.get(); }
+
+ private:
+  OdeRhs f_;
+  double t0_;
+  double dt_;
+  double t_prev_;
+  std::size_t filled_ = 0;
+  ScratchMat samples_;
+  ScratchVec y_prev_, f_prev_, f_new_;
+};
 
 }  // namespace rmp::num

@@ -332,5 +332,91 @@ TEST(ShootingTest, DriftModeMatchesStrictOnAGenuineIsolatedCycle) {
   EXPECT_LT(drift.drift, 1e-3);
 }
 
+// --- period scan and its gate ---------------------------------------------
+// The same planar Hopf cycle with a third coordinate that either sits still
+// or drifts linearly, z' = c.  A drift fast enough to out-vary the cycle
+// (var(z) = c^2 H^2 / 12 over a horizon H, against var(x) = 1/2) makes z the
+// most-oscillatory coordinate, and a monotone ramp crosses its own mean
+// exactly once: the shape of most cold C3 candidates, whose highest-variance
+// pool grows linearly instead of oscillating.
+
+template <int kDriftPerMille>
+void hopf_drift_rhs(double, std::span<const double> y, Vec& d) {
+  const double r2 = y[0] * y[0] + y[1] * y[1];
+  d[0] = -y[1] + y[0] * (1.0 - r2);
+  d[1] = y[0] + y[1] * (1.0 - r2);
+  d[2] = kDriftPerMille / 1000.0;
+}
+
+constexpr double kScanHorizon = 40.0;
+constexpr double kScanDt = 0.05;
+constexpr std::size_t kScanRows = 801;  // kScanHorizon / kScanDt + 1
+
+/// Integrates [0, horizon] in legs of `leg` units with a TrajectorySampler
+/// on the step observer, the way the kinetic window feeds its gate.
+MeanCrossings gate_crossings(OdeRhs f, const Vec& y0, double leg) {
+  OdeOptions iopts = vdp_options().ode;
+  TrajectorySampler sampler(f, Workspace::thread_local_instance(), 0.0, y0,
+                            kScanDt, kScanRows);
+  iopts.step_observer = sampler;
+  Vec y = y0;
+  for (double t = 0.0; t < kScanHorizon; t += leg) {
+    const OdeResult r = integrate(f, t, y, t + leg, iopts);
+    EXPECT_TRUE(r.success);
+    if (r.last_step > 0.0) iopts.initial_step = r.last_step;
+    y = r.y;
+  }
+  EXPECT_TRUE(sampler.complete());
+  return count_mean_crossings(sampler.samples(), kScanDt);
+}
+
+TEST(PeriodScanTest, SamplerRecordsTheScanGridOfAnOscillation) {
+  const OdeRhs f = hopf_drift_rhs<0>;
+  const Vec y0{1.0, 0.0, 0.3};
+  const PeriodEstimate est =
+      estimate_period(f, y0, kScanHorizon, kScanDt, vdp_options().ode);
+  ASSERT_TRUE(est.valid);
+  EXPECT_NEAR(est.period, kTwoPi, 0.05);
+
+  // The sampler rides a leg-by-leg integration instead of restarting at
+  // every grid point, yet reads the same crossings off the same grid.
+  const MeanCrossings scan = gate_crossings(f, y0, 10.0);
+  EXPECT_GE(scan.count, kGateMinCrossings);
+  EXPECT_GE(scan.count, 6u);  // ~6.4 periods
+  OdeOptions iopts = vdp_options().ode;
+  TrajectorySampler sampler(f, Workspace::thread_local_instance(), 0.0, y0,
+                            kScanDt, kScanRows);
+  iopts.step_observer = sampler;
+  const OdeResult r = integrate(f, 0.0, y0, kScanHorizon, iopts);
+  ASSERT_TRUE(r.success);
+  ASSERT_TRUE(sampler.complete());
+  for (std::size_t row = 0; row < kScanRows; ++row) {
+    const double t = static_cast<double>(row) * kScanDt;
+    EXPECT_NEAR(sampler.samples()(row, 0), std::cos(t), 1e-5) << "row=" << row;
+    EXPECT_NEAR(sampler.samples()(row, 1), std::sin(t), 1e-5) << "row=" << row;
+  }
+}
+
+TEST(PeriodScanTest, LinearDriftDefeatsTheScanAndTheGate) {
+  // z' = 0.5: var(z) ~ 33 over the horizon against var(x) = 1/2.
+  const OdeRhs f = hopf_drift_rhs<500>;
+  const Vec y0{1.0, 0.0, 0.0};
+  const PeriodEstimate est =
+      estimate_period(f, y0, kScanHorizon, kScanDt, vdp_options().ode);
+  EXPECT_FALSE(est.valid);
+
+  const MeanCrossings scan = gate_crossings(f, y0, 10.0);
+  EXPECT_EQ(scan.coordinate, 2u);  // the ramp, not the cycle
+  EXPECT_EQ(scan.count, 1u);
+  EXPECT_LT(scan.count, kGateMinCrossings);  // the gate skips the scan
+}
+
+TEST(PeriodScanTest, FlatTrajectoryHasNoCrossings) {
+  const Matrix flat(50, 3, 1.0);
+  const MeanCrossings mc = count_mean_crossings(flat, kScanDt);
+  EXPECT_EQ(mc.count, 0u);
+  EXPECT_FALSE(period_from_samples(flat, kScanDt).valid);
+}
+
 }  // namespace
 }  // namespace rmp::num

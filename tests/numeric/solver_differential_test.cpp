@@ -26,15 +26,20 @@
 //     drifting pool: 1.5% covers the observed worst case (~0.7%) twice
 //     over while still failing loudly on any genuine disagreement;
 //   * an exact repeat of a pooled LIVING cycle is answered by the pool
-//     bitwise (the cycle analogue of the root exact-hit contract).
+//     bitwise (the cycle analogue of the root exact-hit contract);
+//   * the cold cycle path's gate never skips a bootstrap that could have
+//     answered: every candidate whose Ros3 period scan is valid passes it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <vector>
 
 #include "kinetics/c3model.hpp"
+#include "kinetics/scenarios.hpp"
 #include "moo/evalcache.hpp"
+#include "moo/pmo2.hpp"
 #include "numeric/rng.hpp"
 #include "numeric/vec.hpp"
 
@@ -185,6 +190,101 @@ TEST(SolverDifferentialTest, ShootingKnobNeverChangesSettledAnswers) {
       EXPECT_EQ(a.co2_uptake, b.co2_uptake);
     }
   }
+}
+
+/// Forwards to a problem and records every candidate it evaluates.
+class RecordingProblem final : public moo::Problem {
+ public:
+  explicit RecordingProblem(const moo::Problem& inner) : inner_(inner) {}
+
+  std::size_t num_variables() const override { return inner_.num_variables(); }
+  std::size_t num_objectives() const override { return inner_.num_objectives(); }
+  std::span<const double> lower_bounds() const override {
+    return inner_.lower_bounds();
+  }
+  std::span<const double> upper_bounds() const override {
+    return inner_.upper_bounds();
+  }
+  double evaluate(std::span<const double> x,
+                  std::span<double> objectives) const override {
+    const double violation = inner_.evaluate(x, objectives);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    candidates_.emplace_back(x.begin(), x.end());
+    return violation;
+  }
+  std::size_t suggest_initial(std::span<num::Vec> out,
+                              num::Rng& rng) const override {
+    return inner_.suggest_initial(out, rng);
+  }
+  void commit_epoch() const override { inner_.commit_epoch(); }
+  bool last_result_memoizable() const override {
+    return inner_.last_result_memoizable();
+  }
+
+  [[nodiscard]] const std::vector<num::Vec>& candidates() const {
+    return candidates_;
+  }
+
+ private:
+  const moo::Problem& inner_;
+  mutable std::mutex mutex_;
+  mutable std::vector<num::Vec> candidates_;
+};
+
+struct GateTally {
+  std::size_t audited = 0;
+  std::size_t valid_scans = 0;
+  std::size_t skipped = 0;
+};
+
+/// Audits every candidate that reaches the cycle path (anything but a
+/// living settled root) and checks the gate's premise on it.
+void audit_gate(const C3Model& model, const std::vector<num::Vec>& candidates,
+                GateTally& tally) {
+  for (const num::Vec& mult : candidates) {
+    const SteadyState ss = model.steady_state(mult);
+    if (ss.converged && !ss.oscillatory && ss.co2_uptake > 0.5) continue;
+    const CycleGateAudit audit = model.audit_cycle_gate(mult);
+    ++tally.audited;
+    tally.valid_scans += audit.scan_valid;
+    tally.skipped += !audit.bootstrap_runs;
+    if (audit.scan_valid) {
+      EXPECT_TRUE(audit.bootstrap_runs)
+          << "the gate skipped a valid period scan (" << audit.crossings
+          << " crossings in the window's samples)";
+    }
+  }
+}
+
+TEST(SolverDifferentialTest, WindowGatePassesEveryValidPeriodScan) {
+  // The cold cycle path runs the Ros3 bootstrap only when the window's
+  // ROS2 legs show the trajectory oscillating.  Answers stay bit-identical
+  // to running the bootstrap unconditionally as long as the gate never
+  // skips a candidate whose period scan is valid — an invalid scan returns
+  // no cycle, so skipping it changes nothing.
+  GateTally tally;
+  {
+    const C3Model model(engine_config(/*shooting=*/true));
+    audit_gate(model, make_stream(10, 12, 20260808), tally);
+  }
+  {
+    // One present-high PMO2 run: there the bulk of the cold candidates
+    // drift instead of oscillating, which is what the gate is for.
+    const auto problem = make_problem(*scenario_by_label("present-high"));
+    const RecordingProblem recording(*problem);
+    moo::Pmo2Options o;
+    o.islands = 2;
+    o.generations = 2;
+    o.migration_interval = 2;
+    o.seed = 11;
+    o.island_threads = 1;
+    moo::Pmo2 pmo2(recording, o, moo::Pmo2::default_nsga2_factory(8, 1));
+    pmo2.run();
+    audit_gate(problem->model(), recording.candidates(), tally);
+  }
+  // Neither side of the premise may be vacuous.
+  EXPECT_GT(tally.valid_scans, 0u);
+  EXPECT_GT(tally.skipped, 0u);
 }
 
 }  // namespace
