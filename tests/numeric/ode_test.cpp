@@ -30,8 +30,14 @@ const OdeRhs kStiff = [](double t, std::span<const double> y, Vec& d) {
 
 struct MethodParam {
   OdeMethod method;
+  // GoogleTest names each case after a dump of this struct's bytes.  An
+  // explicit zero word where alignment padding would sit keeps those names
+  // the same from run to run; padding would print leftover memory.
+  std::uint32_t zero = 0;
   double tolerance;  // acceptance tolerance on the final value
 };
+static_assert(sizeof(MethodParam) ==
+              sizeof(OdeMethod) + sizeof(std::uint32_t) + sizeof(double));
 
 class OdeMethodTest : public ::testing::TestWithParam<MethodParam> {};
 
@@ -60,11 +66,12 @@ TEST_P(OdeMethodTest, OscillatorPhase) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, OdeMethodTest,
-    ::testing::Values(MethodParam{OdeMethod::kRk4, 1e-6},
-                      MethodParam{OdeMethod::kCashKarp45, 1e-6},
-                      MethodParam{OdeMethod::kDormandPrince54, 1e-6},
-                      MethodParam{OdeMethod::kRosenbrockW, 1e-4},
-                      MethodParam{OdeMethod::kImplicitEuler, 2e-2}));
+    ::testing::Values(
+        MethodParam{.method = OdeMethod::kRk4, .tolerance = 1e-6},
+        MethodParam{.method = OdeMethod::kCashKarp45, .tolerance = 1e-6},
+        MethodParam{.method = OdeMethod::kDormandPrince54, .tolerance = 1e-6},
+        MethodParam{.method = OdeMethod::kRosenbrockW, .tolerance = 1e-4},
+        MethodParam{.method = OdeMethod::kImplicitEuler, .tolerance = 2e-2}));
 
 TEST(OdeTest, StiffProblemWithRosenbrock) {
   OdeOptions opts;
