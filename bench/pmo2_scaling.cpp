@@ -9,7 +9,7 @@
 //
 // The objective function is ZDT1 plus a deterministic spin loop
 // (RMP_EVAL_SPIN iterations) standing in for a kinetic-model solve: bare
-// ZDT1 is far too cheap for coarse-grained island tasks to amortize, real
+// ZDT1 is far too cheap for a pooled evaluation batch to amortize, real
 // workloads (C3 steady states, FBA solves) are milliseconds per candidate.
 //
 // Environment knobs: RMP_GENERATIONS (60), RMP_POPULATION (32), RMP_ISLANDS

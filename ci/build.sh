@@ -255,7 +255,9 @@ fi
 echo "chaos smoke: torn checkpoint quarantined, lease reclaimed, fingerprint matched"
 
 # ThreadSanitizer lane over the concurrency-bearing binaries: the island
-# engine + migration topology (moo_pmo2), the epoch-committed caches
+# engine + migration topology (moo_pmo2), the three-phase engine hooks its
+# epochs drive (moo_nsga2, moo_spea2), the flat robustness surface
+# (robustness_robustness), the epoch-committed caches
 # (moo_evalcache covers EvalCache and CachedProblem, kinetics_warm_start the
 # warm pool), the thread-pool core itself, the sentinel suite, and the two
 # differential harnesses that run cached-vs-plain archipelagos at several
@@ -270,7 +272,8 @@ echo "chaos smoke: torn checkpoint quarantined, lease reclaimed, fingerprint mat
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 TSAN_TESTS=(
   core_parallel_test core_sentinel_test
-  moo_pmo2_test moo_evalcache_test kinetics_warm_start_test
+  moo_pmo2_test moo_nsga2_test moo_spea2_test moo_evalcache_test
+  kinetics_warm_start_test robustness_robustness_test
   integration_cache_differential_test numeric_solver_differential_test
   api_session_test api_serve_test)
 

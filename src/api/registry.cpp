@@ -404,15 +404,15 @@ void register_builtin_optimizers(OptimizerRegistry& reg) {
             if (engines.empty()) {
               // The paper's heterogeneous default: NSGA-II everywhere, odd
               // islands explore (coarser variation), even islands exploit.
-              // ctx.threads reaches the engines too, so threads=1 means a
-              // genuinely serial run (under concurrent islands the batches
-              // run inline regardless).
+              // ctx.threads reaches the engines too, although inside the
+              // archipelago their offspring are scored in its flat batch.
               factory = moo::Pmo2::default_nsga2_factory(population, ctx.threads);
             } else {
               // Heterogeneous archipelago straight from the registry: island
               // i runs the (i mod k)-th named engine.  Engine seeds are the
-              // island streams Pmo2 derives; engine eval batches run inline
-              // under island parallelism (core/parallel re-entrancy).
+              // island streams Pmo2 derives; engines that split their
+              // generation are scored in the archipelago's flat batch, the
+              // rest run whole in its commit phase.
               std::vector<std::string> names = split(engines, ',');
               for (const std::string& name : names) {
                 if (!OptimizerRegistry::global().contains(name)) {

@@ -22,8 +22,8 @@ namespace rmp::core {
 
 struct DesignerConfig {
   /// PMO2 configuration.  Threading: `optimizer.island_threads` sets the
-  /// archipelago's coarse tier (one task per island), the engines'
-  /// `eval_threads` the fine tier below it, and `surface.threads` /
+  /// width of every archipelago epoch phase (including the flat batch that
+  /// scores all islands' offspring), and `surface.threads` /
   /// `surface.yield.threads` the robustness stages — all default to 0
   /// (hardware concurrency) and none of them changes results.  The
   /// thread-count tuning table lives in docs/ARCHITECTURE.md.

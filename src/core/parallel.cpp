@@ -1,5 +1,6 @@
 #include "core/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -219,15 +220,31 @@ void parallel_for(std::size_t n, std::size_t n_threads,
 }
 
 std::size_t evaluate_batch(const moo::Problem& problem,
-                           std::span<moo::Individual> batch,
+                           std::span<const std::span<moo::Individual>> batches,
                            std::size_t n_threads) {
+  // offsets[b] = index of batch b's first item in the flat range, so one
+  // dynamically scheduled region covers every batch: a thread that finishes
+  // one batch's items moves straight on to the next batch's.
+  std::vector<std::size_t> offsets(batches.size() + 1, 0);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    offsets[b + 1] = offsets[b] + batches[b].size();
+  }
   const std::size_t m = problem.num_objectives();
-  parallel_for(batch.size(), n_threads, [&](std::size_t i) {
-    moo::Individual& ind = batch[i];
+  parallel_for(offsets.back(), n_threads, [&](std::size_t i) {
+    const auto b = static_cast<std::size_t>(
+        std::upper_bound(offsets.begin(), offsets.end(), i) - offsets.begin() - 1);
+    moo::Individual& ind = batches[b][i - offsets[b]];
     ind.f.assign(m, 0.0);
     ind.violation = problem.evaluate(ind.x, ind.f);
   });
-  return batch.size();
+  return offsets.back();
+}
+
+std::size_t evaluate_batch(const moo::Problem& problem,
+                           std::span<moo::Individual> batch,
+                           std::size_t n_threads) {
+  return evaluate_batch(problem, std::span<const std::span<moo::Individual>>(&batch, 1),
+                        n_threads);
 }
 
 }  // namespace rmp::core

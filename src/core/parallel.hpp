@@ -11,16 +11,19 @@
 // serial path for any thread count — parallelism changes wall-clock, never
 // answers.
 //
-// Nested-region composition: the system has two parallel tiers — coarse
-// island tasks (Pmo2::step, one task per island) over fine batch evaluation
-// (evaluate_batch inside each island's engine).  A parallel region started
-// from inside a pool batch runs inline on the calling thread instead of
-// re-entering the pool, so an island task's evaluate_batch calls execute
-// serially on the island's thread: the outer tier owns the physical
-// parallelism, total width stays bounded by the outer request, and no
-// combination of tiers can deadlock.  When the outer tier is serial
-// (island_threads = 1), the inner tier is free to use the pool.  See the
-// tuning table in docs/ARCHITECTURE.md.
+// Nested-region composition: every parallel region in the system is a flat,
+// dynamically scheduled batch on one pool.  A PMO2 epoch runs three of them
+// (Pmo2::step: stage every island's variation, then ONE evaluate_batch over
+// all islands' offspring, then commit every island), and the robustness
+// surface scores all picks' nominals, then all picks' trials, as one batch
+// each.  A parallel region started from inside a pool batch runs inline on
+// the calling thread instead of re-entering the pool, so code reached from
+// a pool task (an engine whose whole step runs in the PMO2 commit phase, a
+// yield ensemble inside a caller's region) executes serially on that
+// thread: total width stays bounded by the outer request and no nesting
+// can deadlock.  A region whose outer loop is explicitly serial leaves the
+// pool free for the regions nested in it.  See the tuning table in
+// docs/ARCHITECTURE.md.
 //
 // Layering note: these files live in src/core/ (the paper-pipeline layer)
 // but depend only on the header-only moo::Problem/Individual interfaces and
@@ -101,8 +104,8 @@ void parallel_for(std::size_t n, std::size_t n_threads,
 
 /// True while the current thread is executing items of a ThreadPool batch
 /// (as a pool worker or as the participating caller).  Any parallel region
-/// started on such a thread runs inline — the composition contract the
-/// two-tier archipelago relies on (see the header comment).  Note the
+/// started on such a thread runs inline — the nested-region composition
+/// contract (see the header comment).  Note the
 /// pool-less fallback paths (zero workers, single item, explicit width 1)
 /// do NOT set this flag: they hold no pool state, so nested regions remain
 /// free to use the pool.
@@ -114,6 +117,14 @@ void parallel_for(std::size_t n, std::size_t n_threads,
 /// their evaluation counters exact.
 std::size_t evaluate_batch(const moo::Problem& problem,
                            std::span<moo::Individual> batch,
+                           std::size_t n_threads = 0);
+
+/// The same over several spans as ONE flat, dynamically scheduled region:
+/// no thread waits at the end of one span while another still has work.
+/// Items are numbered span after span, so a serial run evaluates them in
+/// exactly that order.  Returns the total number of evaluations.
+std::size_t evaluate_batch(const moo::Problem& problem,
+                           std::span<const std::span<moo::Individual>> batches,
                            std::size_t n_threads = 0);
 
 }  // namespace rmp::core

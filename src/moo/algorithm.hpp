@@ -13,6 +13,20 @@
 //     restarted run is an independent replicate, not a replay; construct a
 //     new instance (as api::run does) to reproduce a run bit-exactly.
 //   * step() advances by one generation.
+//   * Three-phase hooks (begin_initialize/end_initialize,
+//     begin_step/end_step) split a generation at its evaluation so a host
+//     can score many engines' offspring in one batch (Pmo2 does, see
+//     moo/pmo2.hpp).  begin_* runs the variation on the engine's own RNG
+//     stream and returns the staged, unevaluated individuals; the host
+//     scores exactly that span with core::evaluate_batch on the engine's
+//     problem; end_*(evaluated) commits (counters, the problem's
+//     commit_epoch, survivor selection).  Between the two calls the span
+//     stays valid and the engine's committed state is untouched.  An engine
+//     that cannot split its generation (MOEA/D: each child's replacement
+//     feeds the next child's mating) keeps the defaults: begin_* stages
+//     nothing and end_* runs the whole initialize()/step().  Engines that
+//     do split implement initialize()/step() as begin, evaluate_batch, end,
+//     so each generation has one implementation.
 //   * Exception safety (the PR-2 contract, required of every implementation):
 //     a step() that throws must leave all state observable through this
 //     interface — population(), evaluations(), and for archive-bearing
@@ -20,7 +34,9 @@
 //     Observer can never see a partially committed generation.  Pmo2
 //     additionally documents how its epoch barrier realizes the strong
 //     guarantee (moo/pmo2.hpp); the single-population engines satisfy it by
-//     evaluating offspring into scratch storage before any commit.
+//     evaluating offspring into scratch storage before any commit — the
+//     staged span of the hooks above, so a host whose batch throws leaves
+//     them exactly as before begin_*() (their RNG stream aside).
 #pragma once
 
 #include <functional>
@@ -51,6 +67,23 @@ class Optimizer {
 
   /// Advances by one generation.  See the exception-safety contract above.
   virtual void step() = 0;
+
+  /// Phase 1 of initialize(): builds the initial population into staging
+  /// storage and returns it unevaluated.  Default: stages nothing.
+  virtual std::span<Individual> begin_initialize() { return {}; }
+
+  /// Phase 3 of initialize(): commits the staged population once every
+  /// individual of it was evaluated (`evaluated` of them).  Default: runs
+  /// the whole initialize().
+  virtual void end_initialize(std::size_t /*evaluated*/) { initialize(); }
+
+  /// Phase 1 of step(): stages one generation's offspring and returns them
+  /// unevaluated.  Default: stages nothing.
+  virtual std::span<Individual> begin_step() { return {}; }
+
+  /// Phase 3 of step(): commits the evaluated offspring and selects the
+  /// survivors.  Default: runs the whole step().
+  virtual void end_step(std::size_t /*evaluated*/) { step(); }
 
   /// Current population (valid after initialize()).  Archive-bearing engines
   /// (SPEA2, PMO2) expose their result archive here.

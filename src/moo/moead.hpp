@@ -25,9 +25,9 @@ struct MoeadOptions {
   /// Threads used to evaluate the initial population batch (0 = hardware
   /// concurrency, 1 = serial).  step() stays sequential by construction:
   /// each child's bounded replacement feeds the next child's mating pool.
-  /// When the engine runs as a Pmo2 island under island_threads > 1, the
-  /// initial batch runs inline on the island's thread — the archipelago
-  /// tier owns the physical parallelism.
+  /// As a Pmo2 island the engine keeps the default three-phase hooks and
+  /// runs whole in the epoch's commit phase; under island_threads > 1 its
+  /// initial batch runs inline there.
   std::size_t eval_threads = 0;
 };
 

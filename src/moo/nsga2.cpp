@@ -22,10 +22,9 @@ Nsga2::Nsga2(const Problem& problem, Nsga2Options options)
   }
 }
 
-void Nsga2::initialize() {
-  pop_.clear();
-  pop_.reserve(opts_.population_size);
-  evaluations_ = 0;
+std::span<Individual> Nsga2::begin_initialize() {
+  staged_.clear();
+  staged_.reserve(opts_.population_size);
 
   const auto lo = problem_.lower_bounds();
   const auto hi = problem_.upper_bounds();
@@ -42,33 +41,41 @@ void Nsga2::initialize() {
       ind.x = std::move(seeds[s]);
       ind.x.resize(n);
       num::clamp_inplace(ind.x, lo, hi);
-      pop_.push_back(std::move(ind));
+      staged_.push_back(std::move(ind));
     }
   }
 
-  while (pop_.size() < opts_.population_size) {
+  while (staged_.size() < opts_.population_size) {
     Individual ind;
     ind.x.resize(n);
     for (std::size_t i = 0; i < n; ++i) ind.x[i] = rng_.uniform(lo[i], hi[i]);
     problem_.repair(ind.x);
     num::clamp_inplace(ind.x, lo, hi);
-    pop_.push_back(std::move(ind));
+    staged_.push_back(std::move(ind));
   }
+  return staged_;
+}
 
-  evaluations_ += core::evaluate_batch(problem_, pop_, opts_.eval_threads);
+void Nsga2::end_initialize(std::size_t evaluated) {
+  evaluations_ = evaluated;
   problem_.commit_epoch();
+  pop_ = std::move(staged_);
+  staged_.clear();
 
   const auto fronts = fast_nondominated_sort(pop_);
   for (const auto& front : fronts) assign_crowding_distance(pop_, front);
 }
 
-void Nsga2::step() {
+void Nsga2::initialize() {
+  end_initialize(core::evaluate_batch(problem_, begin_initialize(), opts_.eval_threads));
+}
+
+std::span<Individual> Nsga2::begin_step() {
   const auto lo = problem_.lower_bounds();
   const auto hi = problem_.upper_bounds();
 
-  std::vector<Individual> merged;
-  merged.reserve(2 * opts_.population_size);
-  merged = pop_;
+  staged_.reserve(2 * opts_.population_size);
+  staged_ = pop_;
 
   num::Vec c1, c2;
   for (std::size_t pair = 0; pair < opts_.population_size / 2; ++pair) {
@@ -83,17 +90,23 @@ void Nsga2::step() {
       num::clamp_inplace(*child, lo, hi);
       Individual ind;
       ind.x = *child;
-      merged.push_back(std::move(ind));
+      staged_.push_back(std::move(ind));
     }
   }
 
   // Parents carry their scores; only the freshly generated tail needs work.
-  evaluations_ += core::evaluate_batch(
-      problem_, std::span<Individual>(merged).subspan(opts_.population_size),
-      opts_.eval_threads);
-  problem_.commit_epoch();
+  return std::span<Individual>(staged_).subspan(opts_.population_size);
+}
 
-  select_survivors(merged);
+void Nsga2::end_step(std::size_t evaluated) {
+  evaluations_ += evaluated;
+  problem_.commit_epoch();
+  select_survivors(staged_);
+  staged_.clear();  // frees the non-survivors' vectors between generations
+}
+
+void Nsga2::step() {
+  end_step(core::evaluate_batch(problem_, begin_step(), opts_.eval_threads));
 }
 
 void Nsga2::select_survivors(std::vector<Individual>& merged) {

@@ -21,9 +21,9 @@ struct Nsga2Options {
   double seeded_fraction = 0.1;
   /// Threads used to evaluate each generation's offspring batch
   /// (0 = hardware concurrency, 1 = serial).  Results are identical for any
-  /// value; see core/parallel.hpp.  When the engine runs as a Pmo2 island
-  /// under island_threads > 1, the batch runs inline on the island's thread
-  /// — the archipelago tier owns the physical parallelism.
+  /// value; see core/parallel.hpp.  Unused when the engine runs as a Pmo2
+  /// island: the archipelago scores every island's offspring in one batch
+  /// at Pmo2Options::island_threads.
   std::size_t eval_threads = 0;
 };
 
@@ -33,6 +33,10 @@ class Nsga2 final : public Algorithm {
 
   void initialize() override;
   void step() override;
+  std::span<Individual> begin_initialize() override;
+  void end_initialize(std::size_t evaluated) override;
+  std::span<Individual> begin_step() override;
+  void end_step(std::size_t evaluated) override;
   [[nodiscard]] std::span<const Individual> population() const override {
     return pop_;
   }
@@ -58,6 +62,9 @@ class Nsga2 final : public Algorithm {
   Nsga2Options opts_;
   num::Rng rng_;
   std::vector<Individual> pop_;
+  /// begin_*'s output: the initial population, or parents + offspring
+  /// (the merged 2N pool select_survivors() reads).
+  std::vector<Individual> staged_;
   std::size_t evaluations_ = 0;
 };
 

@@ -67,11 +67,8 @@ void Pmo2::initialize() {
   generation_ = 0;
   migrations_ = 0;
   archive_.clear();
-  // Evolve tier: build and evaluate every island's initial population
-  // concurrently, one task per island (each on its private RNG stream).
-  core::parallel_for(islands_.size(), opts_.island_threads,
-                     [&](std::size_t i) { islands_[i]->initialize(); });
-  // Commit tier: archive merge in fixed island-index order — identical to
+  evolve_islands(/*initial=*/true);
+  // Epoch barrier: archive merge in fixed island-index order — identical to
   // the serial schedule for any island_threads — then the problem's epoch
   // commit (e.g. the kinetic warm-start pool folds this epoch's steady
   // states into the snapshot the next epoch's evaluations read; the
@@ -81,27 +78,46 @@ void Pmo2::initialize() {
 }
 
 void Pmo2::step() {
-  // Evolve tier: one task per island on the shared pool.  Island tasks touch
-  // no shared mutable state — each island owns its population and RNG
-  // stream, and Problem::evaluate is thread-safe by contract.  An island's
-  // own evaluate_batch calls run inline on the island's thread (re-entrancy
-  // guard in core/parallel), so total width stays at island_threads.
-  core::parallel_for(islands_.size(), opts_.island_threads,
-                     [&](std::size_t i) { islands_[i]->step(); });
+  evolve_islands(/*initial=*/false);
 
-  // Commit tier (epoch barrier, serial): nothing below runs unless every
-  // island task returned cleanly, so a throwing island leaves the archive,
-  // generation counter and migration bookkeeping exactly as they were.
-  // problem_.commit_epoch() is the same barrier seen from the evaluation
-  // side — the kinetic warm-start pool snapshots here, which is what keeps
-  // the archive bit-identical across island_threads (every island of this
-  // epoch read the PREVIOUS snapshot).
+  // Epoch barrier (serial): nothing below runs unless all three phases
+  // returned cleanly, so a throw leaves the archive, generation counter and
+  // migration bookkeeping exactly as they were.  problem_.commit_epoch() is
+  // the same barrier seen from the evaluation side — the kinetic warm-start
+  // pool snapshots here, which is what keeps the archive bit-identical
+  // across island_threads (every evaluation of this epoch read the
+  // PREVIOUS snapshot).
   for (auto& island : islands_) archive_.offer_all(island->population());
   problem_.commit_epoch();
   ++generation_;
   if (opts_.migration_interval > 0 && generation_ % opts_.migration_interval == 0) {
     migrate();
   }
+}
+
+void Pmo2::evolve_islands(bool initial) {
+  const std::size_t n = islands_.size();
+  // Phase 1 — stage: every island runs its variation on its private RNG
+  // stream into its own staging storage (no shared mutable state).
+  std::vector<std::span<Individual>> staged(n);
+  core::parallel_for(n, opts_.island_threads, [&](std::size_t i) {
+    staged[i] = initial ? islands_[i]->begin_initialize() : islands_[i]->begin_step();
+  });
+  // Phase 2 — evaluate: one flat, dynamically scheduled batch over every
+  // island's staged individuals, on this archipelago's problem so caching
+  // and tracing decorators see every call.  Evaluation is a pure function
+  // of (candidate, committed snapshot), so the schedule cannot move bits.
+  core::evaluate_batch(problem_, staged, opts_.island_threads);
+  // Phase 3 — commit: survivor selection per island (their commit_epoch
+  // calls are deferred no-ops inside the region).  Engines that keep the
+  // default hooks (MOEA/D) run their whole generation here.
+  core::parallel_for(n, opts_.island_threads, [&](std::size_t i) {
+    if (initial) {
+      islands_[i]->end_initialize(staged[i].size());
+    } else {
+      islands_[i]->end_step(staged[i].size());
+    }
+  });
 }
 
 void Pmo2::run(const Observer& observer) {

@@ -11,14 +11,28 @@
 //
 // Concurrency and determinism contract
 // ------------------------------------
-// step() evolves all islands concurrently on the shared core::parallel pool,
-// one task per island (`Pmo2Options::island_threads` picks the width).  Each
-// island owns a private RNG stream derived from (seed, island_index) — the
-// island_index-th splitmix64 output rooted at the run seed — so no task
-// reads another task's random state; Problem::evaluate is thread-safe
-// by contract; and an island task's own evaluate_batch calls run inline on
-// the island's thread (core/parallel.hpp re-entrancy), keeping the total
-// width bounded by island_threads.
+// Every epoch (initialize() and each step()) runs in three phases on the
+// shared core::parallel pool, each `Pmo2Options::island_threads` wide:
+//   1. stage — one task per island runs its variation
+//      (Optimizer::begin_step / begin_initialize) into the island's own
+//      staging storage;
+//   2. evaluate — ONE flat, dynamically scheduled core::evaluate_batch over
+//      every island's staged individuals, on this archipelago's problem,
+//      so no thread idles at an island's tail while another island still
+//      has candidates to score;
+//   3. commit — one task per island commits (end_step / end_initialize):
+//      counters, the problem's commit_epoch (a deferred no-op inside the
+//      region) and survivor selection.  Engines that cannot split a
+//      generation (MOEA/D) keep the default hooks and run their whole
+//      step() here, their nested batches inline.
+// Each island owns a private RNG stream derived from (seed, island_index) —
+// the island_index-th splitmix64 output rooted at the run seed — consumed
+// only by its own phase-1 and phase-3 tasks, so no task reads another
+// task's random state; and Problem::evaluate is thread-safe by contract and
+// a pure function of (candidate, committed snapshot) inside the region.
+// With island_threads = 1 the flat batch evaluates island after island, in
+// the order a serial loop of island step() calls would (default-hook
+// islands evaluate later, in phase 3 — the order cannot move results).
 //
 // Every generation ends at an epoch barrier where shared state is committed
 // serially in a fixed order:
@@ -35,12 +49,14 @@
 // tests/moo/pmo2_test.cpp and by bench/pmo2_scaling (BENCH_pmo2.json).
 //
 // Exception safety: step() offers the strong guarantee on all committed
-// state.  Islands evolve into their own (staged) populations first; the
-// archive, generation counter and migration bookkeeping are only touched
-// after every island task returned.  If an island throws, the exception
-// propagates with the committed state unchanged — an Observer can never see
-// a partially-updated epoch.  Island-internal populations may still have
-// advanced; call initialize() to restart the run after a failure.
+// state.  The archive, generation counter and migration bookkeeping are
+// only touched after all three phases returned, so whatever throws, the
+// exception propagates with them unchanged — an Observer can never see a
+// partially-updated epoch.  A throw in phase 1 or 2 (a variation, a repair,
+// an evaluate() in the flat batch) also leaves every island's committed
+// population and evaluations() as they were, since no island has committed
+// yet.  A throw in phase 3 may leave other islands' populations advanced;
+// call initialize() to restart the run after a failure.
 #pragma once
 
 #include <functional>
@@ -67,10 +83,12 @@ struct Pmo2Options {
   /// so differential tests and benches can pit them against each other.
   ArchiveMerge archive_merge = Archive::default_merge();
   std::uint64_t seed = 7;
-  /// Threads evolving islands concurrently, one task per island (0 = one
-  /// thread per hardware context, 1 = serial).  The archive is bit-identical
-  /// for any value — see the determinism contract above; the thread-count
-  /// tuning table lives in docs/ARCHITECTURE.md.
+  /// Width of every epoch phase: the per-island staging and commit tasks
+  /// and the flat evaluation batch over all islands' offspring (0 = one
+  /// thread per hardware context, 1 = serial).  The hosted engines'
+  /// eval_threads are not used for that batch.  The archive is
+  /// bit-identical for any value — see the determinism contract above;
+  /// the thread-count tuning table lives in docs/ARCHITECTURE.md.
   std::size_t island_threads = 0;
 };
 
@@ -99,8 +117,8 @@ class Pmo2 final : public Optimizer {
 
   /// Default factory: NSGA-II with 100 individuals per island.
   /// `eval_threads` is forwarded to every engine (0 = hardware concurrency);
-  /// pass 1 to make an island_threads = 1 run genuinely serial — when
-  /// islands evolve concurrently the engines' batches run inline anyway.
+  /// it only matters when an engine is driven on its own — inside the
+  /// archipelago its offspring are scored in the flat epoch batch.
   [[nodiscard]] static AlgorithmFactory default_nsga2_factory(
       std::size_t population_per_island = 100, std::size_t eval_threads = 0);
 
@@ -114,7 +132,7 @@ class Pmo2 final : public Optimizer {
   using Optimizer::run;
 
   /// Step-wise API (used by the convergence ablation): one generation on
-  /// every island, then migration/archiving bookkeeping.
+  /// every island (the three phases above), then the epoch barrier.
   void initialize() override;
   void step() override;
   [[nodiscard]] std::size_t generation() const { return generation_; }
@@ -154,6 +172,9 @@ class Pmo2 final : public Optimizer {
   [[nodiscard]] std::size_t migrations_performed() const { return migrations_; }
 
  private:
+  /// Phases 1-3 of an epoch over every island: the initialize() hooks when
+  /// `initial`, the step() hooks otherwise.
+  void evolve_islands(bool initial);
   void migrate();
 
   const Problem& problem_;

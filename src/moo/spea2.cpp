@@ -104,59 +104,77 @@ void Spea2::environmental_selection(std::vector<Individual>& all) {
   for (const auto& front : fronts) assign_crowding_distance(archive_, front);
 }
 
-void Spea2::initialize() {
-  evaluations_ = 0;
-  pop_.clear();
-  archive_.clear();
+std::span<Individual> Spea2::begin_initialize() {
   const auto lo = problem_.lower_bounds();
   const auto hi = problem_.upper_bounds();
   const std::size_t n = problem_.num_variables();
 
+  staged_.clear();
   for (std::size_t i = 0; i < opts_.population_size; ++i) {
     Individual ind;
     ind.x.resize(n);
     for (std::size_t v = 0; v < n; ++v) ind.x[v] = rng_.uniform(lo[v], hi[v]);
     problem_.repair(ind.x);
     num::clamp_inplace(ind.x, lo, hi);
-    pop_.push_back(std::move(ind));
+    staged_.push_back(std::move(ind));
   }
-  evaluations_ += core::evaluate_batch(problem_, pop_, opts_.eval_threads);
+  return staged_;
+}
+
+void Spea2::end_initialize(std::size_t evaluated) {
+  evaluations_ = evaluated;
   problem_.commit_epoch();
+  pop_ = std::move(staged_);
+  staged_.clear();
+  archive_.clear();
   std::vector<Individual> all = pop_;
   environmental_selection(all);
 }
 
-void Spea2::step() {
+void Spea2::initialize() {
+  end_initialize(core::evaluate_batch(problem_, begin_initialize(), opts_.eval_threads));
+}
+
+std::span<Individual> Spea2::begin_step() {
   const auto lo = problem_.lower_bounds();
   const auto hi = problem_.upper_bounds();
 
   // Mating selection from the archive; offspring form the next population.
-  std::vector<Individual> offspring;
-  offspring.reserve(opts_.population_size);
+  staged_.clear();
+  staged_.reserve(opts_.population_size);
   num::Vec c1, c2;
-  while (offspring.size() < opts_.population_size) {
+  while (staged_.size() < opts_.population_size) {
     const Individual& p1 = archive_[binary_tournament(archive_, rng_)];
     const Individual& p2 = archive_[binary_tournament(archive_, rng_)];
     sbx_crossover(p1.x, p2.x, lo, hi, opts_.variation.crossover_probability,
                   opts_.variation.crossover_eta, rng_, c1, c2);
     for (num::Vec* child : {&c1, &c2}) {
-      if (offspring.size() == opts_.population_size) break;
+      if (staged_.size() == opts_.population_size) break;
       polynomial_mutation(*child, lo, hi, opts_.variation.mutation_probability,
                           opts_.variation.mutation_eta, rng_);
       problem_.repair(*child);
       num::clamp_inplace(*child, lo, hi);
       Individual ind;
       ind.x = *child;
-      offspring.push_back(std::move(ind));
+      staged_.push_back(std::move(ind));
     }
   }
-  evaluations_ += core::evaluate_batch(problem_, offspring, opts_.eval_threads);
+  return staged_;
+}
+
+void Spea2::end_step(std::size_t evaluated) {
+  evaluations_ += evaluated;
   problem_.commit_epoch();
-  pop_ = std::move(offspring);
+  pop_ = std::move(staged_);
+  staged_.clear();
 
   std::vector<Individual> all = pop_;
   all.insert(all.end(), archive_.begin(), archive_.end());
   environmental_selection(all);
+}
+
+void Spea2::step() {
+  end_step(core::evaluate_batch(problem_, begin_step(), opts_.eval_threads));
 }
 
 void Spea2::inject(std::span<const Individual> immigrants) {

@@ -20,9 +20,9 @@ struct Spea2Options {
   double violation_penalty = 1e6;  ///< added to fitness per unit violation
   /// Threads used to evaluate each generation's offspring batch
   /// (0 = hardware concurrency, 1 = serial).  Results are identical for any
-  /// value; see core/parallel.hpp.  When the engine runs as a Pmo2 island
-  /// under island_threads > 1, the batch runs inline on the island's thread
-  /// — the archipelago tier owns the physical parallelism.
+  /// value; see core/parallel.hpp.  Unused when the engine runs as a Pmo2
+  /// island: the archipelago scores every island's offspring in one batch
+  /// at Pmo2Options::island_threads.
   std::size_t eval_threads = 0;
 };
 
@@ -32,6 +32,10 @@ class Spea2 final : public Algorithm {
 
   void initialize() override;
   void step() override;
+  std::span<Individual> begin_initialize() override;
+  void end_initialize(std::size_t evaluated) override;
+  std::span<Individual> begin_step() override;
+  void end_step(std::size_t evaluated) override;
   /// The environmental archive (SPEA2's result set).
   [[nodiscard]] std::span<const Individual> population() const override {
     return archive_;
@@ -56,6 +60,8 @@ class Spea2 final : public Algorithm {
   num::Rng rng_;
   std::vector<Individual> pop_;
   std::vector<Individual> archive_;
+  /// begin_*'s output: the next working population, unevaluated.
+  std::vector<Individual> staged_;
   std::size_t evaluations_ = 0;
 };
 

@@ -12,21 +12,48 @@ std::vector<SurfacePoint> robustness_surface(const pareto::Front& front,
   if (front.empty()) return out;
 
   const std::vector<std::size_t> picks = pareto::equally_spaced(front, cfg.samples);
-  out.resize(picks.size());
-  // Screen the sampled points concurrently; every pick seeds its own yield
-  // RNG, so the surface is independent of the execution order.
-  core::parallel_for(picks.size(), cfg.threads, [&](std::size_t k) {
-    const std::size_t idx = picks[k];
-    SurfacePoint p;
-    p.front_index = idx;
-    p.objectives = front[idx].f;
-    p.gamma = global_yield(front[idx].x, property, cfg.yield).gamma;
-    out[k] = std::move(p);
-  });
-  // Serial epoch barrier after the screen (the per-pick hooks inside the
-  // region were deferred no-ops): later stages warm-start from the surface's
-  // solved roots.
+  const std::size_t n = picks.size();
+
+  // Every pick's ensemble, drawn exactly as global_yield draws it (its own
+  // RNG seeded with cfg.yield.seed), laid end to end: pick k's trials are
+  // [k * trials, (k + 1) * trials).
+  const std::size_t trials = cfg.yield.perturbation.global_trials;
+  std::vector<num::Vec> ensembles;
+  ensembles.reserve(n * trials);
+  for (const std::size_t idx : picks) {
+    num::Rng rng(cfg.yield.seed);
+    for (num::Vec& p : global_ensemble(front[idx].x, cfg.yield.perturbation, rng)) {
+      ensembles.push_back(std::move(p));
+    }
+  }
+
+  // Two flat batches — all picks' nominals, then all picks' trials — both
+  // under the snapshot committed before the surface: no barrier runs
+  // between them, so a pick's trials read the same snapshot as its nominal.
+  std::vector<double> nominals(n);
+  if (cfg.yield.nominal_value) {
+    nominals.assign(n, *cfg.yield.nominal_value);
+  } else {
+    core::parallel_for(n, cfg.threads, [&](std::size_t k) {
+      nominals[k] = property(front[picks[k]].x);
+    });
+  }
+  std::vector<double> values(ensembles.size());
+  core::parallel_for(ensembles.size(), cfg.threads,
+                     [&](std::size_t i) { values[i] = property(ensembles[i]); });
+  // Serial epoch barrier after the screen: later stages warm-start from the
+  // surface's solved roots.
   if (cfg.yield.epoch_commit) cfg.yield.epoch_commit();
+
+  out.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    SurfacePoint& p = out[k];
+    p.front_index = picks[k];
+    p.objectives = front[picks[k]].f;
+    p.gamma = summarize_ensemble(nominals[k], cfg.yield.epsilon_fraction,
+                                 std::span<const double>(values).subspan(k * trials, trials))
+                  .gamma;
+  }
   return out;
 }
 

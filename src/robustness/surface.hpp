@@ -21,15 +21,17 @@ struct SurfaceConfig {
   YieldConfig yield;
   std::size_t samples = 50;  ///< equally-spaced picks along the front
   /// Threads used to screen the sampled Pareto points (0 = hardware
-  /// concurrency, 1 = serial outer loop).  When the outer loop runs on the
-  /// pool, each point's yield ensemble runs inline so the total width stays
-  /// bounded; with threads = 1 the inner ensembles are still free to
-  /// parallelize per `yield.threads`.
+  /// concurrency, 1 = serial): the surface scores all picks' nominals, then
+  /// all picks' Monte-Carlo trials, as one flat batch each, so
+  /// `yield.threads` is not used here.  Gamma is identical for any value.
   std::size_t threads = 0;
 };
 
 /// Evaluates the robustness surface over `samples` equally-spaced Pareto
-/// points (plus both extremes, which equal spacing always includes).
+/// points (plus both extremes, which equal spacing always includes).  Each
+/// point's gamma is global_yield(x, property, cfg.yield)'s, with the epoch
+/// commits deferred to one after the whole surface; every pick's ensemble
+/// is held in memory at once.
 [[nodiscard]] std::vector<SurfacePoint> robustness_surface(const pareto::Front& front,
                                                            const PropertyFn& property,
                                                            const SurfaceConfig& cfg);

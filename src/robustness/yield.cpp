@@ -12,15 +12,29 @@ bool robustness_condition(double nominal_value, double perturbed_value,
   return std::fabs(nominal_value - perturbed_value) <= absolute_threshold;
 }
 
+YieldResult summarize_ensemble(double nominal_value, double epsilon_fraction,
+                               std::span<const double> trial_values) {
+  YieldResult r;
+  r.nominal_value = nominal_value;
+  r.absolute_threshold = epsilon_fraction * std::fabs(nominal_value);
+  r.total_trials = trial_values.size();
+  for (const double v : trial_values) {
+    const double dev = std::fabs(r.nominal_value - v);
+    r.max_deviation = std::max(r.max_deviation, dev);
+    if (dev <= r.absolute_threshold) ++r.robust_trials;
+  }
+  if (r.total_trials > 0) {
+    r.gamma = static_cast<double>(r.robust_trials) / static_cast<double>(r.total_trials);
+  }
+  return r;
+}
+
 namespace {
 
 YieldResult run_ensemble(std::span<const double> x, const PropertyFn& f,
                          const YieldConfig& cfg,
                          const std::vector<num::Vec>& ensemble) {
-  YieldResult r;
-  r.nominal_value = cfg.nominal_value ? *cfg.nominal_value : f(x);
-  r.absolute_threshold = cfg.epsilon_fraction * std::fabs(r.nominal_value);
-  r.total_trials = ensemble.size();
+  const double nominal = cfg.nominal_value ? *cfg.nominal_value : f(x);
   // Epoch barrier before the batch: the nominal solve (and anything staged
   // by earlier stages) becomes warm-start snapshot for every trial below.
   if (cfg.epoch_commit) cfg.epoch_commit();
@@ -31,15 +45,7 @@ YieldResult run_ensemble(std::span<const double> x, const PropertyFn& f,
                      [&](std::size_t i) { values[i] = f(ensemble[i]); });
   // ... and after it, so the next ensemble starts from this one's roots.
   if (cfg.epoch_commit) cfg.epoch_commit();
-  for (const double v : values) {
-    const double dev = std::fabs(r.nominal_value - v);
-    r.max_deviation = std::max(r.max_deviation, dev);
-    if (dev <= r.absolute_threshold) ++r.robust_trials;
-  }
-  if (r.total_trials > 0) {
-    r.gamma = static_cast<double>(r.robust_trials) / static_cast<double>(r.total_trials);
-  }
-  return r;
+  return summarize_ensemble(nominal, cfg.epsilon_fraction, values);
 }
 
 }  // namespace

@@ -62,6 +62,15 @@ struct YieldResult {
   double max_deviation = 0.0;
 };
 
+/// Reduces one scored ensemble to its YieldResult, in index order: each
+/// trial's deviation from the nominal value against the absolute threshold
+/// epsilon_fraction * |nominal_value|, the robust count, the worst
+/// deviation and gamma.  Every yield path (global, local, the robustness
+/// surface) reduces through it.
+[[nodiscard]] YieldResult summarize_ensemble(double nominal_value,
+                                             double epsilon_fraction,
+                                             std::span<const double> trial_values);
+
 /// Global yield: all variables perturbed simultaneously.
 [[nodiscard]] YieldResult global_yield(std::span<const double> x, const PropertyFn& f,
                                        const YieldConfig& cfg);

@@ -216,6 +216,58 @@ TEST(ParallelTest, EvaluateBatchInsidePoolTaskRunsInlineAndMatchesSerial) {
   }
 }
 
+TEST(ParallelTest, MultiSpanBatchMatchesOneFlatBatch) {
+  // The several-span overload is one flat region: the same answers as one
+  // batch holding every span's items end to end, empty spans included, and
+  // with threads = 1 the items are scored span after span, in order.
+  const moo::Zdt1 problem(8);
+  const std::vector<std::size_t> sizes = {5, 0, 17, 9};
+  auto expected = random_batch(problem, 31, 23);
+  evaluate_batch(problem, expected, 1);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    auto flat = random_batch(problem, 31, 23);
+    std::vector<std::vector<moo::Individual>> parts;
+    std::size_t begin = 0;
+    for (const std::size_t n : sizes) {
+      parts.emplace_back(flat.begin() + static_cast<long>(begin),
+                         flat.begin() + static_cast<long>(begin + n));
+      begin += n;
+    }
+    std::vector<std::span<moo::Individual>> spans(parts.begin(), parts.end());
+    EXPECT_EQ(evaluate_batch(problem, spans, threads), 31u);
+    std::size_t i = 0;
+    for (const auto& part : parts) {
+      for (const moo::Individual& ind : part) {
+        EXPECT_EQ(ind.f, expected[i].f) << "threads=" << threads << " i=" << i;
+        EXPECT_EQ(ind.violation, expected[i].violation);
+        ++i;
+      }
+    }
+  }
+
+  // Serial order: a problem that logs its first coordinate.
+  struct LoggingProblem final : moo::BoxProblem {
+    LoggingProblem() : moo::BoxProblem(2, 2, 0.0, 1.0, "logging") {}
+    double evaluate(std::span<const double> x,
+                    std::span<double> objectives) const override {
+      log.push_back(x[0]);
+      objectives[0] = x[0];
+      objectives[1] = x[1];
+      return 0.0;
+    }
+    mutable std::vector<double> log;
+  } logging;
+  std::vector<moo::Individual> a(2), b(3);
+  double next = 0.0;
+  for (auto* part : {&a, &b}) {
+    for (moo::Individual& ind : *part) ind.x = {next++ / 10.0, 0.5};
+  }
+  std::vector<std::span<moo::Individual>> spans = {a, b};
+  evaluate_batch(logging, spans, 1);
+  EXPECT_EQ(logging.log, (std::vector<double>{0.0, 0.1, 0.2, 0.3, 0.4}));
+}
+
 TEST(ParallelTest, ExceptionsPropagateToTheCaller) {
   EXPECT_THROW(
       parallel_for(64, 4,

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/parallel.hpp"
 #include "moo/dominance.hpp"
 #include "moo/testproblems.hpp"
 
@@ -114,6 +115,42 @@ TEST(Nsga2Test, DeterministicForSeed) {
   ASSERT_EQ(a.population().size(), b.population().size());
   for (std::size_t i = 0; i < a.population().size(); ++i) {
     EXPECT_EQ(a.population()[i].x, b.population()[i].x);
+  }
+}
+
+TEST(Nsga2Test, ThreePhaseHooksReproduceInitializeAndStep) {
+  // A host that drives the hooks itself (as Pmo2 does) gets exactly the
+  // engine's own initialize()/step(); between begin_* and end_* the
+  // committed population and counter stay untouched.
+  const Zdt2 problem(8);
+  Nsga2Options o;
+  o.population_size = 20;
+  o.seed = 42;
+  Nsga2 a(problem, o), b(problem, o);
+  a.initialize();
+  const auto initial = b.begin_initialize();
+  EXPECT_EQ(initial.size(), 20u);
+  EXPECT_TRUE(b.population().empty());
+  b.end_initialize(core::evaluate_batch(problem, initial, 1));
+  for (int g = 0; g < 5; ++g) {
+    a.step();
+    const std::vector<Individual> before(b.population().begin(), b.population().end());
+    const std::size_t evaluations = b.evaluations();
+    const auto offspring = b.begin_step();
+    EXPECT_EQ(offspring.size(), 20u);
+    EXPECT_EQ(b.evaluations(), evaluations);
+    ASSERT_EQ(b.population().size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(b.population()[i].x, before[i].x);
+    }
+    b.end_step(core::evaluate_batch(problem, offspring, 1));
+  }
+  EXPECT_EQ(a.evaluations(), b.evaluations());
+  ASSERT_EQ(a.population().size(), b.population().size());
+  for (std::size_t i = 0; i < a.population().size(); ++i) {
+    EXPECT_EQ(a.population()[i].x, b.population()[i].x);
+    EXPECT_EQ(a.population()[i].f, b.population()[i].f);
+    EXPECT_EQ(a.population()[i].crowding, b.population()[i].crowding);
   }
 }
 

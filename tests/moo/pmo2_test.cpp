@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "moo/moead.hpp"
 #include "moo/nsga2.hpp"
+#include "moo/spea2.hpp"
 #include "moo/testproblems.hpp"
 #include "moo/topology.hpp"
 #include "pareto/front.hpp"
@@ -217,7 +219,8 @@ TEST(Pmo2Test, ArchiveBitIdenticalAcrossMergePolicies) {
 // The archipelago determinism contract: the archive — and everything mined
 // from it — is bit-identical for any island_threads.  This extends the
 // tests/core/parallel_test.cpp thread-invariance checks from one batch to
-// the whole system: concurrent island tasks, epoch barriers, migration.
+// the whole system: three-phase epochs over one flat evaluation batch,
+// epoch barriers, migration.
 TEST(Pmo2Test, ArchiveBitIdenticalAcrossIslandThreads) {
   const Zdt3 problem(10);
 
@@ -249,6 +252,10 @@ TEST(Pmo2Test, ArchiveBitIdenticalAcrossIslandThreads) {
 
   const RunOutput reference = run(1);
   ASSERT_FALSE(reference.archive.empty());
+  // The fingerprint this configuration had when every island ran its whole
+  // step() as one task: the flat three-phase epoch must reproduce it, not
+  // merely agree with itself across thread counts.
+  EXPECT_EQ(reference.fingerprint, 0xf27d0dc8c5f8464fULL);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     const RunOutput other = run(threads);
     EXPECT_EQ(other.fingerprint, reference.fingerprint) << "threads=" << threads;
@@ -264,6 +271,80 @@ TEST(Pmo2Test, ArchiveBitIdenticalAcrossIslandThreads) {
     // Mined candidates select identically on identical archives.
     EXPECT_EQ(other.ideal_index, reference.ideal_index);
     EXPECT_EQ(other.shadow_indices, reference.shadow_indices);
+  }
+}
+
+// Heterogeneous archipelago under the three-phase epoch: NSGA-II and SPEA2
+// islands stage offspring into the flat evaluation batch, while MOEA/D keeps
+// the default hooks and runs its whole generation in the commit phase.  The
+// archive and the evaluation count are identical for every island_threads.
+TEST(Pmo2Test, HeterogeneousArchipelagoBitIdenticalAcrossIslandThreads) {
+  const Zdt3 problem(10);
+  const Pmo2::AlgorithmFactory factory =
+      [](const Problem& p, std::uint64_t seed,
+         std::size_t island) -> std::unique_ptr<Algorithm> {
+    switch (island % 3) {
+      case 0: {
+        Nsga2Options no;
+        no.population_size = 16;
+        no.seed = seed;
+        return std::make_unique<Nsga2>(p, no);
+      }
+      case 1: {
+        Spea2Options so;
+        so.population_size = 16;
+        so.archive_size = 16;
+        so.seed = seed;
+        return std::make_unique<Spea2>(p, so);
+      }
+      default: {
+        MoeadOptions mo;
+        mo.population_size = 16;
+        mo.seed = seed;
+        return std::make_unique<Moead>(p, mo);
+      }
+    }
+  };
+  struct RunOutput {
+    std::vector<Individual> archive;
+    std::uint64_t fingerprint = 0;
+    std::size_t evaluations = 0;
+  };
+  auto run = [&](std::size_t island_threads) {
+    Pmo2Options o;
+    o.islands = 6;  // two islands of each engine
+    o.generations = 12;
+    o.migration_interval = 4;
+    o.migration_probability = 0.5;
+    o.seed = 99;
+    o.island_threads = island_threads;
+    Pmo2 pmo2(problem, o, factory);
+    pmo2.run();
+    RunOutput out;
+    out.archive.assign(pmo2.archive().solutions().begin(),
+                       pmo2.archive().solutions().end());
+    out.fingerprint = pmo2.archive().fingerprint();
+    out.evaluations = pmo2.evaluations();
+    return out;
+  };
+
+  const RunOutput reference = run(1);
+  ASSERT_FALSE(reference.archive.empty());
+  // 12 generations of 16 offspring on 6 islands, plus the initial
+  // populations.
+  EXPECT_EQ(reference.evaluations, 6u * 16u * 13u);
+  // The fingerprint this archipelago had when every island ran its whole
+  // step() as one task.
+  EXPECT_EQ(reference.fingerprint, 0xa24c16e6b7ea91deULL);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    const RunOutput other = run(threads);
+    EXPECT_EQ(other.fingerprint, reference.fingerprint) << "threads=" << threads;
+    EXPECT_EQ(other.evaluations, reference.evaluations) << "threads=" << threads;
+    ASSERT_EQ(other.archive.size(), reference.archive.size()) << "threads=" << threads;
+    for (std::size_t i = 0; i < reference.archive.size(); ++i) {
+      EXPECT_EQ(other.archive[i].x, reference.archive[i].x) << "threads=" << threads;
+      EXPECT_EQ(other.archive[i].f, reference.archive[i].f) << "threads=" << threads;
+    }
   }
 }
 
@@ -394,6 +475,90 @@ TEST(Pmo2Test, StepLeavesCommittedStateUntouchedWhenAnIslandThrows) {
   pmo2.initialize();
   EXPECT_EQ(pmo2.generation(), 0u);
   EXPECT_EQ(pmo2.archive().size(), 2u);
+}
+
+/// ZDT1 whose evaluate() throws once, on a chosen call: fail_after(k) arms
+/// the k-th call from now.  Thread-safe, like every Problem.
+class FailingProblem final : public Problem {
+ public:
+  explicit FailingProblem(std::size_t n) : inner_(n) {}
+
+  [[nodiscard]] std::size_t num_variables() const override {
+    return inner_.num_variables();
+  }
+  [[nodiscard]] std::size_t num_objectives() const override {
+    return inner_.num_objectives();
+  }
+  [[nodiscard]] std::span<const double> lower_bounds() const override {
+    return inner_.lower_bounds();
+  }
+  [[nodiscard]] std::span<const double> upper_bounds() const override {
+    return inner_.upper_bounds();
+  }
+  double evaluate(std::span<const double> x,
+                  std::span<double> objectives) const override {
+    if (calls_.fetch_add(1) + 1 == fail_on_.load()) {
+      throw std::runtime_error("evaluation failure");
+    }
+    return inner_.evaluate(x, objectives);
+  }
+
+  void fail_after(std::size_t k) { fail_on_ = calls_.load() + k; }
+
+ private:
+  Zdt1 inner_;
+  mutable std::atomic<std::size_t> calls_{0};
+  std::atomic<std::size_t> fail_on_{0};
+};
+
+// A throw from evaluate() inside the epoch's flat batch: no island has
+// committed yet, so the archive, the epoch and migration counters, every
+// island's population and evaluations() stay exactly as they were — for a
+// serial and a pooled batch alike.
+TEST(Pmo2Test, StepLeavesCommittedStateUntouchedWhenAnEvaluationThrows) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    FailingProblem problem(8);
+    Pmo2Options o;
+    o.islands = 4;
+    o.migration_interval = 1;
+    o.migration_probability = 1.0;
+    o.seed = 5;
+    o.island_threads = threads;
+    Pmo2 pmo2(problem, o, Pmo2::default_nsga2_factory(16));
+    pmo2.initialize();
+    pmo2.step();
+
+    const std::uint64_t fingerprint = pmo2.archive().fingerprint();
+    const std::size_t generation = pmo2.generation();
+    const std::size_t migrations = pmo2.migrations_performed();
+    const std::size_t evaluations = pmo2.evaluations();
+    std::vector<std::vector<Individual>> populations;
+    for (std::size_t i = 0; i < pmo2.num_islands(); ++i) {
+      const auto pop = pmo2.island(i).population();
+      populations.emplace_back(pop.begin(), pop.end());
+    }
+
+    // The batch holds 4 x 16 offspring; call 37 falls in island 2's share.
+    problem.fail_after(37);
+    EXPECT_THROW(pmo2.step(), std::runtime_error) << "threads=" << threads;
+    EXPECT_EQ(pmo2.archive().fingerprint(), fingerprint) << "threads=" << threads;
+    EXPECT_EQ(pmo2.generation(), generation) << "threads=" << threads;
+    EXPECT_EQ(pmo2.migrations_performed(), migrations) << "threads=" << threads;
+    EXPECT_EQ(pmo2.evaluations(), evaluations) << "threads=" << threads;
+    for (std::size_t i = 0; i < pmo2.num_islands(); ++i) {
+      const auto pop = pmo2.island(i).population();
+      ASSERT_EQ(pop.size(), populations[i].size());
+      for (std::size_t k = 0; k < pop.size(); ++k) {
+        EXPECT_EQ(pop[k].x, populations[i][k].x) << "island " << i;
+        EXPECT_EQ(pop[k].f, populations[i][k].f) << "island " << i;
+      }
+    }
+
+    // The fault was one-shot: the next epoch commits normally.
+    pmo2.step();
+    EXPECT_EQ(pmo2.generation(), generation + 1) << "threads=" << threads;
+    EXPECT_EQ(pmo2.evaluations(), evaluations + 4u * 16u) << "threads=" << threads;
+  }
 }
 
 // Parameterized topology sweep: every topology must complete and archive.

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/parallel.hpp"
 #include "moo/dominance.hpp"
 #include "moo/nsga2.hpp"
 #include "moo/pmo2.hpp"
@@ -83,6 +84,41 @@ TEST(Spea2Test, DeterministicForSeed) {
   ASSERT_EQ(a.population().size(), b.population().size());
   for (std::size_t i = 0; i < a.population().size(); ++i) {
     EXPECT_EQ(a.population()[i].x, b.population()[i].x);
+  }
+}
+
+TEST(Spea2Test, ThreePhaseHooksReproduceInitializeAndStep) {
+  // A host that drives the hooks itself (as Pmo2 does) gets exactly the
+  // engine's own initialize()/step(); between begin_* and end_* the
+  // committed archive and counter stay untouched.
+  const Zdt3 problem(8);
+  Spea2Options o;
+  o.population_size = 16;
+  o.archive_size = 12;
+  o.seed = 9;
+  Spea2 a(problem, o), b(problem, o);
+  a.initialize();
+  const auto initial = b.begin_initialize();
+  EXPECT_EQ(initial.size(), 16u);
+  b.end_initialize(core::evaluate_batch(problem, initial, 1));
+  for (int g = 0; g < 5; ++g) {
+    a.step();
+    const std::vector<Individual> before(b.population().begin(), b.population().end());
+    const std::size_t evaluations = b.evaluations();
+    const auto offspring = b.begin_step();
+    EXPECT_EQ(offspring.size(), 16u);
+    EXPECT_EQ(b.evaluations(), evaluations);
+    ASSERT_EQ(b.population().size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(b.population()[i].x, before[i].x);
+    }
+    b.end_step(core::evaluate_batch(problem, offspring, 1));
+  }
+  EXPECT_EQ(a.evaluations(), b.evaluations());
+  ASSERT_EQ(a.population().size(), b.population().size());
+  for (std::size_t i = 0; i < a.population().size(); ++i) {
+    EXPECT_EQ(a.population()[i].x, b.population()[i].x);
+    EXPECT_EQ(a.population()[i].f, b.population()[i].f);
   }
 }
 

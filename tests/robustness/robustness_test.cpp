@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <set>
 
 #include "numeric/stats.hpp"
+#include "pareto/mining.hpp"
 
 namespace rmp::robustness {
 namespace {
@@ -218,6 +222,50 @@ TEST(YieldTest, LatinHypercubeLowersEstimatorVariance) {
   };
   EXPECT_LE(spread(SamplingScheme::kLatinHypercube),
             spread(SamplingScheme::kMonteCarlo) + 0.02);
+}
+
+// The surface scores all picks' nominals, then all picks' trials, as two
+// flat batches; each point's gamma must still be exactly the per-pick
+// global_yield answer, whatever the thread count.  7 picks on 4 threads
+// leave a ragged last round in both batches.
+TEST(SurfaceTest, GammaMatchesPerPickGlobalYieldBitForBit) {
+  pareto::Front front;
+  for (int i = 0; i <= 30; ++i) {
+    pareto::Individual ind;
+    const double t = i / 30.0;
+    ind.f = {t, 1.0 - t};
+    ind.x = {0.2 + t, 1.0 + 2.0 * t};
+    front.add(ind);
+  }
+  const PropertyFn f = [](std::span<const double> x) {
+    return x[0] * x[1] + std::sin(3.0 * x[1]);
+  };
+  SurfaceConfig cfg;
+  cfg.samples = 7;
+  cfg.yield.perturbation.global_trials = 150;
+  cfg.yield.seed = 11;
+  const std::vector<std::size_t> picks = pareto::equally_spaced(front, cfg.samples);
+  ASSERT_NE(picks.size() % 4, 0u);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    cfg.threads = threads;
+    const auto surface = robustness_surface(front, f, cfg);
+    ASSERT_EQ(surface.size(), picks.size()) << "threads=" << threads;
+    std::set<double> distinct;
+    for (std::size_t k = 0; k < surface.size(); ++k) {
+      const SurfacePoint& p = surface[k];
+      EXPECT_EQ(p.front_index, picks[k]);
+      EXPECT_EQ(p.objectives, front[picks[k]].f);
+      YieldConfig oracle = cfg.yield;
+      oracle.threads = 1;
+      const double expected = global_yield(front[picks[k]].x, f, oracle).gamma;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(p.gamma),
+                std::bit_cast<std::uint64_t>(expected))
+          << "threads=" << threads << " pick " << k;
+      distinct.insert(p.gamma);
+    }
+    EXPECT_GE(distinct.size(), 2u) << "a constant gamma would not test the picks";
+  }
 }
 
 TEST(SurfaceTest, EmptyFrontGivesEmptySurface) {
