@@ -404,9 +404,7 @@ void register_builtin_optimizers(OptimizerRegistry& reg) {
             if (engines.empty()) {
               // The paper's heterogeneous default: NSGA-II everywhere, odd
               // islands explore (coarser variation), even islands exploit.
-              // ctx.threads reaches the engines too, although inside the
-              // archipelago their offspring are scored in its flat batch.
-              factory = moo::Pmo2::default_nsga2_factory(population, ctx.threads);
+              factory = moo::Pmo2::default_nsga2_factory(population);
             } else {
               // Heterogeneous archipelago straight from the registry: island
               // i runs the (i mod k)-th named engine.  Engine seeds are the

@@ -15,8 +15,8 @@
 // dynamically scheduled batch on one pool.  A PMO2 epoch runs three of them
 // (Pmo2::step: stage every island's variation, then ONE evaluate_batch over
 // all islands' offspring, then commit every island), and the robustness
-// surface scores all picks' nominals, then all picks' trials, as one batch
-// each.  A parallel region started from inside a pool batch runs inline on
+// surface scores all picks' nominals as one batch, then their trials in
+// batches of up to kSurfaceChunkTrials.  A parallel region started from inside a pool batch runs inline on
 // the calling thread instead of re-entering the pool, so code reached from
 // a pool task (an engine whose whole step runs in the PMO2 commit phase, a
 // yield ensemble inside a caller's region) executes serially on that

@@ -18,8 +18,10 @@
 //     can score many engines' offspring in one batch (Pmo2 does, see
 //     moo/pmo2.hpp).  begin_* runs the variation on the engine's own RNG
 //     stream and returns the staged, unevaluated individuals; the host
-//     scores exactly that span with core::evaluate_batch on the engine's
-//     problem; end_*(evaluated) commits (counters, the problem's
+//     scores exactly that span with core::evaluate_batch on the problem the
+//     engine was built with (Pmo2 scores it on its own problem, which is
+//     why its AlgorithmFactory must build every engine on the problem it
+//     is handed); end_*(evaluated) commits (counters, the problem's
 //     commit_epoch, survivor selection).  Between the two calls the span
 //     stays valid and the engine's committed state is untouched.  An engine
 //     that cannot split its generation (MOEA/D: each child's replacement

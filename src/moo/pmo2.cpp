@@ -30,14 +30,11 @@ std::uint64_t island_stream_seed(std::uint64_t seed, std::size_t island) {
 }
 }  // namespace
 
-Pmo2::AlgorithmFactory Pmo2::default_nsga2_factory(std::size_t population_per_island,
-                                                   std::size_t eval_threads) {
-  return [population_per_island, eval_threads](const Problem& problem,
-                                               std::uint64_t seed,
-                                               std::size_t island_index) {
+Pmo2::AlgorithmFactory Pmo2::default_nsga2_factory(std::size_t population_per_island) {
+  return [population_per_island](const Problem& problem, std::uint64_t seed,
+                                 std::size_t island_index) {
     Nsga2Options o;
     o.population_size = population_per_island;
-    o.eval_threads = eval_threads;
     o.seed = seed;
     // "Different settings of the same optimization algorithm": odd islands
     // explore more aggressively (coarser SBX / stronger mutation), even

@@ -104,7 +104,9 @@ class Pmo2 final : public Optimizer {
   /// passed in is the island's private stream — the island_index-th
   /// splitmix64 output rooted at options.seed — so island streams do not
   /// depend on construction order, never alias across nearby run seeds,
-  /// and are independent of the migration stream.
+  /// and are independent of the migration stream.  The engine must be
+  /// built on the `problem` passed in: the flat epoch batch scores staged
+  /// offspring on that same problem, not on one the engine holds itself.
   using AlgorithmFactory = std::function<std::unique_ptr<Algorithm>(
       const Problem& problem, std::uint64_t seed, std::size_t island_index)>;
 
@@ -116,11 +118,8 @@ class Pmo2 final : public Optimizer {
   using Observer = std::function<void(std::size_t gen, const Pmo2& state)>;
 
   /// Default factory: NSGA-II with 100 individuals per island.
-  /// `eval_threads` is forwarded to every engine (0 = hardware concurrency);
-  /// it only matters when an engine is driven on its own — inside the
-  /// archipelago its offspring are scored in the flat epoch batch.
   [[nodiscard]] static AlgorithmFactory default_nsga2_factory(
-      std::size_t population_per_island = 100, std::size_t eval_threads = 0);
+      std::size_t population_per_island = 100);
 
   Pmo2(const Problem& problem, Pmo2Options options,
        AlgorithmFactory factory = nullptr);

@@ -1,5 +1,7 @@
 #include "robustness/surface.hpp"
 
+#include <algorithm>
+
 #include "core/parallel.hpp"
 #include "pareto/mining.hpp"
 
@@ -13,23 +15,16 @@ std::vector<SurfacePoint> robustness_surface(const pareto::Front& front,
 
   const std::vector<std::size_t> picks = pareto::equally_spaced(front, cfg.samples);
   const std::size_t n = picks.size();
-
-  // Every pick's ensemble, drawn exactly as global_yield draws it (its own
-  // RNG seeded with cfg.yield.seed), laid end to end: pick k's trials are
-  // [k * trials, (k + 1) * trials).
-  const std::size_t trials = cfg.yield.perturbation.global_trials;
-  std::vector<num::Vec> ensembles;
-  ensembles.reserve(n * trials);
-  for (const std::size_t idx : picks) {
-    num::Rng rng(cfg.yield.seed);
-    for (num::Vec& p : global_ensemble(front[idx].x, cfg.yield.perturbation, rng)) {
-      ensembles.push_back(std::move(p));
-    }
+  out.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    out[k].front_index = picks[k];
+    out[k].objectives = front[picks[k]].f;
   }
 
-  // Two flat batches — all picks' nominals, then all picks' trials — both
-  // under the snapshot committed before the surface: no barrier runs
-  // between them, so a pick's trials read the same snapshot as its nominal.
+  // One flat batch of all picks' nominals, then the trials in chunks of
+  // whole ensembles, each chunk one flat batch.  Every batch runs under the
+  // snapshot committed before the surface: no barrier runs between them, so
+  // a pick's trials read the same snapshot as its nominal.
   std::vector<double> nominals(n);
   if (cfg.yield.nominal_value) {
     nominals.assign(n, *cfg.yield.nominal_value);
@@ -38,22 +33,38 @@ std::vector<SurfacePoint> robustness_surface(const pareto::Front& front,
       nominals[k] = property(front[picks[k]].x);
     });
   }
-  std::vector<double> values(ensembles.size());
-  core::parallel_for(ensembles.size(), cfg.threads,
-                     [&](std::size_t i) { values[i] = property(ensembles[i]); });
+
+  const std::size_t trials = cfg.yield.perturbation.global_trials;
+  const std::size_t picks_per_chunk =
+      std::max<std::size_t>(1, kSurfaceChunkTrials / std::max<std::size_t>(1, trials));
+  std::vector<num::Vec> ensembles;
+  std::vector<double> values;
+  for (std::size_t first = 0; first < n; first += picks_per_chunk) {
+    const std::size_t last = std::min(n, first + picks_per_chunk);
+    // The chunk's ensembles, each drawn exactly as global_yield draws it
+    // (its own RNG seeded with cfg.yield.seed), laid end to end: pick k's
+    // trials are [(k - first) * trials, (k - first + 1) * trials).
+    ensembles.clear();
+    for (std::size_t k = first; k < last; ++k) {
+      num::Rng rng(cfg.yield.seed);
+      for (num::Vec& p : global_ensemble(front[picks[k]].x, cfg.yield.perturbation, rng)) {
+        ensembles.push_back(std::move(p));
+      }
+    }
+    values.assign(ensembles.size(), 0.0);
+    core::parallel_for(ensembles.size(), cfg.threads,
+                       [&](std::size_t i) { values[i] = property(ensembles[i]); });
+    for (std::size_t k = first; k < last; ++k) {
+      out[k].gamma =
+          summarize_ensemble(nominals[k], cfg.yield.epsilon_fraction,
+                             std::span<const double>(values).subspan((k - first) * trials,
+                                                                     trials))
+              .gamma;
+    }
+  }
   // Serial epoch barrier after the screen: later stages warm-start from the
   // surface's solved roots.
   if (cfg.yield.epoch_commit) cfg.yield.epoch_commit();
-
-  out.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    SurfacePoint& p = out[k];
-    p.front_index = picks[k];
-    p.objectives = front[picks[k]].f;
-    p.gamma = summarize_ensemble(nominals[k], cfg.yield.epsilon_fraction,
-                                 std::span<const double>(values).subspan(k * trials, trials))
-                  .gamma;
-  }
   return out;
 }
 

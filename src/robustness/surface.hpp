@@ -4,12 +4,20 @@
 // inherent solution robustness.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "pareto/front.hpp"
 #include "robustness/yield.hpp"
 
 namespace rmp::robustness {
+
+/// Most Monte-Carlo trials one flat surface batch holds: the picks'
+/// ensembles are drawn and scored in chunks of whole ensembles up to this
+/// many trials (at least one ensemble per chunk), so live memory stays
+/// bounded at paper scale while each chunk still gives every thread many
+/// trials.
+inline constexpr std::size_t kSurfaceChunkTrials = 1024;
 
 struct SurfacePoint {
   num::Vec objectives;  ///< objective vector of the Pareto point (as stored)
@@ -21,17 +29,18 @@ struct SurfaceConfig {
   YieldConfig yield;
   std::size_t samples = 50;  ///< equally-spaced picks along the front
   /// Threads used to screen the sampled Pareto points (0 = hardware
-  /// concurrency, 1 = serial): the surface scores all picks' nominals, then
-  /// all picks' Monte-Carlo trials, as one flat batch each, so
-  /// `yield.threads` is not used here.  Gamma is identical for any value.
+  /// concurrency, 1 = serial): the surface scores all picks' nominals as
+  /// one flat batch, then the picks' Monte-Carlo trials in flat batches of
+  /// up to kSurfaceChunkTrials, so `yield.threads` is not used here.  Gamma
+  /// is identical for any value.
   std::size_t threads = 0;
 };
 
 /// Evaluates the robustness surface over `samples` equally-spaced Pareto
 /// points (plus both extremes, which equal spacing always includes).  Each
 /// point's gamma is global_yield(x, property, cfg.yield)'s, with the epoch
-/// commits deferred to one after the whole surface; every pick's ensemble
-/// is held in memory at once.
+/// commits deferred to one after the whole surface; at most one chunk of
+/// ensembles (see kSurfaceChunkTrials) is held in memory at a time.
 [[nodiscard]] std::vector<SurfacePoint> robustness_surface(const pareto::Front& front,
                                                            const PropertyFn& property,
                                                            const SurfaceConfig& cfg);

@@ -278,7 +278,7 @@ TEST(SolverDifferentialTest, WindowGatePassesEveryValidPeriodScan) {
     o.migration_interval = 2;
     o.seed = 11;
     o.island_threads = 1;
-    moo::Pmo2 pmo2(recording, o, moo::Pmo2::default_nsga2_factory(8, 1));
+    moo::Pmo2 pmo2(recording, o, moo::Pmo2::default_nsga2_factory(8));
     pmo2.run();
     audit_gate(problem->model(), recording.candidates(), tally);
   }

@@ -224,10 +224,11 @@ TEST(YieldTest, LatinHypercubeLowersEstimatorVariance) {
             spread(SamplingScheme::kMonteCarlo) + 0.02);
 }
 
-// The surface scores all picks' nominals, then all picks' trials, as two
-// flat batches; each point's gamma must still be exactly the per-pick
-// global_yield answer, whatever the thread count.  7 picks on 4 threads
-// leave a ragged last round in both batches.
+// The surface scores all picks' nominals as one flat batch, then their
+// trials in chunked flat batches; each point's gamma must still be exactly
+// the per-pick global_yield answer, whatever the thread count.  7 picks on 4
+// threads leave a ragged last round in every batch; 100 trials fit all
+// ensembles in one chunk, 300 split them into chunks of 3, 3 and 1 picks.
 TEST(SurfaceTest, GammaMatchesPerPickGlobalYieldBitForBit) {
   pareto::Front front;
   for (int i = 0; i <= 30; ++i) {
@@ -242,29 +243,34 @@ TEST(SurfaceTest, GammaMatchesPerPickGlobalYieldBitForBit) {
   };
   SurfaceConfig cfg;
   cfg.samples = 7;
-  cfg.yield.perturbation.global_trials = 150;
   cfg.yield.seed = 11;
   const std::vector<std::size_t> picks = pareto::equally_spaced(front, cfg.samples);
   ASSERT_NE(picks.size() % 4, 0u);
+  ASSERT_LE(picks.size() * 100, kSurfaceChunkTrials);
+  ASSERT_GT(picks.size() * 300, kSurfaceChunkTrials);
+  ASSERT_NE(picks.size() % (kSurfaceChunkTrials / 300), 0u);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    cfg.threads = threads;
-    const auto surface = robustness_surface(front, f, cfg);
-    ASSERT_EQ(surface.size(), picks.size()) << "threads=" << threads;
-    std::set<double> distinct;
-    for (std::size_t k = 0; k < surface.size(); ++k) {
-      const SurfacePoint& p = surface[k];
-      EXPECT_EQ(p.front_index, picks[k]);
-      EXPECT_EQ(p.objectives, front[picks[k]].f);
-      YieldConfig oracle = cfg.yield;
-      oracle.threads = 1;
-      const double expected = global_yield(front[picks[k]].x, f, oracle).gamma;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(p.gamma),
-                std::bit_cast<std::uint64_t>(expected))
-          << "threads=" << threads << " pick " << k;
-      distinct.insert(p.gamma);
+  for (const std::size_t trials : {std::size_t{100}, std::size_t{300}}) {
+    cfg.yield.perturbation.global_trials = trials;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      cfg.threads = threads;
+      const auto surface = robustness_surface(front, f, cfg);
+      ASSERT_EQ(surface.size(), picks.size()) << "threads=" << threads;
+      std::set<double> distinct;
+      for (std::size_t k = 0; k < surface.size(); ++k) {
+        const SurfacePoint& p = surface[k];
+        EXPECT_EQ(p.front_index, picks[k]);
+        EXPECT_EQ(p.objectives, front[picks[k]].f);
+        YieldConfig oracle = cfg.yield;
+        oracle.threads = 1;
+        const double expected = global_yield(front[picks[k]].x, f, oracle).gamma;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(p.gamma),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "trials=" << trials << " threads=" << threads << " pick " << k;
+        distinct.insert(p.gamma);
+      }
+      EXPECT_GE(distinct.size(), 2u) << "a constant gamma would not test the picks";
     }
-    EXPECT_GE(distinct.size(), 2u) << "a constant gamma would not test the picks";
   }
 }
 
