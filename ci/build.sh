@@ -171,7 +171,7 @@ SAN_TESTS=(
   kinetics_problem_test kinetics_prescreen_test kinetics_warm_start_test
   moo_evalcache_test integration_cache_differential_test
   robustness_robustness_test
-  api_session_test api_serve_test
+  api_run_test api_session_test api_serve_test
   core_fault_test api_chaos_test)
 
 # The phase-gate benchmark binaries must at least BUILD under each sanitizer
@@ -257,7 +257,8 @@ echo "chaos smoke: torn checkpoint quarantined, lease reclaimed, fingerprint mat
 # ThreadSanitizer lane over the concurrency-bearing binaries: the island
 # engine + migration topology (moo_pmo2), the three-phase engine hooks its
 # epochs drive (moo_nsga2, moo_spea2), the flat robustness surface
-# (robustness_robustness), the epoch-committed caches
+# (robustness_robustness), the whole pipeline at threads=4 (api_run), the
+# epoch-committed caches
 # (moo_evalcache covers EvalCache and CachedProblem, kinetics_warm_start the
 # warm pool), the thread-pool core itself, the sentinel suite, and the two
 # differential harnesses that run cached-vs-plain archipelagos at several
@@ -275,7 +276,7 @@ TSAN_TESTS=(
   moo_pmo2_test moo_nsga2_test moo_spea2_test moo_evalcache_test
   kinetics_warm_start_test robustness_robustness_test
   integration_cache_differential_test numeric_solver_differential_test
-  api_session_test api_serve_test)
+  api_run_test api_session_test api_serve_test)
 
 cmake -B "${TSAN_BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -193,8 +193,8 @@ void register_builtin_problems(ProblemRegistry& reg) {
           [](const ParamMap&) { return std::make_shared<moo::BinhKorn>(); });
   reg.add("photosynthesis",
           "C3 enzyme partition design; scenario in {past,present,future}-{low,high}",
-          {"scenario", "jacobian", "chord", "pool", "shooting", "min_uptake",
-           "prescreen_margin", "prescreen_radius2", "cycle_prescreen_radius2"},
+          {"scenario", "pool", "min_uptake", "prescreen_margin",
+           "prescreen_radius2", "cycle_prescreen_radius2"},
           [](const ParamMap& p) {
             const std::string label = param_string(p, "scenario", "present-high");
             const kinetics::Scenario* s = kinetics::scenario_by_label(label);
@@ -206,32 +206,8 @@ void register_builtin_problems(ProblemRegistry& reg) {
               throw SpecError("unknown photosynthesis scenario \"" + label +
                               "\" (known: " + join(labels) + ")");
             }
-            // Steady-state solver strategy (defaults = the optimized engine;
-            // jacobian=fd&chord=1&pool=0 is the FD/cold-start baseline the
-            // kinetics bench measures against).
             kinetics::C3Config cfg = kinetics::scenario_config(*s);
-            const std::string jac = param_string(p, "jacobian", "analytic");
-            if (jac == "analytic") {
-              cfg.analytic_jacobian = true;
-            } else if (jac == "fd") {
-              cfg.analytic_jacobian = false;
-            } else {
-              throw SpecError("photosynthesis jacobian must be \"analytic\" or "
-                              "\"fd\", got \"" + jac + "\"");
-            }
-            cfg.chord_max_age = param_size(p, "chord", cfg.chord_max_age);
             cfg.warm_pool_capacity = param_size(p, "pool", cfg.warm_pool_capacity);
-            // Oscillatory candidates: shooting limit-cycle solver (default)
-            // vs the windowed long-integration average.
-            const std::string shooting = param_string(p, "shooting", "on");
-            if (shooting == "on") {
-              cfg.cycle_shooting = true;
-            } else if (shooting == "off") {
-              cfg.cycle_shooting = false;
-            } else {
-              throw SpecError("photosynthesis shooting must be \"on\" or "
-                              "\"off\", got \"" + shooting + "\"");
-            }
             // Prescreen aggressiveness (the on/off switch itself is the
             // spec-level "prescreen" knob, not a problem parameter) and the
             // alive-leaf feasibility threshold.  Raising min_uptake toward

@@ -1,5 +1,6 @@
 #include "api/run.hpp"
 
+#include <ostream>
 #include <utility>
 
 #include "api/session.hpp"
@@ -40,10 +41,24 @@ RunResult run(const RunSpec& spec, const Session::Observer& observer) {
   return session.finish();
 }
 
+namespace {
+
+core::Json candidate_to_json(const MinedCandidate& candidate) {
+  core::Json doc = core::Json::object()
+                       .set("selection", candidate.selection)
+                       .set("front_index", candidate.front_index)
+                       .set("f", core::to_json(candidate.objectives))
+                       .set("x", core::to_json(candidate.x));
+  if (candidate.yield) doc.set("yield", core::to_json(*candidate.yield));
+  return doc;
+}
+
+}  // namespace
+
 core::Json result_to_json(const RunResult& result) {
   using core::Json;
   Json mined = Json::array();
-  for (const auto& c : result.mined) mined.push_back(core::to_json(c));
+  for (const auto& c : result.mined) mined.push_back(candidate_to_json(c));
   Json surface = Json::array();
   for (const auto& p : result.surface) surface.push_back(core::to_json(p));
   return Json::object()
@@ -67,6 +82,30 @@ core::Json result_to_json(const RunResult& result) {
                                   .set("optimize", result.optimize_seconds)
                                   .set("mining", result.mining_seconds)
                                   .set("robustness", result.robustness_seconds));
+}
+
+void print_summary(const RunResult& result, std::ostream& os) {
+  using core::TextTable;
+  os << "problem:     " << result.problem_name << "\n"
+     << "optimizer:   " << result.optimizer_name << "\n"
+     << "front:       " << result.front.size() << " points from "
+     << result.evaluations << " evaluations\n"
+     << "fingerprint: " << core::Json::hex(result.fingerprint).as_string() << "\n";
+  for (const auto& c : result.mined) {
+    os << "  [" << c.selection << "] f = (";
+    for (std::size_t j = 0; j < c.objectives.size(); ++j) {
+      os << (j == 0 ? "" : ", ") << TextTable::num(c.objectives[j]);
+    }
+    os << ")";
+    if (c.yield) {
+      os << "  yield = " << TextTable::fixed(100.0 * c.yield->gamma, 1) << "%";
+    }
+    os << "\n";
+  }
+  os << "timings:     optimize " << TextTable::fixed(result.optimize_seconds, 3)
+     << "s, mining " << TextTable::fixed(result.mining_seconds, 3)
+     << "s, robustness " << TextTable::fixed(result.robustness_seconds, 3)
+     << "s\n";
 }
 
 }  // namespace rmp::api

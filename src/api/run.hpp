@@ -20,16 +20,27 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "api/spec.hpp"
-#include "core/designer.hpp"
 #include "core/json.hpp"
 #include "moo/problem.hpp"
 #include "pareto/front.hpp"
 #include "robustness/surface.hpp"
 
 namespace rmp::api {
+
+/// One mined candidate with its provenance and robustness.
+struct MinedCandidate {
+  std::string selection;  ///< "closest-to-ideal", "shadow-min f0", "max-yield"
+  std::size_t front_index = 0;
+  num::Vec x;
+  num::Vec objectives;
+  std::optional<robustness::YieldResult> yield;
+};
 
 struct RunResult {
   RunSpec spec;                   ///< the spec that produced this result
@@ -46,7 +57,9 @@ struct RunResult {
   /// full evaluations that remained.  All totals are thread-count invariant;
   /// all-zero when the problem is uninstrumented and no cache is configured.
   moo::EvalStats eval_stats;
-  std::vector<core::MinedCandidate> mined;
+  /// Closest-to-ideal and the shadow minima (when mining is on), then the
+  /// max-yield pick of the robustness surface (when it ran).
+  std::vector<MinedCandidate> mined;
   std::vector<robustness::SurfacePoint> surface;
   double optimize_seconds = 0.0;
   double mining_seconds = 0.0;
@@ -60,5 +73,10 @@ struct RunResult {
 /// Full JSON artifact: spec echo, names, front, fingerprint (hex), mined
 /// candidates, surface, evaluations and timings.
 [[nodiscard]] core::Json result_to_json(const RunResult& result);
+
+/// Human-readable run summary: problem and optimizer names, front size,
+/// evaluations, fingerprint, one line per mined candidate (objectives and
+/// yield) and the stage timings.
+void print_summary(const RunResult& result, std::ostream& os);
 
 }  // namespace rmp::api

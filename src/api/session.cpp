@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "core/fault.hpp"
-#include "core/report.hpp"
 #include "moo/cached_problem.hpp"
 #include "moo/state.hpp"
 #include "pareto/mining.hpp"
@@ -276,7 +274,7 @@ RunResult Session::finish() {
   if (spec_.mining.enabled) {
     const auto mining_start = clock::now();
     auto mine = [&](std::string selection, std::size_t idx) {
-      core::MinedCandidate c;
+      MinedCandidate c;
       c.selection = std::move(selection);
       c.front_index = idx;
       c.x = result.front[idx].x;
@@ -294,7 +292,7 @@ RunResult Session::finish() {
 
   if (robust) {
     const auto robustness_start = clock::now();
-    for (core::MinedCandidate& c : result.mined) {
+    for (MinedCandidate& c : result.mined) {
       // The mined candidate's archived objective 0 IS the property's nominal
       // value (bitwise — the archive stores what evaluate() reported), so
       // hand it through instead of re-evaluating the nominal point.
@@ -313,22 +311,14 @@ RunResult Session::finish() {
         const auto best = std::max_element(
             result.surface.begin(), result.surface.end(),
             [](const auto& a, const auto& b) { return a.gamma < b.gamma; });
-        core::MinedCandidate c;
+        MinedCandidate c;
         c.selection = "max-yield";
         c.front_index = best->front_index;
         c.x = result.front[best->front_index].x;
         c.objectives = result.front[best->front_index].f;
-        // Synthesize the YieldResult from the surface's gamma (same x, same
-        // config — re-running the Monte-Carlo ensemble would only repeat it),
-        // exactly as RobustDesigner's stage 4 does.
-        robustness::YieldResult y;
-        y.gamma = best->gamma;
-        y.nominal_value = property(c.x);
-        y.total_trials = ycfg.perturbation.global_trials;
-        y.robust_trials = static_cast<std::size_t>(
-            best->gamma * static_cast<double>(y.total_trials) + 0.5);
-        y.absolute_threshold = ycfg.epsilon_fraction * std::fabs(y.nominal_value);
-        c.yield = y;
+        // The surface measured this pick's whole yield (same x, same config):
+        // take it as measured instead of re-running the ensemble.
+        c.yield = static_cast<const robustness::YieldResult&>(*best);
         result.mined.push_back(std::move(c));
       }
     }

@@ -16,8 +16,8 @@
 //
 // spec_from_json() applies defaults for every absent field, and rejects
 // unknown keys and wrong types with SpecError (fail loudly on typos — a
-// silently ignored "generatoins" would burn a cluster-day).  The stages
-// mirror core::DesignerConfig; api::run() executes them.
+// silently ignored "generatoins" would burn a cluster-day).  api::run()
+// (through api::Session::finish) executes the stages.
 #pragma once
 
 #include <cstdint>

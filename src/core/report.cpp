@@ -62,15 +62,11 @@ std::string TextTable::fixed(double v, int decimals) {
   return buf;
 }
 
-namespace {
-
-Json vec_to_json(std::span<const double> v) {
+Json to_json(std::span<const double> values) {
   Json arr = Json::array();
-  for (const double x : v) arr.push_back(x);
+  for (const double x : values) arr.push_back(x);
   return arr;
 }
-
-}  // namespace
 
 Json to_json(const robustness::YieldResult& yield) {
   return Json::object()
@@ -82,60 +78,21 @@ Json to_json(const robustness::YieldResult& yield) {
       .set("max_deviation", yield.max_deviation);
 }
 
-Json to_json(const MinedCandidate& candidate) {
-  Json doc = Json::object()
-                 .set("selection", candidate.selection)
-                 .set("front_index", candidate.front_index)
-                 .set("f", vec_to_json(candidate.objectives))
-                 .set("x", vec_to_json(candidate.x));
-  if (candidate.yield) doc.set("yield", to_json(*candidate.yield));
-  return doc;
-}
-
 Json to_json(const robustness::SurfacePoint& point) {
   return Json::object()
       .set("front_index", point.front_index)
-      .set("f", vec_to_json(point.objectives))
+      .set("f", to_json(point.objectives))
       .set("gamma", point.gamma);
 }
 
 Json to_json(const pareto::Front& front, bool include_x) {
   Json members = Json::array();
   for (const auto& m : front.members()) {
-    Json member = Json::object().set("f", vec_to_json(m.f)).set("violation", m.violation);
-    if (include_x) member.set("x", vec_to_json(m.x));
+    Json member = Json::object().set("f", to_json(m.f)).set("violation", m.violation);
+    if (include_x) member.set("x", to_json(m.x));
     members.push_back(std::move(member));
   }
   return Json::object().set("size", front.size()).set("members", std::move(members));
-}
-
-Json to_json(const DesignReport& report, bool include_x) {
-  Json mined = Json::array();
-  for (const auto& c : report.mined) mined.push_back(to_json(c));
-  Json surface = Json::array();
-  for (const auto& p : report.surface) surface.push_back(to_json(p));
-  return Json::object()
-      .set("evaluations", report.evaluations)
-      .set("fingerprint", Json::hex(report.fingerprint))
-      .set("front", to_json(report.front, include_x))
-      .set("mined", std::move(mined))
-      .set("surface", std::move(surface));
-}
-
-void print_report_summary(const DesignReport& report, std::ostream& os) {
-  os << "front size: " << report.front.size()
-     << ", evaluations: " << report.evaluations << "\n";
-  for (const auto& c : report.mined) {
-    os << "  [" << c.selection << "] f = (";
-    for (std::size_t j = 0; j < c.objectives.size(); ++j) {
-      os << (j == 0 ? "" : ", ") << TextTable::num(c.objectives[j]);
-    }
-    os << ")";
-    if (c.yield) {
-      os << "  yield = " << TextTable::fixed(100.0 * c.yield->gamma, 1) << "%";
-    }
-    os << "\n";
-  }
 }
 
 }  // namespace rmp::core

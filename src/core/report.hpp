@@ -1,6 +1,8 @@
 // Report emitters used by the examples, the table/figure benches and the run
 // API: plain streams, gnuplot-ready columns, fixed-width tables, and the
-// JSON serialization of design artifacts (schema notes in docs/BENCHMARKS.md).
+// JSON serialization of fronts, yields and surface points (schema notes in
+// docs/BENCHMARKS.md).  The run-level emitters (mined candidates, the whole
+// result) live with api::RunResult in api/run.hpp.
 #pragma once
 
 #include <iosfwd>
@@ -8,9 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "core/designer.hpp"
 #include "core/json.hpp"
 #include "pareto/front.hpp"
+#include "robustness/surface.hpp"
 
 namespace rmp::core {
 
@@ -38,23 +40,16 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// One-line summary of a design report (front size, evaluations, mined picks).
-void print_report_summary(const DesignReport& report, std::ostream& os);
-
 // -- JSON serialization -------------------------------------------------------
-// Artifacts carry everything a reproducibility check needs: objectives,
-// decision vectors of mined candidates, yields, and the archive fingerprint
-// (hex-encoded, readable back via Json::as_u64()).
 
+/// A number array.
+[[nodiscard]] Json to_json(std::span<const double> values);
 [[nodiscard]] Json to_json(const robustness::YieldResult& yield);
-[[nodiscard]] Json to_json(const MinedCandidate& candidate);
+/// {"front_index", "f", "gamma"}: the surface point's place and its gamma.
 [[nodiscard]] Json to_json(const robustness::SurfacePoint& point);
 /// Front members as {"f": [...], "violation": v} objects; include_x adds the
 /// decision vectors (off by default — a Geobacter front would serialize 608
 /// doubles per member).
 [[nodiscard]] Json to_json(const pareto::Front& front, bool include_x = false);
-/// The whole report: front, mined candidates, surface, evaluations and the
-/// archive fingerprint.
-[[nodiscard]] Json to_json(const DesignReport& report, bool include_x = false);
 
 }  // namespace rmp::core

@@ -32,9 +32,8 @@
 // incoming batch once (O(B log B) for two objectives via the dominance.cpp
 // sweep), then merges two sorted staircases in O(N + B); kNaive is the
 // reference — a per-candidate linear dominance scan with sorted insertion,
-// kept for differential tests and bench/archive_scaling.  Same inputs, same
-// members, same fingerprints, always.  Building with -DRMP_ARCHIVE_NAIVE=ON
-// flips the default policy tree-wide.
+// kept for differential tests and bench/archive_scaling, which pass it to
+// the constructor.  Same inputs, same members, same fingerprints, always.
 #pragma once
 
 #include <cstdint>
@@ -53,18 +52,9 @@ enum class ArchiveMerge { kBatch, kNaive };
 
 class Archive {
  public:
-  /// The policy the build selects when none is passed: kBatch, or kNaive
-  /// under -DRMP_ARCHIVE_NAIVE=ON (cmake option of the same name).
-  static constexpr ArchiveMerge default_merge() {
-#ifdef RMP_ARCHIVE_NAIVE
-    return ArchiveMerge::kNaive;
-#else
-    return ArchiveMerge::kBatch;
-#endif
-  }
-
   /// capacity == 0 means unbounded.
-  explicit Archive(std::size_t capacity = 0, ArchiveMerge merge = default_merge())
+  explicit Archive(std::size_t capacity = 0,
+                   ArchiveMerge merge = ArchiveMerge::kBatch)
       : capacity_(capacity), merge_(merge) {}
 
   /// Offers a candidate: inserted iff feasible-and-non-dominated w.r.t. the

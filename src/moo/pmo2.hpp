@@ -81,7 +81,7 @@ struct Pmo2Options {
   /// Merge policy of the global archive.  kBatch and the kNaive reference
   /// are semantically identical (fingerprint-equal, tested); the knob exists
   /// so differential tests and benches can pit them against each other.
-  ArchiveMerge archive_merge = Archive::default_merge();
+  ArchiveMerge archive_merge = ArchiveMerge::kBatch;
   std::uint64_t seed = 7;
   /// Width of every epoch phase: the per-island staging and commit tasks
   /// and the flat evaluation batch over all islands' offspring (0 = one

@@ -102,19 +102,6 @@ class EmbeddedRk {
   std::size_t order_low_;
 };
 
-// --- Cash-Karp 4(5) tableau -------------------------------------------------
-constexpr double kCkA[6 * 6] = {
-    0, 0, 0, 0, 0, 0,
-    1.0 / 5, 0, 0, 0, 0, 0,
-    3.0 / 40, 9.0 / 40, 0, 0, 0, 0,
-    3.0 / 10, -9.0 / 10, 6.0 / 5, 0, 0, 0,
-    -11.0 / 54, 5.0 / 2, -70.0 / 27, 35.0 / 27, 0, 0,
-    1631.0 / 55296, 175.0 / 512, 575.0 / 13824, 44275.0 / 110592, 253.0 / 4096, 0};
-constexpr double kCkB5[6] = {37.0 / 378, 0, 250.0 / 621, 125.0 / 594, 0, 512.0 / 1771};
-constexpr double kCkB4[6] = {2825.0 / 27648, 0,           18575.0 / 48384,
-                             13525.0 / 55296, 277.0 / 14336, 1.0 / 4};
-constexpr double kCkC[6] = {0, 1.0 / 5, 3.0 / 10, 3.0 / 5, 1.0, 7.0 / 8};
-
 // --- Dormand-Prince 5(4) tableau ---------------------------------------------
 constexpr double kDpA[7 * 7] = {
     0, 0, 0, 0, 0, 0, 0,
@@ -172,44 +159,6 @@ OdeResult integrate_adaptive(const EmbeddedRk& rk, OdeRhs f, double t0,
         return res;  // step size underflow: stiff beyond this method
       }
     }
-  }
-  res.success = res.t >= t_end;
-  return res;
-}
-
-OdeResult integrate_rk4(OdeRhs f, double t0, std::span<const double> y0,
-                        double t_end, const OdeOptions& opts, Workspace& ws) {
-  OdeResult res;
-  res.y.assign(y0.begin(), y0.end());
-  res.t = t0;
-  const std::size_t n = res.y.size();
-  ScratchVec k1(ws, n), k2(ws, n), k3(ws, n), k4(ws, n), tmp(ws, n);
-  const double h = std::clamp(opts.initial_step, opts.min_step, opts.max_step);
-
-  while (res.t < t_end && res.steps < opts.max_steps) {
-    const double step = std::min(h, t_end - res.t);
-    f(res.t, res.y, k1.get());
-    tmp.get() = res.y;
-    axpy(tmp.get(), 0.5 * step, k1);
-    f(res.t + 0.5 * step, tmp, k2.get());
-    tmp.get() = res.y;
-    axpy(tmp.get(), 0.5 * step, k2);
-    f(res.t + 0.5 * step, tmp, k3.get());
-    tmp.get() = res.y;
-    axpy(tmp.get(), step, k3);
-    f(res.t + step, tmp, k4.get());
-    res.rhs_evals += 4;
-    for (std::size_t i = 0; i < n; ++i) {
-      res.y[i] += step / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
-    apply_floor(res.y, opts.state_floor);
-    res.t += step;
-    ++res.steps;
-    if (!all_finite(res.y)) {
-      res.success = false;
-      return res;
-    }
-    if (opts.step_observer) opts.step_observer(res.t, step, res.y);
   }
   res.success = res.t >= t_end;
   return res;
@@ -516,94 +465,6 @@ OdeResult integrate_rosenbrock3(OdeRhs f_user, double t0,
   return res;
 }
 
-// Backward Euler with a damped Newton solve per step and simple step control
-// (halve on divergence, grow 1.5x on fast convergence).
-OdeResult integrate_implicit_euler(OdeRhs f, double t0, std::span<const double> y0,
-                                   double t_end, const OdeOptions& opts,
-                                   Workspace& ws) {
-  OdeResult res;
-  res.y.assign(y0.begin(), y0.end());
-  res.t = t0;
-  const std::size_t n = res.y.size();
-  ScratchVec fy(ws, n), g(ws, n), ynext(ws, n), dy(ws, n);
-  ScratchMat j(ws, n, n), w(ws, n, n);
-  ScratchLu lu(ws);
-  double h = std::clamp(opts.initial_step, opts.min_step, opts.max_step);
-
-  while (res.t < t_end && res.steps < opts.max_steps) {
-    res.last_step = h;  // the controller's h, before end-of-interval truncation
-    h = std::min(h, t_end - res.t);
-    ynext.get() = res.y;  // predictor: previous state
-    bool converged = false;
-    std::size_t iters = 0;
-    for (; iters < 25; ++iters) {
-      fy.get().assign(n, 0.0);
-      f(res.t + h, ynext, fy.get());
-      ++res.rhs_evals;
-      // g(y) = y - y_prev - h f(t+h, y)
-      double gnorm = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        g[i] = ynext[i] - res.y[i] - h * fy[i];
-        gnorm = std::max(gnorm, std::fabs(g[i]));
-      }
-      const double scale = std::max(1.0, norm_inf(ynext));
-      if (gnorm <= 1e-10 * scale + opts.abs_tol) {
-        converged = true;
-        break;
-      }
-      if (opts.jacobian) {
-        std::fill(j.get().data().begin(), j.get().data().end(), 0.0);
-        opts.jacobian(res.t + h, ynext, j.get());
-      } else {
-        fd_jacobian(f, res.t + h, ynext.get(), 1e-7, ws, j.get(),
-                    res.rhs_evals);
-      }
-      for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < n; ++c)
-          w(r, c) = (r == c ? 1.0 : 0.0) - h * j.get()(r, c);
-      if (!lu.get().factor(w.get())) break;
-      lu.get().solve_into(g, dy.get());
-      sub_inplace(ynext.get(), dy.get());
-      if (!all_finite(ynext)) break;
-    }
-
-    if (converged) {
-      // Local error control: the gap between the implicit step and the
-      // explicit-Euler predictor is ~h^2 y''; treat it as the LTE estimate.
-      fy.get().assign(n, 0.0);
-      f(res.t, res.y, fy.get());
-      ++res.rhs_evals;
-      double en = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double predictor = res.y[i] + h * fy[i];
-        const double scale =
-            opts.abs_tol +
-            opts.rel_tol * std::max(std::fabs(res.y[i]), std::fabs(ynext[i]));
-        en = std::max(en, 0.5 * std::fabs(ynext[i] - predictor) / scale);
-      }
-      if (en > 1.0) {
-        ++res.rejected;
-        h = std::max(h * std::clamp(0.9 / en, 0.1, 0.9), opts.min_step);
-        if (h <= opts.min_step && en > 1e3) return res;
-        continue;
-      }
-      res.t += h;
-      res.y = ynext.get();
-      apply_floor(res.y, opts.state_floor);
-      ++res.steps;
-      if (opts.step_observer) opts.step_observer(res.t, h, res.y);
-      const double grow = en > 0.0 ? std::clamp(0.9 / en, 1.0, 2.0) : 2.0;
-      if (iters <= 3) h = std::min(h * grow, opts.max_step);
-    } else {
-      ++res.rejected;
-      h *= 0.5;
-      if (h < opts.min_step) return res;
-    }
-  }
-  res.success = res.t >= t_end;
-  return res;
-}
-
 }  // namespace
 
 OdeResult integrate(const OdeRhs& f, double t0, std::span<const double> y0, double t_end,
@@ -612,12 +473,6 @@ OdeResult integrate(const OdeRhs& f, double t0, std::span<const double> y0, doub
   Workspace& ws =
       opts.workspace ? *opts.workspace : Workspace::thread_local_instance();
   switch (opts.method) {
-    case OdeMethod::kRk4:
-      return integrate_rk4(f, t0, y0, t_end, opts, ws);
-    case OdeMethod::kCashKarp45: {
-      const EmbeddedRk rk(6, kCkA, kCkB5, kCkB4, kCkC, 4);
-      return integrate_adaptive(rk, f, t0, y0, t_end, opts, ws);
-    }
     case OdeMethod::kDormandPrince54: {
       const EmbeddedRk rk(7, kDpA, kDpB5, kDpB4, kDpC, 4);
       return integrate_adaptive(rk, f, t0, y0, t_end, opts, ws);
@@ -626,46 +481,8 @@ OdeResult integrate(const OdeRhs& f, double t0, std::span<const double> y0, doub
       return integrate_rosenbrock(f, t0, y0, t_end, opts, ws);
     case OdeMethod::kRosenbrock3:
       return integrate_rosenbrock3(f, t0, y0, t_end, opts, ws);
-    case OdeMethod::kImplicitEuler:
-      return integrate_implicit_euler(f, t0, y0, t_end, opts, ws);
   }
   return {};
-}
-
-OdeResult integrate_to_steady_state(const OdeRhs& f, std::span<const double> y0,
-                                    const SteadyStateOptions& opts) {
-  OdeResult res;
-  res.y.assign(y0.begin(), y0.end());
-  res.t = 0.0;
-  Vec dydt(res.y.size());
-
-  double t = 0.0;
-  OdeOptions leg_opts = opts.ode;
-  while (t < opts.max_time) {
-    const double t_next = std::min(t + opts.check_interval, opts.max_time);
-    OdeResult leg = integrate(f, t, res.y, t_next, leg_opts);
-    res.steps += leg.steps;
-    res.rejected += leg.rejected;
-    res.rhs_evals += leg.rhs_evals;
-    res.y = std::move(leg.y);
-    res.t = leg.t;
-    res.last_step = leg.last_step;
-    if (leg.last_step > 0.0) leg_opts.initial_step = leg.last_step;
-    if (!leg.success) {
-      res.success = false;
-      return res;
-    }
-    t = t_next;
-    dydt.assign(res.y.size(), 0.0);
-    f(t, res.y, dydt);
-    ++res.rhs_evals;
-    if (norm_inf(dydt) <= opts.derivative_tol) {
-      res.success = true;
-      return res;
-    }
-  }
-  res.success = false;  // ran out of model time before derivatives vanished
-  return res;
 }
 
 Matrix numeric_jacobian(const OdeRhs& f, double t, std::span<const double> y, double eps) {

@@ -3,17 +3,14 @@
 // The C3 carbon-metabolism model is a moderately stiff system of ~30 coupled
 // Michaelis-Menten rate equations; the paper's substrate (SUNDIALS-class
 // solvers) is reproduced here with:
-//   * classic RK4 (fixed step, baseline / tests),
-//   * Cash-Karp 4(5) and Dormand-Prince 5(4) embedded adaptive pairs,
-//   * a 2nd-order Rosenbrock-W method (linearly implicit, numeric Jacobian)
-//     for stiff transients,
+//   * a 2nd-order Rosenbrock-W method (linearly implicit, numeric or
+//     analytic Jacobian) — the kinetic transient and settling path,
 //   * a 3rd-order L-stable Rosenbrock method with an embedded 2nd-order
 //     error estimate (2 RHS evaluations + 1 factorization per step) — the
 //     kinetic limit-cycle integration path,
-//   * implicit Euler with damped Newton for very stiff relaxation runs.
-// `integrate_to_steady_state` drives any stepper until the time-derivative
-// norm falls under a threshold — the per-candidate evaluation used by the
-// photosynthesis optimization when the Newton steady-state solve fails.
+//   * the Dormand-Prince 5(4) explicit adaptive pair, kept as the
+//     non-stiff reference the tests and micro-kernel benches compare
+//     against.
 #pragma once
 
 #include <span>
@@ -34,9 +31,9 @@ using OdeRhs =
     FunctionRef<void(double t, std::span<const double> y, Vec& dydt)>;
 
 /// Analytic Jacobian df/dy at (t, y); jac arrives pre-sized n x n and
-/// zeroed.  Consumed by the linearly implicit methods (Rosenbrock-W,
-/// implicit Euler), replacing the n+1 RHS evaluations a forward-difference
-/// build costs per step.  The df/dt part is treated as zero — exact for
+/// zeroed.  Consumed by the linearly implicit methods (the two Rosenbrock
+/// variants), replacing the n+1 RHS evaluations a forward-difference build
+/// costs per step.  The df/dt part is treated as zero — exact for
 /// autonomous systems (the kinetic models), and safe for forced ones
 /// because both consumers are W-methods: an inexact Jacobian costs step
 /// size, never correctness.
@@ -51,13 +48,12 @@ using OdeJacobian =
 using OdeStepObserver =
     FunctionRef<void(double t, double h, std::span<const double> y)>;
 
+/// The values skip 0, 1 and 5, the integrators this enum used to name, so
+/// the remaining methods keep the numbers logs and test names print.
 enum class OdeMethod {
-  kRk4,             ///< classic fixed-step 4th order
-  kCashKarp45,      ///< adaptive embedded 4(5)
-  kDormandPrince54, ///< adaptive embedded 5(4)
-  kRosenbrockW,     ///< linearly implicit order 2, for stiff systems
-  kRosenbrock3,     ///< linearly implicit order 3(2), L-stable; cycle path
-  kImplicitEuler,   ///< backward Euler + damped Newton, very stiff systems
+  kDormandPrince54 = 2, ///< adaptive embedded 5(4)
+  kRosenbrockW = 3,     ///< linearly implicit order 2, for stiff systems
+  kRosenbrock3 = 4,     ///< linearly implicit order 3(2), L-stable; cycle path
 };
 
 struct OdeOptions {
@@ -94,29 +90,13 @@ struct OdeResult {
   /// not the step the controller would take next.  Feed it back as
   /// initial_step when integrating onward from res.y (windowed averaging,
   /// leg-by-leg fallbacks) so every leg after the first skips the ramp-up
-  /// from a cold initial_step.  0 for the fixed-step method.
+  /// from a cold initial_step.  0 when no step was attempted.
   double last_step = 0.0;
 };
 
 /// Integrate y' = f(t, y) from (t0, y0) to t_end.
 [[nodiscard]] OdeResult integrate(const OdeRhs& f, double t0, std::span<const double> y0,
                                   double t_end, const OdeOptions& opts = {});
-
-struct SteadyStateOptions {
-  OdeOptions ode;
-  /// Steady state declared when ||dy/dt||_inf <= derivative_tol.
-  double derivative_tol = 1e-9;
-  /// Give up (success=false) after integrating this much model time.
-  double max_time = 1e6;
-  /// Derivative norm is checked every `check_interval` time units.
-  double check_interval = 10.0;
-};
-
-/// Integrate until the derivative norm vanishes; result.success reflects
-/// whether the steady-state criterion (not just max_time) was met.
-[[nodiscard]] OdeResult integrate_to_steady_state(const OdeRhs& f,
-                                                  std::span<const double> y0,
-                                                  const SteadyStateOptions& opts = {});
 
 /// Forward-difference Jacobian of f at (t, y); J(i,j) = df_i/dy_j.
 [[nodiscard]] Matrix numeric_jacobian(const OdeRhs& f, double t, std::span<const double> y,

@@ -55,11 +55,9 @@ std::vector<SurfacePoint> robustness_surface(const pareto::Front& front,
     core::parallel_for(ensembles.size(), cfg.threads,
                        [&](std::size_t i) { values[i] = property(ensembles[i]); });
     for (std::size_t k = first; k < last; ++k) {
-      out[k].gamma =
-          summarize_ensemble(nominals[k], cfg.yield.epsilon_fraction,
-                             std::span<const double>(values).subspan((k - first) * trials,
-                                                                     trials))
-              .gamma;
+      static_cast<YieldResult&>(out[k]) = summarize_ensemble(
+          nominals[k], cfg.yield.epsilon_fraction,
+          std::span<const double>(values).subspan((k - first) * trials, trials));
     }
   }
   // Serial epoch barrier after the screen: later stages warm-start from the

@@ -19,9 +19,11 @@ namespace rmp::robustness {
 /// trials.
 inline constexpr std::size_t kSurfaceChunkTrials = 1024;
 
-struct SurfacePoint {
+/// One screened Pareto point: its whole global-yield result (gamma, the
+/// nominal it was measured against, trial counts, worst deviation) plus
+/// where it sits on the front.
+struct SurfacePoint : YieldResult {
   num::Vec objectives;  ///< objective vector of the Pareto point (as stored)
-  double gamma = 0.0;   ///< global yield of its decision vector
   std::size_t front_index = 0;
 };
 
@@ -38,9 +40,9 @@ struct SurfaceConfig {
 
 /// Evaluates the robustness surface over `samples` equally-spaced Pareto
 /// points (plus both extremes, which equal spacing always includes).  Each
-/// point's gamma is global_yield(x, property, cfg.yield)'s, with the epoch
-/// commits deferred to one after the whole surface; at most one chunk of
-/// ensembles (see kSurfaceChunkTrials) is held in memory at a time.
+/// point's YieldResult is global_yield(x, property, cfg.yield)'s, with the
+/// epoch commits deferred to one after the whole surface; at most one chunk
+/// of ensembles (see kSurfaceChunkTrials) is held in memory at a time.
 [[nodiscard]] std::vector<SurfacePoint> robustness_surface(const pareto::Front& front,
                                                            const PropertyFn& property,
                                                            const SurfaceConfig& cfg);

@@ -37,7 +37,7 @@ struct YieldConfig {
   std::size_t threads = 0;
   /// Epoch barrier hook, invoked from the serial sections around each
   /// ensemble's parallel scoring pass.  Wire it to the evaluated problem's
-  /// commit_epoch() (api::run and RobustDesigner do) so the kinetic
+  /// commit_epoch() (api::Session::finish does) so the kinetic
   /// warm-start pool can fold the nominal solve — and each finished
   /// ensemble — into the snapshot the next batch of trials warm-starts
   /// from.  The hook must follow the moo::Problem::commit_epoch contract

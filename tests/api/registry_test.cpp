@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "moo/pmo2.hpp"
 #include "moo/testproblems.hpp"
@@ -104,6 +105,20 @@ TEST(ProblemRegistryTest, RejectsUnknownNamesScenariosAndParams) {
   EXPECT_THROW((void)reg.make("schaffer?n=3"), SpecError);     // takes none
   EXPECT_THROW((void)reg.make("photosynthesis?scenario=mars"), SpecError);
   EXPECT_THROW((void)reg.make("dtlz2?m=1"), SpecError);
+}
+
+TEST(ProblemRegistryTest, PhotosynthesisHasNoSolverStrategyKeys) {
+  for (const char* ref : {"photosynthesis?jacobian=fd", "photosynthesis?chord=1",
+                          "photosynthesis?shooting=off"}) {
+    SCOPED_TRACE(ref);
+    try {
+      (void)ProblemRegistry::global().make(ref);
+      ADD_FAILURE() << "accepted";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown parameter"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(OptimizerRegistryTest, EveryRegisteredNameConstructsAndSteps) {

@@ -1,16 +1,20 @@
 // RunSpec JSON round-trip/defaulting/rejection, api::run reproducibility
-// (the fingerprint acceptance criterion), and the unified Optimizer seam
-// (observer hook, Pmo2-as-Optimizer).
+// (the fingerprint acceptance criterion), the pipeline's mining and
+// robustness stages, and the unified Optimizer seam (observer hook,
+// Pmo2-as-Optimizer).
 #include "api/run.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 #include "api/registry.hpp"
 #include "api/spec.hpp"
 #include "moo/pmo2.hpp"
 #include "moo/testproblems.hpp"
+#include "robustness/yield.hpp"
 
 namespace rmp::api {
 namespace {
@@ -148,6 +152,118 @@ TEST(ApiRunTest, RobustnessStagesProduceYieldsAndSurface) {
   const RunResult again = run(spec);
   ASSERT_EQ(again.mined.size(), result.mined.size());
   EXPECT_DOUBLE_EQ(again.mined[0].yield->gamma, result.mined[0].yield->gamma);
+}
+
+// DesignerTest: the paper's design pipeline end to end through api::run
+// (PMO2 front, trade-off mining, Monte-Carlo yield, max-yield selection).
+RunSpec design_spec() {
+  RunSpec spec;
+  spec.problem = "zdt1?n=8";
+  spec.optimizer = "pmo2?islands=2&migration_interval=10";
+  spec.generations = 30;
+  spec.seed = 5;
+  spec.threads = 4;
+  spec.robustness.enabled = true;
+  spec.robustness.trials = 100;
+  spec.robustness.surface_samples = 8;
+  return spec;
+}
+
+void expect_no_robustness(const RunResult& result) {
+  EXPECT_TRUE(result.surface.empty());
+  ASSERT_EQ(result.mined.size(), 3u);  // no max-yield pick either
+  for (const auto& c : result.mined) EXPECT_FALSE(c.yield.has_value()) << c.selection;
+}
+
+TEST(DesignerTest, FullPipelineOnZdt1) {
+  const RunResult result = run(design_spec());
+
+  EXPECT_GT(result.front.size(), 10u);
+  EXPECT_GT(result.evaluations, 1000u);
+
+  // Mined set: closest-to-ideal + one shadow minimum per objective + max-yield.
+  ASSERT_EQ(result.mined.size(), 4u);
+  EXPECT_EQ(result.mined[0].selection, "closest-to-ideal");
+  EXPECT_EQ(result.mined[1].selection, "shadow-min f0");
+  EXPECT_EQ(result.mined[2].selection, "shadow-min f1");
+  EXPECT_EQ(result.mined.back().selection, "max-yield");
+
+  // Every mined candidate carries a yield estimate in [0, 1].
+  for (const MinedCandidate& c : result.mined) {
+    ASSERT_TRUE(c.yield.has_value()) << c.selection;
+    EXPECT_GE(c.yield->gamma, 0.0);
+    EXPECT_LE(c.yield->gamma, 1.0);
+    EXPECT_EQ(c.yield->total_trials, 100u);
+  }
+  EXPECT_EQ(result.surface.size(), 8u);
+}
+
+TEST(DesignerTest, ShadowMinimaAreExtremes) {
+  RunSpec spec = design_spec();
+  spec.robustness.enabled = false;
+  const RunResult result = run(spec);
+  ASSERT_EQ(result.mined.size(), 3u);
+  const num::Vec prm = result.front.relative_minimum();
+  EXPECT_EQ(result.mined[1].selection, "shadow-min f0");
+  EXPECT_EQ(result.mined[1].objectives[0], prm[0]);
+  EXPECT_EQ(result.mined[2].selection, "shadow-min f1");
+  EXPECT_EQ(result.mined[2].objectives[1], prm[1]);
+}
+
+// Zero trials: the run screens nothing, so it builds no property at all.
+TEST(DesignerTest, NullPropertySkipsRobustness) {
+  RunSpec spec = design_spec();
+  spec.robustness.trials = 0;
+  expect_no_robustness(run(spec));
+}
+
+TEST(DesignerTest, RobustnessDisabledByConfig) {
+  RunSpec spec = design_spec();
+  spec.robustness.enabled = false;
+  expect_no_robustness(run(spec));
+}
+
+// The max-yield record is the surface's own measurement of that pick: the
+// same YieldResult global_yield reports for its x, field for field.
+TEST(ApiRunTest, MaxYieldRecordIsTheMeasuredGlobalYield) {
+  RunSpec spec = small_zdt1_spec();
+  spec.threads = 4;
+  spec.robustness.enabled = true;
+  spec.robustness.trials = 50;
+  spec.robustness.surface_samples = 5;
+  const RunResult result = run(spec);
+  ASSERT_FALSE(result.mined.empty());
+  const MinedCandidate& best = result.mined.back();
+  ASSERT_EQ(best.selection, "max-yield");
+  ASSERT_TRUE(best.yield.has_value());
+  ASSERT_LT(best.yield->gamma, 1.0);
+
+  const moo::Zdt1 problem(6);
+  const robustness::PropertyFn property = [&](std::span<const double> x) {
+    num::Vec f(problem.num_objectives());
+    (void)problem.evaluate(x, f);
+    return f[0];
+  };
+  robustness::YieldConfig cfg;
+  cfg.perturbation.global_trials = spec.robustness.trials;
+  cfg.perturbation.max_relative = spec.robustness.max_relative;
+  cfg.perturbation.lower.assign(problem.lower_bounds().begin(),
+                                problem.lower_bounds().end());
+  cfg.perturbation.upper.assign(problem.upper_bounds().begin(),
+                                problem.upper_bounds().end());
+  cfg.epsilon_fraction = spec.robustness.epsilon_fraction;
+  cfg.seed = spec.robustness.seed;
+  const robustness::YieldResult expected = robustness::global_yield(best.x, property, cfg);
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const robustness::YieldResult& got = *best.yield;
+  EXPECT_EQ(bits(got.gamma), bits(expected.gamma));
+  EXPECT_EQ(bits(got.nominal_value), bits(expected.nominal_value));
+  EXPECT_EQ(bits(got.absolute_threshold), bits(expected.absolute_threshold));
+  EXPECT_EQ(got.robust_trials, expected.robust_trials);
+  EXPECT_EQ(got.total_trials, expected.total_trials);
+  EXPECT_EQ(bits(got.max_deviation), bits(expected.max_deviation));
+  EXPECT_GT(got.max_deviation, 0.0);
 }
 
 TEST(ApiRunTest, ResultJsonCarriesTheFingerprint) {

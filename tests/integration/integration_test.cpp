@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "core/designer.hpp"
+#include "api/run.hpp"
 #include "fba/fba.hpp"
 #include "fba/geobacter_problem.hpp"
 #include "kinetics/scenarios.hpp"
@@ -143,23 +143,20 @@ TEST(IntegrationTest, Pmo2BeatsSingleMoeadOnCoverage) {
   EXPECT_GE(pmo2_coverage + 1e-9, moead_coverage);
 }
 
-TEST(IntegrationTest, DesignerOnPhotosynthesisProducesMinedCandidates) {
-  auto problem = kinetics::make_problem(kinetics::table1_scenario());
-  core::DesignerConfig cfg;
-  cfg.optimizer.islands = 2;
-  cfg.optimizer.generations = 15;
-  cfg.optimizer.seed = 8;
-  cfg.surface.samples = 5;
-  cfg.surface.yield.perturbation.global_trials = 60;
-  const core::RobustDesigner designer(cfg);
-
-  const auto& model = problem->model();
-  const robustness::PropertyFn uptake = [&model](std::span<const double> x) {
-    return model.steady_state(x).co2_uptake;
-  };
-  const core::DesignReport report = designer.design(*problem, uptake);
-  EXPECT_GE(report.mined.size(), 3u);
-  EXPECT_FALSE(report.front.empty());
+TEST(IntegrationTest, PhotosynthesisRunProducesMinedCandidates) {
+  // The whole pipeline on the Table 1 condition, through the spec API.
+  api::RunSpec spec;
+  spec.problem = "photosynthesis?scenario=present-high";
+  spec.optimizer = "pmo2?islands=2";
+  spec.generations = 15;
+  spec.seed = 8;
+  spec.robustness.enabled = true;
+  spec.robustness.trials = 60;
+  spec.robustness.surface_samples = 5;
+  const api::RunResult result = api::run(spec);
+  EXPECT_GE(result.mined.size(), 3u);
+  EXPECT_FALSE(result.front.empty());
+  EXPECT_FALSE(result.surface.empty());
 }
 
 }  // namespace

@@ -67,11 +67,8 @@ TEST_P(OdeMethodTest, OscillatorPhase) {
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, OdeMethodTest,
     ::testing::Values(
-        MethodParam{.method = OdeMethod::kRk4, .tolerance = 1e-6},
-        MethodParam{.method = OdeMethod::kCashKarp45, .tolerance = 1e-6},
         MethodParam{.method = OdeMethod::kDormandPrince54, .tolerance = 1e-6},
-        MethodParam{.method = OdeMethod::kRosenbrockW, .tolerance = 1e-4},
-        MethodParam{.method = OdeMethod::kImplicitEuler, .tolerance = 2e-2}));
+        MethodParam{.method = OdeMethod::kRosenbrockW, .tolerance = 1e-4}));
 
 TEST(OdeTest, StiffProblemWithRosenbrock) {
   OdeOptions opts;
@@ -81,16 +78,6 @@ TEST(OdeTest, StiffProblemWithRosenbrock) {
   const OdeResult r = integrate(kStiff, 0.0, Vec{0.0}, 5.0, opts);
   ASSERT_TRUE(r.success);
   EXPECT_NEAR(r.y[0], std::cos(5.0), 1e-3);
-}
-
-TEST(OdeTest, StiffProblemWithImplicitEuler) {
-  OdeOptions opts;
-  opts.method = OdeMethod::kImplicitEuler;
-  opts.initial_step = 1e-3;
-  opts.max_step = 0.05;
-  const OdeResult r = integrate(kStiff, 0.0, Vec{0.0}, 5.0, opts);
-  ASSERT_TRUE(r.success);
-  EXPECT_NEAR(r.y[0], std::cos(5.0), 5e-2);
 }
 
 TEST(OdeTest, StiffProblemExplicitIsStabilityLimited) {
@@ -144,29 +131,6 @@ TEST(OdeTest, StateFloorEnforced) {
   const OdeResult r = integrate(f, 0.0, Vec{1.0}, 10.0, opts);
   ASSERT_TRUE(r.success);
   EXPECT_GE(r.y[0], 0.0);
-}
-
-TEST(OdeTest, SteadyStateOfRelaxation) {
-  // y' = 3 - y has the fixed point y = 3.
-  const OdeRhs f = [](double, std::span<const double> y, Vec& d) {
-    d[0] = 3.0 - y[0];
-  };
-  SteadyStateOptions opts;
-  opts.derivative_tol = 1e-10;
-  opts.max_time = 100.0;
-  const OdeResult r = integrate_to_steady_state(f, Vec{0.0}, opts);
-  ASSERT_TRUE(r.success);
-  EXPECT_NEAR(r.y[0], 3.0, 1e-8);
-}
-
-TEST(OdeTest, SteadyStateTimesOutOnDrift) {
-  // y' = 1 never settles: success must be false.
-  const OdeRhs f = [](double, std::span<const double>, Vec& d) { d[0] = 1.0; };
-  SteadyStateOptions opts;
-  opts.max_time = 5.0;
-  const OdeResult r = integrate_to_steady_state(f, Vec{0.0}, opts);
-  EXPECT_FALSE(r.success);
-  EXPECT_NEAR(r.y[0], 5.0, 1e-6);
 }
 
 TEST(OdeTest, NumericJacobianOfLinearSystem) {

@@ -144,12 +144,9 @@ TEST_P(WorkspaceOdeMethods, RepeatedIntegrationsGoQuietAfterWarmup) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, WorkspaceOdeMethods,
-                         ::testing::Values(OdeMethod::kRk4,
-                                           OdeMethod::kCashKarp45,
-                                           OdeMethod::kDormandPrince54,
+                         ::testing::Values(OdeMethod::kDormandPrince54,
                                            OdeMethod::kRosenbrockW,
-                                           OdeMethod::kRosenbrock3,
-                                           OdeMethod::kImplicitEuler));
+                                           OdeMethod::kRosenbrock3));
 
 TEST(WorkspaceTest, RepeatedShootingSolvesGoQuietAfterWarmup) {
   Workspace ws;

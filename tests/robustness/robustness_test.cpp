@@ -263,10 +263,17 @@ TEST(SurfaceTest, GammaMatchesPerPickGlobalYieldBitForBit) {
         EXPECT_EQ(p.objectives, front[picks[k]].f);
         YieldConfig oracle = cfg.yield;
         oracle.threads = 1;
-        const double expected = global_yield(front[picks[k]].x, f, oracle).gamma;
+        const YieldResult expected = global_yield(front[picks[k]].x, f, oracle);
         EXPECT_EQ(std::bit_cast<std::uint64_t>(p.gamma),
-                  std::bit_cast<std::uint64_t>(expected))
+                  std::bit_cast<std::uint64_t>(expected.gamma))
             << "trials=" << trials << " threads=" << threads << " pick " << k;
+        // The rest of the point's YieldResult is the per-pick answer too.
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(p.nominal_value),
+                  std::bit_cast<std::uint64_t>(expected.nominal_value));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(p.max_deviation),
+                  std::bit_cast<std::uint64_t>(expected.max_deviation));
+        EXPECT_EQ(p.robust_trials, expected.robust_trials);
+        EXPECT_EQ(p.total_trials, trials);
         distinct.insert(p.gamma);
       }
       EXPECT_GE(distinct.size(), 2u) << "a constant gamma would not test the picks";

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,6 @@
 #include "api/session.hpp"
 #include "api/spec.hpp"
 #include "core/json.hpp"
-#include "core/report.hpp"
 
 namespace {
 
@@ -66,25 +66,7 @@ int validate(const std::string& path) {
 }
 
 int report(const rmp::api::RunResult& result, const std::string& out_path) {
-  std::printf("problem:     %s\n", result.problem_name.c_str());
-  std::printf("optimizer:   %s\n", result.optimizer_name.c_str());
-  std::printf("front:       %zu points from %zu evaluations\n", result.front.size(),
-              result.evaluations);
-  std::printf("fingerprint: 0x%016llx\n",
-              static_cast<unsigned long long>(result.fingerprint));
-  for (const auto& c : result.mined) {
-    std::printf("  [%s] f = (", c.selection.c_str());
-    for (std::size_t j = 0; j < c.objectives.size(); ++j) {
-      std::printf("%s%.6g", j == 0 ? "" : ", ", c.objectives[j]);
-    }
-    std::printf(")");
-    if (c.yield) std::printf("  yield = %.1f%%", 100.0 * c.yield->gamma);
-    std::printf("\n");
-  }
-  std::printf("timings:     optimize %.3fs, mining %.3fs, robustness %.3fs\n",
-              result.optimize_seconds, result.mining_seconds,
-              result.robustness_seconds);
-
+  rmp::api::print_summary(result, std::cout);
   if (!out_path.empty()) {
     if (!rmp::core::write_json_file(out_path, rmp::api::result_to_json(result))) {
       std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
