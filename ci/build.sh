@@ -150,10 +150,12 @@ done
 # plus the kinetics engine, robustness Monte-Carlo, and the arena-backed
 # solver layer (workspace scratch reuse, the shooting cycle solver, and the
 # v1-vs-v2 differential harness — the scratch-arena lifetime contract is
-# exactly the kind of bug only ASan sees): the places where an out-of-bounds
-# index or UB-reliant shortcut (the old percentile Release OOB class) would
-# otherwise slip through Release CI.  -fno-sanitize-recover (set by
-# RMP_SANITIZE in CMake) turns every UBSan finding into a test failure.
+# exactly the kind of bug only ASan sees), and the sparse-aware simplex
+# kernels (compressed columns and sparse LU index lists, run over the
+# Geobacter seed LPs and against the dense oracle): the places where an
+# out-of-bounds index or UB-reliant shortcut (the old percentile Release OOB
+# class) would otherwise slip through Release CI.  -fno-sanitize-recover (set
+# by RMP_SANITIZE in CMake) turns every UBSan finding into a test failure.
 # Only the affected test binaries are built — the full suite already ran
 # above.
 SAN_BUILD_DIR="${SAN_BUILD_DIR:-${BUILD_DIR}-asan}"
@@ -164,7 +166,8 @@ SAN_TESTS=(
   pareto_coverage_test pareto_front_test pareto_hypervolume_test
   pareto_mining_test
   numeric_matrix_test numeric_newton_test numeric_ode_test numeric_rng_test
-  numeric_shooting_test numeric_simplex_test numeric_solver_differential_test
+  numeric_shooting_test numeric_simplex_test numeric_simplex_differential_test
+  numeric_solver_differential_test fba_geobacter_test
   numeric_sparse_test numeric_stats_test numeric_vec_test
   numeric_workspace_test
   kinetics_c3model_test kinetics_control_analysis_test kinetics_enzymes_test

@@ -4,6 +4,7 @@
 
 #include "fba/fba.hpp"
 #include "fba/geobacter_problem.hpp"
+#include "support/geobacter_seed_lps.hpp"
 
 namespace rmp::fba {
 namespace {
@@ -90,6 +91,20 @@ TEST(GeobacterTest, PeripheralPathwaysSilentAtOptimum) {
     }
   }
   EXPECT_LT(peripheral_flux, 1.0);
+}
+
+TEST(GeobacterTest, SeedLpWorkCountersArePinned) {
+  // The seven seed LPs GeobacterProblem solves: simplex pivots over both
+  // phases, and one refactorization per completed refactor_interval (120).
+  const auto lps = testing::geobacter_seed_lps(model());
+  constexpr std::size_t kPivots[] = {461, 458, 455, 456, 456, 455, 455};
+  ASSERT_EQ(lps.size(), std::size(kPivots));
+  for (std::size_t k = 0; k < lps.size(); ++k) {
+    const num::LpSolution sol = num::solve_lp(lps[k]);
+    EXPECT_EQ(sol.status, num::LpStatus::kOptimal) << "seed LP " << k;
+    EXPECT_EQ(sol.iterations, kPivots[k]) << "seed LP " << k;
+    EXPECT_EQ(sol.refactorizations, 3u) << "seed LP " << k;
+  }
 }
 
 TEST(GeobacterProblemTest, DimensionsAndBounds) {

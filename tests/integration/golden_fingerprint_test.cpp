@@ -7,8 +7,9 @@
 //
 // The fingerprint is api::RunResult::fingerprint, the FNV-1a digest of the
 // canonical archive (see api/run.hpp).  Every workload below is small enough
-// for a fast ctest lane; the table spans both scenarios the ISSUE names
-// (past-low, present-high) with the cache/prescreen ladder on each.
+// for a fast ctest lane; the table spans two scenarios (past-low,
+// present-high) with the cache/prescreen ladder on each, and one
+// Geobacter FBA run pins the LP seeds behind the paper's second case study.
 //
 // Regenerating after an INTENTIONAL behavior change (e.g. a new solver
 // default that legitimately moves cycle averages):
@@ -16,10 +17,11 @@
 //     build/tests/integration_golden_fingerprint_test --gtest_also_run_disabled_tests \
 //         --gtest_filter='*PrintCurrentTable*'
 //
-// then paste the printed rows over kGolden below, and say why in the commit
-// message.  Goldens were generated with the Release (-O2) toolchain; the
-// table must match in every build type — -ffp-contract drift would be a
-// portability bug worth catching, not an excuse to fork the table.
+// then paste the printed rows over kGolden and kGeobacterGolden below, and
+// say why in the commit message.  Goldens were generated with the Release
+// (-O2) toolchain; the table must match in every build type — -ffp-contract
+// drift would be a portability bug worth catching, not an excuse to fork the
+// table.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -75,6 +77,28 @@ TEST(GoldenFingerprintTest, ArchiveFingerprintsMatchCommittedTable) {
   }
 }
 
+// The Geobacter FBA workload: PMO2 seeded from the seven LP vertices
+// (fba::GeobacterProblem), then null-space repair.  Pins the simplex's
+// answers end to end, since every seed is an LP solution.
+RunSpec geobacter_golden_spec() {
+  RunSpec spec;
+  spec.problem = "geobacter";
+  spec.optimizer = "pmo2?islands=4&population=40&archive_capacity=24";
+  spec.generations = 10;
+  spec.seed = 11;
+  spec.threads = 2;
+  spec.robustness.enabled = false;
+  return spec;
+}
+
+constexpr std::uint64_t kGeobacterGolden = 0x8cefd0480b949e5eULL;
+
+TEST(GoldenFingerprintTest, GeobacterFingerprintMatchesCommittedValue) {
+  const RunResult result = run(geobacter_golden_spec());
+  EXPECT_EQ(result.fingerprint, kGeobacterGolden);
+  EXPECT_GT(result.front.size(), 0u);
+}
+
 TEST(GoldenFingerprintTest, CacheRowsRepeatThePlainFingerprint) {
   // Redundant with the committed values, but self-checks the TABLE: a
   // regeneration that pasted a cache-on row differing from its plain row
@@ -91,6 +115,8 @@ TEST(GoldenFingerprintTest, DISABLED_PrintCurrentTable) {
                 row.name, row.scenario, row.cache,
                 row.prescreen ? "true" : "false", result.fingerprint);
   }
+  std::printf("kGeobacterGolden = 0x%016" PRIx64 "ULL\n",
+              run(geobacter_golden_spec()).fingerprint);
 }
 
 }  // namespace

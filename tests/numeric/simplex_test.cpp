@@ -175,5 +175,28 @@ TEST(SimplexTest, MediumScaleDiet) {
   EXPECT_NEAR(s.objective_value, 3.5, 1e-8);
 }
 
+TEST(SimplexTest, SingularRefactorizationWaitsAFullInterval) {
+  // One row, columns 1e-8, 1e-16, 1e-24: each pivot's |w| is 1e-8, well
+  // above pivot_tol, but the basis [1e-16] reached after pivot 2 is below
+  // the refactorization's singularity threshold.  The refactor keeps the
+  // product-form inverse and must wait a full interval before trying again,
+  // so pivot 3 (x2 -> x3) triggers no second attempt.
+  LpProblem p = make_problem(1, 3);
+  p.constraint_matrix(0, 0) = 1e-8;
+  p.constraint_matrix(0, 1) = 1e-16;
+  p.constraint_matrix(0, 2) = 1e-24;
+  p.rhs[0] = 1e-8;
+  p.objective = {1.0, 10.0, 1.0};
+  LpOptions opts;
+  opts.refactor_interval = 2;
+  const LpSolution s = solve_lp(p, opts);
+  ASSERT_EQ(s.status, LpStatus::kOptimal);
+  EXPECT_EQ(s.iterations, 5u);  // 1 pivot + check, then 2 pivots + check
+  EXPECT_EQ(s.refactorizations, 1u);
+  EXPECT_EQ(s.x[0], 0.0);
+  EXPECT_EQ(s.x[1], 0.0);
+  EXPECT_NEAR(s.x[2], 1e16, 1e6);
+}
+
 }  // namespace
 }  // namespace rmp::num
