@@ -3,7 +3,8 @@
 # warnings-as-errors on the rmp library targets, build everything, run the
 # full CTest suite (the tier-1 verify command), run the benchmark driver in
 # smoke mode so every CI run prints a BENCH_pmo2.json perf-trajectory record
-# (docs/BENCHMARKS.md), and finish with the two sanitizer lanes
+# (docs/BENCHMARKS.md), build and self-test the perfbench pipeline
+# benchmark, and finish with the two sanitizer lanes
 # (ASan+UBSan — including the fault-injection chaos smoke over the
 # multi-worker spool — then TSan).  ARCHITECTURE.md "Correctness tooling"
 # maps each step to the contract clause it enforces.
@@ -145,6 +146,14 @@ for artifact in BENCH_pmo2 BENCH_archive BENCH_kinetics BENCH_evalcache; do
   test -s "${BUILD_DIR}/bench-results/${artifact}.json" \
     || { echo "bench smoke left no ${artifact}.json — phase gates skipped" >&2; exit 1; }
 done
+
+# Benchmark self-test: perfbench/ compiles src/ on its own (a separate CMake
+# project whose workloads override every moo::Problem virtual), so a src/
+# change that breaks it would otherwise fail only when the benchmark runs.
+# --selftest builds pipeline_bench and runs its two-generation ZDT1 smoke
+# spec, checking every metric BENCHMARK.json declares is emitted.
+CARGO_TARGET_DIR="${BUILD_DIR}/perfbench-target" \
+  python3 perfbench/run.py --selftest
 
 # ASan+UBSan Debug pass over the algorithmic core (moo / pareto / numeric)
 # plus the kinetics engine, robustness Monte-Carlo, and the arena-backed

@@ -99,7 +99,12 @@ void atomic_write_file(const fs::path& path, const std::string& content,
 
   // Dot-prefixed temp name in the same directory: same filesystem (so
   // rename is atomic) and invisible to the JobServer's spool scans.
-  fs::path tmp = path.parent_path() / ("." + path.filename().string() + ".tmp");
+  // The name is built by appends: GCC 12 reports a spurious -Wrestrict on
+  // the equivalent "." + name + ".tmp" chain.
+  std::string tmp_name = ".";
+  tmp_name += path.filename().string();
+  tmp_name += ".tmp";
+  fs::path tmp = path.parent_path() / tmp_name;
   write_file_synced(tmp, content.data(), content.size());
   fsync_parent_dir(path);
 

@@ -28,29 +28,6 @@ double error_norm(std::span<const double> err, std::span<const double> y0,
   return std::sqrt(acc / static_cast<double>(err.size()));
 }
 
-/// Forward-difference Jacobian of f at (t, y) into `j`, counting the n + 1
-/// RHS evaluations (base + one per column) in `rhs_evals`.  Scratch from ws.
-void fd_jacobian(OdeRhs f, double t, std::span<const double> y, double eps,
-                 Workspace& ws, Matrix& j, std::size_t& rhs_evals) {
-  const std::size_t n = y.size();
-  ScratchVec base(ws, n), pert(ws, n), yp(ws, n);
-  yp.get().assign(y.begin(), y.end());
-  base.get().assign(n, 0.0);
-  f(t, y, base.get());
-  ++rhs_evals;
-  for (std::size_t c = 0; c < n; ++c) {
-    const double h = eps * std::max(1.0, std::fabs(y[c]));
-    const double saved = yp[c];
-    yp[c] = saved + h;
-    pert.get().assign(n, 0.0);
-    f(t, yp, pert.get());
-    ++rhs_evals;
-    yp[c] = saved;
-    const double inv_h = 1.0 / h;
-    for (std::size_t r = 0; r < n; ++r) j(r, c) = (pert[r] - base[r]) * inv_h;
-  }
-}
-
 /// Generic embedded explicit Runge-Kutta stepper driven by a Butcher tableau.
 /// Stage slopes live in a workspace Matrix (row s = k_s) — no per-step
 /// allocation.
@@ -485,22 +462,25 @@ OdeResult integrate(const OdeRhs& f, double t0, std::span<const double> y0, doub
   return {};
 }
 
-Matrix numeric_jacobian(const OdeRhs& f, double t, std::span<const double> y, double eps) {
+void fd_jacobian(OdeRhs f, double t, std::span<const double> y, double eps,
+                 Workspace& ws, Matrix& j, std::size_t& rhs_evals) {
   const std::size_t n = y.size();
-  Matrix j(n, n);
-  Vec base(n), pert(n), yp(y.begin(), y.end());
-  f(t, y, base);
+  ScratchVec base(ws, n), pert(ws, n), yp(ws, n);
+  yp.get().assign(y.begin(), y.end());
+  base.get().assign(n, 0.0);
+  f(t, y, base.get());
+  ++rhs_evals;
   for (std::size_t c = 0; c < n; ++c) {
     const double h = eps * std::max(1.0, std::fabs(y[c]));
     const double saved = yp[c];
     yp[c] = saved + h;
-    pert.assign(n, 0.0);
-    f(t, yp, pert);
+    pert.get().assign(n, 0.0);
+    f(t, yp, pert.get());
+    ++rhs_evals;
     yp[c] = saved;
     const double inv_h = 1.0 / h;
     for (std::size_t r = 0; r < n; ++r) j(r, c) = (pert[r] - base[r]) * inv_h;
   }
-  return j;
 }
 
 }  // namespace rmp::num

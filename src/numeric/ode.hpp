@@ -98,8 +98,11 @@ struct OdeResult {
 [[nodiscard]] OdeResult integrate(const OdeRhs& f, double t0, std::span<const double> y0,
                                   double t_end, const OdeOptions& opts = {});
 
-/// Forward-difference Jacobian of f at (t, y); J(i,j) = df_i/dy_j.
-[[nodiscard]] Matrix numeric_jacobian(const OdeRhs& f, double t, std::span<const double> y,
-                                      double eps = 1e-7);
+/// Forward-difference Jacobian of f at (t, y) into `j` (pre-sized n x n),
+/// J(i,j) = df_i/dy_j, with column step eps * max(1, |y_j|); counts the
+/// n + 1 RHS evaluations (base + one per column) in `rhs_evals`.  Scratch
+/// comes from ws.
+void fd_jacobian(OdeRhs f, double t, std::span<const double> y, double eps,
+                 Workspace& ws, Matrix& j, std::size_t& rhs_evals);
 
 }  // namespace rmp::num

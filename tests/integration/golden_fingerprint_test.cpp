@@ -12,10 +12,10 @@
 // Geobacter FBA run pins the LP seeds behind the paper's second case study.
 //
 // Regenerating after an INTENTIONAL behavior change (e.g. a new solver
-// default that legitimately moves cycle averages):
+// default that legitimately moves cycle averages), run as one command line
 //
-//     build/tests/integration_golden_fingerprint_test --gtest_also_run_disabled_tests \
-//         --gtest_filter='*PrintCurrentTable*'
+//     build/tests/integration_golden_fingerprint_test
+//         --gtest_also_run_disabled_tests --gtest_filter='*PrintCurrentTable*'
 //
 // then paste the printed rows over kGolden and kGeobacterGolden below, and
 // say why in the commit message.  Goldens were generated with the Release

@@ -8,6 +8,7 @@
 
 #include "kinetics/c3model.hpp"
 #include "numeric/rng.hpp"
+#include "numeric/workspace.hpp"
 
 namespace rmp::num {
 namespace {
@@ -139,7 +140,11 @@ TEST(OdeTest, NumericJacobianOfLinearSystem) {
     d[0] = 1.0 * y[0] + 2.0 * y[1];
     d[1] = 3.0 * y[0] + 4.0 * y[1];
   };
-  const Matrix j = numeric_jacobian(f, 0.0, Vec{1.0, 1.0});
+  Matrix j(2, 2);
+  std::size_t rhs_evals = 0;
+  fd_jacobian(f, 0.0, Vec{1.0, 1.0}, 1e-7, Workspace::thread_local_instance(),
+              j, rhs_evals);
+  EXPECT_EQ(rhs_evals, 3u);  // base + one per column
   EXPECT_NEAR(j(0, 0), 1.0, 1e-5);
   EXPECT_NEAR(j(0, 1), 2.0, 1e-5);
   EXPECT_NEAR(j(1, 0), 3.0, 1e-5);
@@ -236,8 +241,8 @@ OdeResult oracle_rosenbrock(const OdeRhs& f_user, double t0,
       for (std::size_t r = 0; r < n_user; ++r)
         for (std::size_t c = 0; c < n_user; ++c) j(r, c) = ju(r, c);
     } else {
-      j = numeric_jacobian(f, res.t, res.y, 1e-7);
-      res.rhs_evals += n + 1;
+      fd_jacobian(f, res.t, res.y, 1e-7, Workspace::thread_local_instance(),
+                  j, res.rhs_evals);
     }
 
     bool ok = oracle_ros2_step(f, res.t, res.y, h, j, y_full, res);

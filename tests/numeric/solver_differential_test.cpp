@@ -33,6 +33,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <vector>
 
@@ -171,6 +173,62 @@ TEST(SolverDifferentialTest, ExactRepeatOfALivingCycleIsAnsweredBitwise) {
     return;  // one living cycle proves the contract
   }
   GTEST_SKIP() << "stream produced no living cycles on this seed";
+}
+
+/// FNV-1a over the raw bytes of `value`.
+template <typename T>
+void fnv1a(std::uint64_t& h, const T& value) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+// The absolute answers of the shooting cycle path.  The harness above
+// holds shooting to the window only within tolerance, and the golden
+// corpus pins only archive members; this hash pins every oscillatory
+// answer of the stream bitwise, so a change inside the limit-cycle solver
+// that moves any bit of a cycle average fails here.
+constexpr std::uint64_t kCyclePathGolden = 0xd49376ff0d2da362ULL;
+
+TEST(SolverDifferentialTest, CyclePathAnswersArePinned) {
+  const C3Model model;
+  // Every candidate it sees takes the cold path: its pool never holds a
+  // cycle anchor.
+  C3Config cold_cfg;
+  cold_cfg.warm_pool_capacity = 0;
+  const C3Model cold(cold_cfg);
+
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::size_t warm_shots = 0, cold_shots = 0;
+  for (const num::Vec& mult : make_stream(10, 12, 20260808)) {
+    const bool anchored = model.warm_pool().snapshot_cycle_count() > 0;
+    const SteadyState ss = model.steady_state(mult);
+    if (!ss.oscillatory) continue;
+    fnv1a(h, ss.converged);
+    fnv1a(h, ss.used_shooting);
+    for (const double v : ss.state) fnv1a(h, v);
+    fnv1a(h, ss.co2_uptake);
+    fnv1a(h, ss.cycle_period);
+    if (!ss.used_shooting || ss.pool_exact_hit) continue;
+    // With an anchor in the pool the warm shot ran first; its answer is
+    // warm unless it matches the cold path's bitwise (the warm shot gave
+    // up and the cold bootstrap answered).
+    bool from_cold = !anchored;
+    if (anchored) {
+      const SteadyState c = cold.steady_state(mult);
+      from_cold = c.used_shooting && c.co2_uptake == ss.co2_uptake &&
+                  moo::bitwise_equal(c.state, ss.state);
+    }
+    ++(from_cold ? cold_shots : warm_shots);
+  }
+  EXPECT_EQ(h, kCyclePathGolden)
+      << std::hex << "0x" << h << std::dec << " (" << warm_shots << " warm, "
+      << cold_shots << " cold shots)";
+  EXPECT_GT(warm_shots, 0u);
+  EXPECT_GT(cold_shots, 0u);
 }
 
 TEST(SolverDifferentialTest, ShootingKnobNeverChangesSettledAnswers) {
