@@ -6,44 +6,42 @@
 // C3Model::steady_state inside core::parallel_for batches with an epoch
 // commit between generations (exactly the engines' cadence), once per
 // solver configuration:
-//   baseline  — finite-difference Jacobians, fresh LU every iteration, warm
-//               pool disabled, windowed cycle averages (the PR-4-era path);
 //   engine v1 — analytic Jacobians, chord-Newton reuse, epoch-committed
 //               warm-start pool, windowed cycle averages (the PR-5 engine);
 //   engine v2 — v1's Newton path plus the shooting limit-cycle solver with
 //               pool-able cycle anchors for the oscillatory tail (the
 //               defaults).
 // Reported per configuration: wall seconds, solves/sec, mean Newton
-// iterations, RHS evaluations and Jacobian factorizations per solve,
-// integration-fallback and warm-start rates — work counters, not just wall
-// time.  The stream is additionally split into the SOLVE PATH (candidates
-// both engines settle by Newton — where this PR's optimizations live) and
-// the oscillatory remainder (genuine limit cycles, integrator-bound in
-// both engines; only the FD-vs-analytic Jacobian inside the integrator
-// differs there).  Two gates, both full-scale (0 = report only):
-//   RMP_KINETICS_MIN_SPEEDUP        — solve-path wall speedup floor
-//     (run_benchmarks.sh sets 1.5; measured ~1.9x on this trajectory and
-//     2.2-2.6x in the front-exploitation / yield-ensemble regimes — the gap
-//     to the RHS-work ratio is allocator/dispatch overhead shared by both
-//     paths);
-//   RMP_KINETICS_MIN_RHS_REDUCTION  — RHS-evaluations-per-solve reduction
-//     floor (run_benchmarks.sh sets 3; measured ~21x);
-//   RMP_KINETICS_MIN_V2_MIXED       — v2-over-v1 mixed-workload wall floor
-//     (run_benchmarks.sh sets 2 — v1 and v2 share the Newton path, so the
-//     whole difference is the shooting cycle path vs the 400-unit window).
+// iterations, RHS evaluations and Jacobian factorizations (per solve and
+// totalled over the stream), integration-fallback, warm-start and shooting
+// rates — work counters, not just wall time.  The oscillatory candidates
+// both engines resolve as limit cycles are split out as the cycle path,
+// where v1 integrates a 400-unit window and v2 shoots the cycle.  Three
+// gates, each off at 0:
+//   RMP_KINETICS_MAX_RHS       — ceiling on v2's total ladder RHS
+//     evaluations over the stream;
+//   RMP_KINETICS_MAX_LU        — ceiling on v2's total Jacobian
+//     factorizations over the stream.  Both counters are deterministic
+//     (seeded stream, epoch-committed pool), so run_benchmarks.sh sets them
+//     at both scales to the values the engine measures today: any extra
+//     solver work fails the gate exactly, with no wall-clock noise;
+//   RMP_KINETICS_MIN_V2_MIXED  — v2-over-v1 mixed-workload wall floor
+//     (run_benchmarks.sh sets 2 at full scale — v1 and v2 share the Newton
+//     path, so the whole difference is the shooting cycle path vs the
+//     400-unit window).
 //
 // Part 2 (determinism cross-check): a fixed PMO2 spec on the photosynthesis
-// problem is run with island_threads in {1, 2, 8} for each of five solver
-// configurations (baseline; v1 and v2, each with the pool disabled and
-// enabled), each run on a FRESH model — the pool is model state.  Within
-// every configuration the archive fingerprint must be bit-identical across
+// problem is run with island_threads in {1, 2, 8} for each of four solver
+// configurations (v1 and v2, each with the pool disabled and enabled), each
+// run on a FRESH model — the pool is model state.  Within every
+// configuration the archive fingerprint must be bit-identical across
 // thread counts; any divergence exits non-zero.
 //
 // Environment knobs: RMP_KINETICS_GENERATIONS (30), RMP_KINETICS_BATCH
 // (64), RMP_KINETICS_THREADS (1 — serial measurement under the
-// deterministic-region cadence; 0 = hardware), RMP_KINETICS_MIN_SPEEDUP
-// (0), RMP_KINETICS_MIN_RHS_REDUCTION (0), RMP_KINETICS_PMO2_GENERATIONS
-// (6), RMP_KINETICS_PMO2_POPULATION (8).
+// deterministic-region cadence; 0 = hardware), RMP_KINETICS_MAX_RHS (0),
+// RMP_KINETICS_MAX_LU (0), RMP_KINETICS_MIN_V2_MIXED (0),
+// RMP_KINETICS_PMO2_GENERATIONS (6), RMP_KINETICS_PMO2_POPULATION (8).
 // Usage: kinetics_scaling [output.json]   (default BENCH_kinetics.json)
 #include <algorithm>
 #include <chrono>
@@ -70,15 +68,6 @@ using rmp::kinetics::C3Config;
 using rmp::kinetics::C3Model;
 using rmp::kinetics::kNumEnzymes;
 using rmp::kinetics::SteadyState;
-
-C3Config baseline_config() {
-  C3Config cfg;
-  cfg.analytic_jacobian = false;
-  cfg.chord_max_age = 1;
-  cfg.warm_pool_capacity = 0;
-  cfg.cycle_shooting = false;
-  return cfg;
-}
 
 /// The PR-5 engine: every Newton-path optimization, oscillatory candidates
 /// resolved by the windowed long integration (shooting off).
@@ -134,6 +123,8 @@ struct EngineResult {
   double solves_per_sec = 0.0;
   std::size_t solves = 0;
   double mean_newton_iterations = 0.0;
+  std::size_t rhs_evaluations = 0;          ///< summed over the stream
+  std::size_t jacobian_factorizations = 0;  ///< summed over the stream
   double rhs_per_solve = 0.0;
   double factorizations_per_solve = 0.0;
   double fallback_rate = 0.0;
@@ -141,7 +132,7 @@ struct EngineResult {
   double converged_rate = 0.0;
   double shooting_rate = 0.0;  ///< used_shooting / solves (v2 cycle path)
   /// Per-candidate wall seconds and class, index-aligned with the flattened
-  /// stream — lets the harness split the solve path from the cycle path.
+  /// stream — lets the harness split out the cycle path.
   std::vector<double> per_solve_seconds;
   std::vector<bool> oscillatory;
 };
@@ -152,7 +143,7 @@ EngineResult run_engine(const C3Config& cfg,
   using clock = std::chrono::steady_clock;
   const C3Model model(cfg);
   EngineResult r;
-  std::size_t iterations = 0, rhs = 0, factorizations = 0;
+  std::size_t iterations = 0;
   std::size_t fallbacks = 0, warm = 0, converged = 0, shooting = 0;
 
   const auto t0 = clock::now();
@@ -171,8 +162,8 @@ EngineResult run_engine(const C3Config& cfg,
       const SteadyState& ss = results[i];
       ++r.solves;
       iterations += ss.newton_iterations;
-      rhs += ss.rhs_evaluations;
-      factorizations += ss.jacobian_factorizations;
+      r.rhs_evaluations += ss.rhs_evaluations;
+      r.jacobian_factorizations += ss.jacobian_factorizations;
       fallbacks += ss.used_integration_fallback;
       warm += ss.warm_started;
       converged += ss.converged;
@@ -186,26 +177,13 @@ EngineResult run_engine(const C3Config& cfg,
   const auto n = static_cast<double>(r.solves);
   r.solves_per_sec = n / dt.count();
   r.mean_newton_iterations = static_cast<double>(iterations) / n;
-  r.rhs_per_solve = static_cast<double>(rhs) / n;
-  r.factorizations_per_solve = static_cast<double>(factorizations) / n;
+  r.rhs_per_solve = static_cast<double>(r.rhs_evaluations) / n;
+  r.factorizations_per_solve = static_cast<double>(r.jacobian_factorizations) / n;
   r.fallback_rate = static_cast<double>(fallbacks) / n;
   r.warm_start_rate = static_cast<double>(warm) / n;
   r.converged_rate = static_cast<double>(converged) / n;
   r.shooting_rate = static_cast<double>(shooting) / n;
   return r;
-}
-
-/// Throughput of one engine over the candidates both engines settled (no
-/// oscillation, no integration) — the Newton solve path this PR rebuilds.
-/// The Hopf-adjacent candidates both engines resolve by integrating the
-/// limit cycle share that (physics-bound) cost equally; they are reported
-/// in the mixed aggregate instead, so neither number hides the other.
-double solve_path_seconds(const EngineResult& r, const std::vector<bool>& settled) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < r.per_solve_seconds.size(); ++i) {
-    if (settled[i]) total += r.per_solve_seconds[i];
-  }
-  return total;
 }
 
 /// One PMO2 run of the fixed determinism spec on a fresh model; returns the
@@ -241,9 +219,8 @@ int main(int argc, char** argv) {
   // The batch still executes under the deterministic-region cadence
   // (parallel_for + epoch commits), exactly like the engines drive it.
   const std::size_t threads = env_or("RMP_KINETICS_THREADS", 1);
-  const double min_speedup = rmp::bench::env_or_double("RMP_KINETICS_MIN_SPEEDUP", 0.0);
-  const double min_rhs_reduction =
-      rmp::bench::env_or_double("RMP_KINETICS_MIN_RHS_REDUCTION", 0.0);
+  const std::size_t max_rhs = env_or("RMP_KINETICS_MAX_RHS", 0);
+  const std::size_t max_lu = env_or("RMP_KINETICS_MAX_LU", 0);
   const double min_v2_mixed =
       rmp::bench::env_or_double("RMP_KINETICS_MIN_V2_MIXED", 0.0);
   const std::size_t pmo2_gens = env_or("RMP_KINETICS_PMO2_GENERATIONS", 6);
@@ -253,13 +230,6 @@ int main(int argc, char** argv) {
               generations, batch);
   const auto stream = make_stream(generations, batch);
 
-  const EngineResult baseline = run_engine(baseline_config(), stream, threads);
-  std::printf(
-      "baseline : %.3f s (%.0f solves/s), %.1f iters, %.1f rhs, %.2f lu "
-      "per solve, fallback %.1f%%\n",
-      baseline.wall_seconds, baseline.solves_per_sec,
-      baseline.mean_newton_iterations, baseline.rhs_per_solve,
-      baseline.factorizations_per_solve, 100.0 * baseline.fallback_rate);
   const EngineResult v1 = run_engine(v1_config(), stream, threads);
   std::printf(
       "engine v1: %.3f s (%.0f solves/s), %.1f iters, %.1f rhs, %.2f lu "
@@ -275,33 +245,22 @@ int main(int argc, char** argv) {
       optimized.mean_newton_iterations, optimized.rhs_per_solve,
       optimized.factorizations_per_solve, 100.0 * optimized.fallback_rate,
       100.0 * optimized.warm_start_rate, 100.0 * optimized.shooting_rate);
+  std::printf("engine v2 work over the stream: %zu rhs, %zu lu\n",
+              optimized.rhs_evaluations, optimized.jacobian_factorizations);
 
-  // Split the stream: a candidate belongs to the SOLVE PATH when no engine
-  // needed the limit-cycle machinery for it.  The remainder (the model's
-  // genuine photosynthetic-oscillation regime) is where v1 and v2 differ:
-  // v1 integrates a 400-unit window, v2 shoots the cycle.
-  std::vector<bool> settled(baseline.oscillatory.size());
-  std::size_t n_settled = 0, n_cycle = 0;
+  // The cycle path: candidates both engines resolve as limit cycles (the
+  // model's genuine photosynthetic-oscillation regime) — where v1 and v2
+  // differ: v1 integrates a 400-unit window, v2 shoots the cycle.
+  std::size_t n_cycle = 0;
   double v1_cycle_s = 0.0, v2_cycle_s = 0.0;
-  for (std::size_t i = 0; i < settled.size(); ++i) {
-    settled[i] = !baseline.oscillatory[i] && !v1.oscillatory[i] &&
-                 !optimized.oscillatory[i];
-    n_settled += settled[i];
+  for (std::size_t i = 0; i < optimized.oscillatory.size(); ++i) {
     if (v1.oscillatory[i] && optimized.oscillatory[i]) {
       ++n_cycle;
       v1_cycle_s += v1.per_solve_seconds[i];
       v2_cycle_s += optimized.per_solve_seconds[i];
     }
   }
-  const double base_solve_s = solve_path_seconds(baseline, settled);
-  const double opt_solve_s = solve_path_seconds(optimized, settled);
-  const double speedup_solve_path =
-      opt_solve_s > 0.0 ? base_solve_s / opt_solve_s : 0.0;
-  const double speedup_mixed = baseline.wall_seconds / optimized.wall_seconds;
-  const double rhs_reduction =
-      optimized.rhs_per_solve > 0.0 ? baseline.rhs_per_solve / optimized.rhs_per_solve
-                                    : 0.0;
-  // The v2 gates: mixed-workload wall against the PR-5 engine (identical
+  // The v2 wall gate: mixed-workload wall against the PR-5 engine (identical
   // Newton path, so the whole difference is the oscillatory tail), plus the
   // cycle-path split for the record.
   const double speedup_v2_mixed =
@@ -309,14 +268,6 @@ int main(int argc, char** argv) {
                                    : 0.0;
   const double speedup_v2_cycle =
       v2_cycle_s > 0.0 ? v1_cycle_s / v2_cycle_s : 0.0;
-  std::printf(
-      "solve path (%zu/%zu candidates): %.0f -> %.0f solves/s, speedup %.1fx\n",
-      n_settled, settled.size(),
-      static_cast<double>(n_settled) / std::max(base_solve_s, 1e-12),
-      static_cast<double>(n_settled) / std::max(opt_solve_s, 1e-12),
-      speedup_solve_path);
-  std::printf("mixed workload speedup (incl. oscillatory): %.1fx\n", speedup_mixed);
-  std::printf("RHS-work reduction per solve: %.1fx\n", rhs_reduction);
   std::printf("v2 vs v1 mixed workload: %.2fx  (cycle path %zu cands: %.2fx)\n",
               speedup_v2_mixed, n_cycle, speedup_v2_cycle);
 
@@ -334,8 +285,7 @@ int main(int argc, char** argv) {
   // v1/v2 x pool off/on: the shooting path and its cycle anchors must keep
   // the archive bit-identical for any thread count, with and without the
   // pool that feeds warm restarts and exact-hit replays.
-  const DetRow rows[] = {{"baseline", baseline_config()},
-                         {"v1_pool_off", v1_pool_off},
+  const DetRow rows[] = {{"v1_pool_off", v1_pool_off},
                          {"v1_pool_on", v1_config()},
                          {"v2_pool_off", v2_pool_off},
                          {"v2_pool_on", C3Config{}}};
@@ -368,6 +318,8 @@ int main(int argc, char** argv) {
         .set("solves_per_sec", r.solves_per_sec)
         .set("solves", r.solves)
         .set("mean_newton_iterations", r.mean_newton_iterations)
+        .set("rhs_evaluations", r.rhs_evaluations)
+        .set("jacobian_factorizations", r.jacobian_factorizations)
         .set("rhs_per_solve", r.rhs_per_solve)
         .set("factorizations_per_solve", r.factorizations_per_solve)
         .set("fallback_rate", r.fallback_rate)
@@ -378,7 +330,7 @@ int main(int argc, char** argv) {
   const core::Json doc =
       core::Json::object()
           .set("benchmark", "kinetics_scaling")
-          .set("schema_version", 2)
+          .set("schema_version", 3)
           .set("config", core::Json::object()
                              .set("generations", generations)
                              .set("batch", batch)
@@ -386,23 +338,8 @@ int main(int argc, char** argv) {
                              .set("seed", std::size_t{20260730})
                              .set("pmo2_generations", pmo2_gens)
                              .set("pmo2_population", pmo2_pop))
-          .set("baseline", engine_json(baseline))
           .set("engine_v1", engine_json(v1))
           .set("optimized", engine_json(optimized))
-          .set("solve_path", core::Json::object()
-                                 .set("candidates", n_settled)
-                                 .set("of", settled.size())
-                                 .set("baseline_seconds", base_solve_s)
-                                 .set("optimized_seconds", opt_solve_s)
-                                 .set("baseline_solves_per_sec",
-                                      static_cast<double>(n_settled) /
-                                          std::max(base_solve_s, 1e-12))
-                                 .set("optimized_solves_per_sec",
-                                      static_cast<double>(n_settled) /
-                                          std::max(opt_solve_s, 1e-12)))
-          .set("speedup_solve_path", speedup_solve_path)
-          .set("speedup_mixed", speedup_mixed)
-          .set("rhs_reduction_per_solve", rhs_reduction)
           .set("cycle_path", core::Json::object()
                                  .set("candidates", n_cycle)
                                  .set("v1_seconds", v1_cycle_s)
@@ -428,16 +365,18 @@ int main(int argc, char** argv) {
                  "steady-state engine broke the determinism contract\n");
     return 1;
   }
-  if (min_speedup > 0.0 && speedup_solve_path < min_speedup) {
+  if (max_rhs > 0 && optimized.rhs_evaluations > max_rhs) {
     std::fprintf(stderr,
-                 "error: solve-path speedup %.1fx below the %.1fx bar\n",
-                 speedup_solve_path, min_speedup);
+                 "error: engine v2 spent %zu RHS evaluations, above the %zu "
+                 "ceiling\n",
+                 optimized.rhs_evaluations, max_rhs);
     return 1;
   }
-  if (min_rhs_reduction > 0.0 && rhs_reduction < min_rhs_reduction) {
+  if (max_lu > 0 && optimized.jacobian_factorizations > max_lu) {
     std::fprintf(stderr,
-                 "error: RHS-work reduction %.1fx below the %.1fx bar\n",
-                 rhs_reduction, min_rhs_reduction);
+                 "error: engine v2 spent %zu Jacobian factorizations, above the "
+                 "%zu ceiling\n",
+                 optimized.jacobian_factorizations, max_lu);
     return 1;
   }
   if (min_v2_mixed > 0.0 && speedup_v2_mixed < min_v2_mixed) {

@@ -130,11 +130,13 @@ echo "rmp_serve smoke: both jobs resumed and fingerprint-matched rmp_run"
 # Benchmark smoke: emits and prints BENCH_pmo2.json (island-scaling wall
 # times, speedups, the bit-identical-archive check), BENCH_archive.json
 # (batch-vs-naive merge engine cross-check) and BENCH_kinetics.json (the
-# steady-state engine vs its FD/cold-start baseline, with thread-invariant
-# archive fingerprints per solver configuration) under
-# ${BUILD_DIR}/bench-results, and logs the ablations + micro-kernels.
-# Fails the build when the archipelago determinism contract, the archive
-# merge equivalence, or the kinetic-engine determinism contract is broken.
+# steady-state engine's work counters, with thread-invariant archive
+# fingerprints per solver configuration) under ${BUILD_DIR}/bench-results,
+# and logs the ablations + micro-kernels.  Fails the build when the
+# archipelago determinism contract, the archive merge equivalence, the
+# kinetic-engine determinism contract, or the kinetic work ceilings
+# (RMP_KINETICS_MAX_RHS / RMP_KINETICS_MAX_LU: more solver work than the
+# engine spends today) are broken.
 RMP_BENCH_SMOKE=1 BUILD_DIR="${BUILD_DIR}" \
   OUT_DIR="${BUILD_DIR}/bench-results" bench/run_benchmarks.sh
 

@@ -702,34 +702,27 @@ bool physical_state(std::span<const double> y, const C3Config& c) {
 /// pooled cycle is only returned directly when the original call returned it).
 constexpr double kAliveUptake = 0.5;
 
+/// Chord-Newton: iterations that may reuse one LU factorization before a
+/// mandatory refresh.  Stalls and damping collapses refresh earlier; see
+/// num::NewtonOptions.
+constexpr std::size_t kChordMaxAge = 8;
+
 }  // namespace
 
 SteadyState C3Model::solve_from(std::span<const double> start,
                                 std::span<const double> mult,
                                 bool allow_fallback) const {
-  // NonlinearSystem/JacobianFn are non-owning FunctionRefs: the lambdas must
-  // be NAMED locals that outlive every solver call below.
-  const auto system_fn = [this, mult](std::span<const double> y,
-                                      num::Vec& out) {
-    derivatives(y, mult, out);
-  };
-  const num::NonlinearSystem system = system_fn;
-  const auto jacobian_fn = [this, mult](std::span<const double> y,
-                                        num::Matrix& jac) {
-    jacobian_at(y, mult, jac);
-  };
+  const Flow flow{*this, mult};
+  const num::NonlinearSystem system = flow;
 
-  // Rate magnitudes are O(10) mmol/l/s; a residual of 1e-6 is already ~7
-  // orders below the fluxes of interest and the numeric-Jacobian Newton
-  // cannot reliably descend much further.
+  // Rate magnitudes are O(10) mmol/l/s; a residual of 2e-3 is already ~4
+  // orders below the fluxes of interest.
   num::NewtonOptions nopts;
   nopts.max_iterations = 60;
   nopts.tolerance = 2e-3;
   nopts.state_floor = 1e-12;
-  nopts.chord_max_age = std::max<std::size_t>(config_.chord_max_age, 1);
-  if (config_.analytic_jacobian) {
-    nopts.jacobian = jacobian_fn;
-  }
+  nopts.chord_max_age = kChordMaxAge;
+  nopts.jacobian = flow;
 
   SteadyState ss;
   const auto tally = [&ss](const num::NewtonResult& r) {
@@ -782,19 +775,8 @@ SteadyState C3Model::solve_from(std::span<const double> start,
     iopts.initial_step = 1e-3;
     iopts.state_floor = 0.0;
     iopts.max_step = 50.0;
-    const auto ode_jacobian_fn = [this, mult](double, std::span<const double> y,
-                                              num::Matrix& jac) {
-      jacobian_at(y, mult, jac);
-    };
-    if (config_.analytic_jacobian) {
-      iopts.jacobian = ode_jacobian_fn;
-    }
-
-    const auto rhs_fn = [this, mult](double, std::span<const double> y,
-                                     num::Vec& dydt) {
-      derivatives(y, mult, dydt);
-    };
-    const num::OdeRhs rhs = rhs_fn;
+    iopts.jacobian = flow;
+    const num::OdeRhs rhs = flow;
 
     num::Vec y(start.begin(), start.end());
     double t = 0.0;
@@ -830,32 +812,18 @@ SteadyState C3Model::solve_from(std::span<const double> start,
   return ss;
 }
 
-SteadyState C3Model::newton_attempt(std::span<const double> start,
-                                    std::span<const double> mult) const {
-  return solve_from(start, mult, /*allow_fallback=*/false);
-}
-
 SteadyState C3Model::quick_attempt(std::span<const double> start,
                                    std::span<const double> mult,
                                    const num::LuFactorization* warm_lu) const {
-  const auto system_fn = [this, mult](std::span<const double> y,
-                                      num::Vec& out) {
-    derivatives(y, mult, out);
-  };
-  const num::NonlinearSystem system = system_fn;
-  const auto jacobian_fn = [this, mult](std::span<const double> y,
-                                        num::Matrix& jac) {
-    jacobian_at(y, mult, jac);
-  };
+  const Flow flow{*this, mult};
+  const num::NonlinearSystem system = flow;
   num::NewtonOptions nopts;
   nopts.max_iterations = 30;
   nopts.tolerance = 2e-3;
   nopts.state_floor = 1e-12;
-  nopts.chord_max_age = std::max<std::size_t>(config_.chord_max_age, 1);
+  nopts.chord_max_age = kChordMaxAge;
   nopts.warm_lu = warm_lu;
-  if (config_.analytic_jacobian) {
-    nopts.jacobian = jacobian_fn;
-  }
+  nopts.jacobian = flow;
   num::NewtonResult newton = num::solve_newton(system, start, nopts);
   SteadyState ss;
   ss.newton_iterations = newton.iterations;
@@ -1060,6 +1028,9 @@ SteadyState C3Model::steady_state(std::span<const double> mult,
   // the integration fallback gets the next say, and a dead root is reported
   // only when nothing else converged.
   std::optional<SteadyState> dead;
+  // The latest unconverged attempt: when nothing converges this is rung 2's
+  // natural-transient solve, whose diagnostics the ladder reports.
+  SteadyState last;
   // Work counters accumulate over the WHOLE ladder, whichever attempt wins.
   std::size_t iterations = 0, rhs = 0, factorizations = 0;
 
@@ -1073,7 +1044,10 @@ SteadyState C3Model::steady_state(std::span<const double> mult,
     iterations += ss.newton_iterations;
     rhs += ss.rhs_evaluations;
     factorizations += ss.jacobian_factorizations;
-    if (!ss.converged) return std::nullopt;
+    if (!ss.converged) {
+      last = std::move(ss);
+      return std::nullopt;
+    }
     if (ss.co2_uptake > kAliveUptake) {
       // Only genuine roots enter the pool: a limit-cycle AVERAGE is not a
       // steady state, and handing it to a neighbour as a Newton start just
@@ -1116,7 +1090,8 @@ SteadyState C3Model::steady_state(std::span<const double> mult,
     }
   }
   for (const num::Vec& anchor : anchors_) {
-    if (auto alive = consider(newton_attempt(anchor, mult), false)) {
+    if (auto alive = consider(solve_from(anchor, mult, /*allow_fallback=*/false),
+                              false)) {
       return finalize(std::move(*alive));
     }
   }
@@ -1124,8 +1099,8 @@ SteadyState C3Model::steady_state(std::span<const double> mult,
   // 2. Expensive path: integrate the natural transient under the candidate
   //    kinetics — this decides the basin honestly.
   const num::Vec& start = natural_.converged ? natural_.state : default_initial_state();
-  SteadyState ss = solve_from(start, mult, /*allow_fallback=*/false);
-  if (auto alive = consider(std::move(ss), false)) {
+  if (auto alive = consider(solve_from(start, mult, /*allow_fallback=*/false),
+                            false)) {
     return finalize(std::move(*alive));
   }
 
@@ -1142,10 +1117,6 @@ SteadyState C3Model::steady_state(std::span<const double> mult,
 
   if (dead) return finalize(std::move(*dead));
   // Nothing converged: return the last attempt's diagnostics.
-  SteadyState last = solve_from(start, mult, /*allow_fallback=*/false);
-  iterations += last.newton_iterations;
-  rhs += last.rhs_evaluations;
-  factorizations += last.jacobian_factorizations;
   return finalize(std::move(last));
 }
 
@@ -1228,21 +1199,11 @@ num::ShootingOptions cycle_shooting_options() {
 num::ShootingResult C3Model::shoot_cycle(std::span<const double> y0,
                                          double period,
                                          std::span<const double> mult) const {
-  const auto rhs_fn = [this, mult](double, std::span<const double> y,
-                                   num::Vec& dydt) {
-    derivatives(y, mult, dydt);
-  };
-  const num::OdeRhs rhs = rhs_fn;
-  const auto jacobian_fn = [this, mult](double, std::span<const double> y,
-                                        num::Matrix& jac) {
-    jacobian_at(y, mult, jac);
-  };
-  const auto uptake_fn = [this, mult](std::span<const double> y) {
-    return co2_uptake(y, mult);
-  };
-  const num::CycleObservable observable = uptake_fn;
+  const Flow flow{*this, mult};
+  const num::OdeRhs rhs = flow;
+  const num::CycleObservable observable = flow;
   num::ShootingOptions sopts = cycle_shooting_options();
-  if (config_.analytic_jacobian) sopts.ode.jacobian = jacobian_fn;
+  sopts.ode.jacobian = flow;
   return num::solve_limit_cycle(rhs, y0, period, sopts, observable);
 }
 
@@ -1270,17 +1231,10 @@ SteadyState C3Model::cycle_result(const num::ShootingResult& cyc,
 
 num::PeriodEstimate C3Model::cold_period_scan(
     std::span<const double> start, std::span<const double> mult) const {
-  const auto rhs_fn = [this, mult](double, std::span<const double> y,
-                                   num::Vec& dydt) {
-    derivatives(y, mult, dydt);
-  };
-  const num::OdeRhs rhs = rhs_fn;
-  const auto jacobian_fn = [this, mult](double, std::span<const double> y,
-                                        num::Matrix& jac) {
-    jacobian_at(y, mult, jac);
-  };
+  const Flow flow{*this, mult};
+  const num::OdeRhs rhs = flow;
   num::OdeOptions ode = cycle_shooting_options().ode;
-  if (config_.analytic_jacobian) ode.jacobian = jacobian_fn;
+  ode.jacobian = flow;
   // Ride out the transient, then read (y0, T) off the most-oscillatory
   // coordinate's mean crossings.  Both legs only need to land NEAR the
   // attractor — the aligned-Picard rounds do the precision work.
@@ -1299,19 +1253,9 @@ SteadyState C3Model::window_average(std::span<const double> start,
   iopts.initial_step = 1e-3;
   iopts.state_floor = 0.0;
   iopts.max_step = 20.0;
-  const auto jacobian_fn = [this, mult](double, std::span<const double> y,
-                                        num::Matrix& jac) {
-    jacobian_at(y, mult, jac);
-  };
-  if (config_.analytic_jacobian) {
-    iopts.jacobian = jacobian_fn;
-  }
-
-  const auto rhs_fn = [this, mult](double, std::span<const double> y,
-                                   num::Vec& dydt) {
-    derivatives(y, mult, dydt);
-  };
-  const num::OdeRhs rhs = rhs_fn;
+  const Flow flow{*this, mult};
+  iopts.jacobian = flow;
+  const num::OdeRhs rhs = flow;
 
   SteadyState ss;
   // Skip the initial transient, then average over a sampling window.

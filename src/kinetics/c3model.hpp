@@ -147,18 +147,9 @@ struct C3Config {
   double frac_f6p_hep = 0.293, frac_g6p_hep = 0.674, frac_g1p_hep = 0.033;
 
   // --- steady-state solver strategy ------------------------------------------
-  // The three knobs select between the optimized engine (defaults) and the
-  // PR-4-era baseline (finite differences, fresh factorization every
-  // iteration, cold starts) — the bench's reference configuration.  Either
-  // way results stay bit-identical for any thread count; the knobs trade
-  // work per solve only.
-  /// Closed-form dF/dx via derivatives_and_jacobian() instead of the n+1
-  /// finite-difference RHS evaluations per Newton iteration.
-  bool analytic_jacobian = true;
-  /// Chord-Newton: iterations that may reuse one LU factorization before a
-  /// mandatory refresh (1 = classic Newton).  Stalls and damping collapses
-  /// refresh earlier; see num::NewtonOptions.
-  std::size_t chord_max_age = 8;
+  // The solver always runs the closed-form Jacobian with chord-Newton reuse;
+  // these two knobs trade work per solve only — results stay bit-identical
+  // for any thread count either way.
   /// Capacity of the epoch-committed warm-start pool (0 disables it and
   /// every candidate cold-starts through the anchor ladder).
   std::size_t warm_pool_capacity = 64;
@@ -454,10 +445,6 @@ class C3Model {
   [[nodiscard]] num::PeriodEstimate cold_period_scan(
       std::span<const double> start, std::span<const double> mult) const;
 
-  /// Newton-only attempt from one starting state (no integration).
-  [[nodiscard]] SteadyState newton_attempt(std::span<const double> start,
-                                           std::span<const double> mult) const;
-
   /// Short-budget damped Newton for warm starts: a good warm start lands in
   /// a handful of iterations, and a bad one must fail FAST so the anchor
   /// ladder still gets its full say — without this, every pool miss would
@@ -467,6 +454,32 @@ class C3Model {
   [[nodiscard]] SteadyState quick_attempt(
       std::span<const double> start, std::span<const double> mult,
       const num::LuFactorization* warm_lu = nullptr) const;
+
+  /// The model's flow under one multiplier partition, bound once per solve:
+  /// every solver callback (system, Jacobian, ODE right-hand side, ODE
+  /// Jacobian, uptake observable) is one of its call operators.  The
+  /// num::FunctionRefs built from it are non-owning, so a Flow must be a
+  /// NAMED local that outlives every solver call it is handed to.
+  struct Flow {
+    const C3Model& model;
+    std::span<const double> mult;
+
+    void operator()(std::span<const double> y, num::Vec& dydt) const {
+      model.derivatives(y, mult, dydt);
+    }
+    void operator()(std::span<const double> y, num::Matrix& jac) const {
+      model.jacobian_at(y, mult, jac);
+    }
+    void operator()(double, std::span<const double> y, num::Vec& dydt) const {
+      model.derivatives(y, mult, dydt);
+    }
+    void operator()(double, std::span<const double> y, num::Matrix& jac) const {
+      model.jacobian_at(y, mult, jac);
+    }
+    double operator()(std::span<const double> y) const {
+      return model.co2_uptake(y, mult);
+    }
+  };
 
   C3Config config_;
   SteadyState natural_;

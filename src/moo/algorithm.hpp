@@ -137,8 +137,4 @@ class Optimizer {
   }
 };
 
-/// Historical name of the interface (PMO2 hosts "algorithms" on islands);
-/// kept as an alias so island factories read naturally.
-using Algorithm = Optimizer;
-
 }  // namespace rmp::moo

@@ -31,7 +31,7 @@ struct MoeadOptions {
   std::size_t eval_threads = 0;
 };
 
-class Moead final : public Algorithm {
+class Moead final : public Optimizer {
  public:
   Moead(const Problem& problem, MoeadOptions options);
 

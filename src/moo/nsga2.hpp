@@ -27,7 +27,7 @@ struct Nsga2Options {
   std::size_t eval_threads = 0;
 };
 
-class Nsga2 final : public Algorithm {
+class Nsga2 final : public Optimizer {
  public:
   Nsga2(const Problem& problem, Nsga2Options options);
 

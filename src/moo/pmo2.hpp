@@ -107,7 +107,7 @@ class Pmo2 final : public Optimizer {
   /// and are independent of the migration stream.  The engine must be
   /// built on the `problem` passed in: the flat epoch batch scores staged
   /// offspring on that same problem, not on one the engine holds itself.
-  using AlgorithmFactory = std::function<std::unique_ptr<Algorithm>(
+  using AlgorithmFactory = std::function<std::unique_ptr<Optimizer>(
       const Problem& problem, std::uint64_t seed, std::size_t island_index)>;
 
   /// Observer invoked after every generation (gen is 1-based), always with a
@@ -167,7 +167,7 @@ class Pmo2 final : public Optimizer {
   [[nodiscard]] const Archive& archive() const { return archive_; }
   [[nodiscard]] std::size_t evaluations() const override;
   [[nodiscard]] std::size_t num_islands() const { return islands_.size(); }
-  [[nodiscard]] const Algorithm& island(std::size_t i) const { return *islands_[i]; }
+  [[nodiscard]] const Optimizer& island(std::size_t i) const { return *islands_[i]; }
   [[nodiscard]] std::size_t migrations_performed() const { return migrations_; }
 
  private:
@@ -179,7 +179,7 @@ class Pmo2 final : public Optimizer {
   const Problem& problem_;
   Pmo2Options opts_;
   num::Rng rng_;  ///< migration stream (edge draws, migrant picks) — barrier-only
-  std::vector<std::unique_ptr<Algorithm>> islands_;
+  std::vector<std::unique_ptr<Optimizer>> islands_;
   Archive archive_;
   std::size_t generation_ = 0;
   std::size_t migrations_ = 0;

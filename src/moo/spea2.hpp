@@ -26,7 +26,7 @@ struct Spea2Options {
   std::size_t eval_threads = 0;
 };
 
-class Spea2 final : public Algorithm {
+class Spea2 final : public Optimizer {
  public:
   Spea2(const Problem& problem, Spea2Options options);
 

@@ -135,7 +135,7 @@ TEST(Pmo2Test, HeterogeneousIslands) {
   o.islands = 2;
   o.generations = 15;
   Pmo2::AlgorithmFactory factory = [](const Problem& p, std::uint64_t seed,
-                                      std::size_t island) -> std::unique_ptr<Algorithm> {
+                                      std::size_t island) -> std::unique_ptr<Optimizer> {
     if (island == 0) {
       Nsga2Options no;
       no.population_size = 16;
@@ -282,7 +282,7 @@ TEST(Pmo2Test, HeterogeneousArchipelagoBitIdenticalAcrossIslandThreads) {
   const Zdt3 problem(10);
   const Pmo2::AlgorithmFactory factory =
       [](const Problem& p, std::uint64_t seed,
-         std::size_t island) -> std::unique_ptr<Algorithm> {
+         std::size_t island) -> std::unique_ptr<Optimizer> {
     switch (island % 3) {
       case 0: {
         Nsga2Options no;
@@ -353,7 +353,7 @@ TEST(Pmo2Test, HeterogeneousArchipelagoBitIdenticalAcrossIslandThreads) {
 // immigrant came from (immigrants keep the source island's x) and absorbs it
 // into the population.  Residents are mutually non-dominated across islands
 // (f = (i, -i)), so every island's front is its whole population.
-class RecordingAlgorithm final : public Algorithm {
+class RecordingAlgorithm final : public Optimizer {
  public:
   RecordingAlgorithm(std::size_t index,
                      std::vector<std::pair<std::size_t, std::size_t>>* log)
@@ -415,7 +415,7 @@ TEST(Pmo2Test, MigrationEpochAppliesEdgesInCanonicalOrderFromSnapshot) {
 
 /// Island that throws on its second step(); used to prove the strong
 /// exception guarantee on committed state.
-class ThrowingAlgorithm final : public Algorithm {
+class ThrowingAlgorithm final : public Optimizer {
  public:
   explicit ThrowingAlgorithm(std::size_t index) : index_(index) {}
 

@@ -130,7 +130,7 @@ TEST(Spea2Test, WorksAsIslandEngine) {
   o.generations = 12;
   o.migration_interval = 4;
   Pmo2::AlgorithmFactory factory = [](const Problem& p, std::uint64_t seed,
-                                      std::size_t island) -> std::unique_ptr<Algorithm> {
+                                      std::size_t island) -> std::unique_ptr<Optimizer> {
     if (island == 0) {
       Spea2Options so;
       so.population_size = 16;
