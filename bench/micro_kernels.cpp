@@ -11,6 +11,7 @@
 #include "kinetics/scenarios.hpp"
 #include "moo/dominance.hpp"
 #include "moo/testproblems.hpp"
+#include "numeric/matrix.hpp"
 #include "numeric/ode.hpp"
 #include "numeric/rng.hpp"
 #include "pareto/hypervolume.hpp"
@@ -132,6 +133,16 @@ void BM_NullspaceRepair(benchmark::State& state) {
     problem.repair(x);
     benchmark::DoNotOptimize(x);
   }
+  // Deterministic work next to the time: multiply-adds per call over the
+  // row profiles of Q and Q^T (the problem builds Q from these same calls),
+  // against the dense 2 * 608 * dim(null S) per round.
+  const num::Matrix q = num::orthonormalize_columns(
+      num::nullspace_basis(net->stoichiometric_matrix().to_dense()));
+  const auto rounds = static_cast<double>(fba::GeobacterProblemOptions{}.repair_rounds);
+  const num::ProfileMatrix qp(q), qtp(q.transposed());
+  state.counters["madds"] =
+      rounds * static_cast<double>(qp.profile_size() + qtp.profile_size());
+  state.counters["dense_madds"] = rounds * 2.0 * static_cast<double>(q.rows() * q.cols());
 }
 BENCHMARK(BM_NullspaceRepair)->Unit(benchmark::kMicrosecond);
 

@@ -1,4 +1,4 @@
-// PMO2 island-scaling benchmark — the repo's perf-trajectory anchor.
+// The parallel-scaling bench: PMO2 island scaling.
 //
 // Runs the same seeded archipelago at island_threads in {1, 2, 8}, measures
 // wall time, verifies the bit-identical-archive contract via the archive

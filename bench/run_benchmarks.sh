@@ -87,7 +87,7 @@ else
   export RMP_EVALCACHE_MIN_REDUCTION="${RMP_EVALCACHE_MIN_REDUCTION:-1.5}"
 fi
 
-# 1. The perf-trajectory anchors.  Non-zero exit = a contract broke:
+# 1. The gated benches.  Non-zero exit = a contract broke:
 #    pmo2_scaling checks bit-identical archives across island_threads,
 #    archive_scaling checks the batch merge engine against the naive
 #    reference (same fingerprints, and the speedup bar at full scale),
@@ -134,9 +134,11 @@ for ablation in ablation_islands ablation_migration; do
 done
 
 # 3. Micro-kernels (optional: needs the system google-benchmark at
-#    configure time).
+#    configure time): the batch evaluator's thread scaling, and the
+#    Geobacter null-space repair's time per call with its deterministic
+#    multiply-add counter (madds, against the dense dense_madds).
 if [[ -x "${BUILD_DIR}/bench/micro_kernels" ]]; then
-  "${BUILD_DIR}/bench/micro_kernels" --benchmark_filter=BM_EvaluateBatch \
+  "${BUILD_DIR}/bench/micro_kernels" --benchmark_filter='BM_EvaluateBatch|BM_NullspaceRepair' \
     | tee "${OUT_DIR}/micro_kernels.log"
 fi
 

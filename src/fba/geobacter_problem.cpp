@@ -23,9 +23,13 @@ GeobacterProblem::GeobacterProblem(std::shared_ptr<const MetabolicNetwork> netwo
   if (opts_.nullspace_repair) {
     const num::Matrix dense = s_.to_dense();
     const num::Matrix raw = num::nullspace_basis(dense);
-    null_basis_ = num::orthonormalize_columns(raw);
+    const num::Matrix q = num::orthonormalize_columns(raw);
+    basis_t_ = num::ProfileMatrix(q.transposed());
+    basis_ = num::ProfileMatrix(q);
   }
 
+  // Repair takes its reference flux from the first seed, so the seed LPs run
+  // for either option; only lp_seeding hands them out (suggest_initial).
   if (opts_.lp_seeding || opts_.nullspace_repair) {
     const std::size_t n = network_->num_reactions();
     // The two FBA vertices: max electron production and max biomass.
@@ -68,17 +72,18 @@ double GeobacterProblem::evaluate(std::span<const double> x,
 }
 
 void GeobacterProblem::repair(num::Vec& x) const {
-  if (!opts_.nullspace_repair || null_basis_.cols() == 0) return;
+  if (!opts_.nullspace_repair || basis_.cols() == 0) return;
 
   // Iterated projection: v <- v0 + Q Q^T (v - v0) keeps S v = 0 exactly;
   // clamping to the box afterwards re-introduces a small residual, so a few
-  // rounds are performed.
+  // rounds are performed.  Both products are row dots over each row's
+  // nonzero range, bit-identical to the dense products (finite x).
   num::Vec delta, coords, projected;
   for (std::size_t round = 0; round < opts_.repair_rounds; ++round) {
     delta = x;
     num::sub_inplace(delta, reference_flux_);
-    null_basis_.multiply_transposed(delta, coords);  // Q^T (v - v0)
-    null_basis_.multiply(coords, projected);         // Q Q^T (v - v0)
+    basis_t_.multiply(delta, coords);    // Q^T (v - v0)
+    basis_.multiply(coords, projected);  // Q Q^T (v - v0)
     for (std::size_t i = 0; i < x.size(); ++i) {
       x[i] = reference_flux_[i] + projected[i];
     }
@@ -88,7 +93,7 @@ void GeobacterProblem::repair(num::Vec& x) const {
 
 std::size_t GeobacterProblem::suggest_initial(std::span<num::Vec> out,
                                               num::Rng& rng) const {
-  if (out.empty() || seeds_.empty()) return 0;
+  if (!opts_.lp_seeding || out.empty() || seeds_.empty()) return 0;
   std::size_t written = 0;
   for (const num::Vec& s : seeds_) {
     if (written == out.size()) break;

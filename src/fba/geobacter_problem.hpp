@@ -60,7 +60,8 @@ class GeobacterProblem final : public moo::Problem {
   num::Vec lower_, upper_;
   std::size_t ep_index_ = 0, bp_index_ = 0;
   num::SparseMatrix s_;
-  num::Matrix null_basis_;        ///< orthonormal null-space basis Q
+  num::ProfileMatrix basis_;      ///< orthonormal null-space basis Q
+  num::ProfileMatrix basis_t_;    ///< its transpose, for Q^T x as row dots
   num::Vec reference_flux_;       ///< a feasible steady-state point v0
   std::vector<num::Vec> seeds_;   ///< LP-derived starting points
 };

@@ -12,15 +12,50 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-void Matrix::multiply(std::span<const double> x, Vec& y) const {
-  assert(x.size() == cols_);
-  y.assign(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* a = data_.data() + r * cols_;
+namespace {
+
+constexpr std::size_t kRowBlock = 8;
+
+/// y = A * x for row-major `a` (rows x cols), where row r sums its columns
+/// range(r) = [first, last) left to right.  Rows go in blocks of kRowBlock,
+/// one accumulator each, over the union of the block's ranges; tail rows run
+/// one at a time.  Why this keeps every bit: see ProfileMatrix.
+template <class RowRange>
+void blocked_multiply(const double* a, std::size_t rows, std::size_t cols,
+                      std::span<const double> x, Vec& y, RowRange range) {
+  assert(x.size() == cols);
+  y.resize(rows);
+  std::size_t r = 0;
+  for (; r + kRowBlock <= rows; r += kRowBlock) {
+    std::size_t lo = cols, hi = 0;
+    for (std::size_t k = 0; k < kRowBlock; ++k) {
+      const auto [first, last] = range(r + k);
+      if (first == last) continue;
+      lo = std::min(lo, first);
+      hi = std::max(hi, last);
+    }
+    const double* block = a + r * cols;
+    double acc[kRowBlock] = {};
+    for (std::size_t c = lo; c < hi; ++c) {
+      const double xc = x[c];
+      for (std::size_t k = 0; k < kRowBlock; ++k) acc[k] += block[k * cols + c] * xc;
+    }
+    for (std::size_t k = 0; k < kRowBlock; ++k) y[r + k] = acc[k];
+  }
+  for (; r < rows; ++r) {
+    const auto [first, last] = range(r);
+    const double* row = a + r * cols;
     double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += a[c] * x[c];
+    for (std::size_t c = first; c < last; ++c) acc += row[c] * x[c];
     y[r] = acc;
   }
+}
+
+}  // namespace
+
+void Matrix::multiply(std::span<const double> x, Vec& y) const {
+  const std::pair<std::size_t, std::size_t> full{0, cols_};
+  blocked_multiply(data_.data(), rows_, cols_, x, y, [full](std::size_t) { return full; });
 }
 
 Vec Matrix::multiply(std::span<const double> x) const {
@@ -29,21 +64,20 @@ Vec Matrix::multiply(std::span<const double> x) const {
   return y;
 }
 
-void Matrix::multiply_transposed(std::span<const double> x, Vec& y) const {
-  assert(x.size() == rows_);
-  y.assign(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* a = data_.data() + r * cols_;
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t c = 0; c < cols_; ++c) y[c] += a[c] * xr;
+ProfileMatrix::ProfileMatrix(Matrix a) : a_(std::move(a)), ranges_(a_.rows()) {
+  for (std::size_t r = 0; r < a_.rows(); ++r) {
+    const std::span<const double> row = a_.row(r);
+    std::size_t first = 0, last = row.size();
+    while (first < last && row[first] == 0.0) ++first;
+    while (last > first && row[last - 1] == 0.0) --last;
+    ranges_[r] = {first, last};
+    profile_size_ += last - first;
   }
 }
 
-Vec Matrix::multiply_transposed(std::span<const double> x) const {
-  Vec y;
-  multiply_transposed(x, y);
-  return y;
+void ProfileMatrix::multiply(std::span<const double> x, Vec& y) const {
+  blocked_multiply(a_.data().data(), a_.rows(), a_.cols(), x, y,
+                   [this](std::size_t r) { return ranges_[r]; });
 }
 
 Matrix Matrix::multiply(const Matrix& b) const {

@@ -1,12 +1,14 @@
 // Dense row-major matrix with the factorizations the library needs:
 // LU with partial pivoting (linear solves, determinants), and Gaussian
 // elimination with full row reduction (rank, null-space basis — used to
-// parameterize the steady-state flux space of metabolic networks).
+// parameterize the steady-state flux space of metabolic networks), plus a
+// row-profile view whose mat-vec skips each row's leading and trailing zeros.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "numeric/vec.hpp"
@@ -51,13 +53,11 @@ class Matrix {
   /// Identity matrix of size n.
   [[nodiscard]] static Matrix identity(std::size_t n);
 
-  /// y = A * x (no aliasing between y and x).
+  /// y = A * x (no aliasing between y and x).  Each y[r] is the row's dot
+  /// product summed left to right over all columns; see ProfileMatrix for
+  /// the shared register-blocked loop.
   void multiply(std::span<const double> x, Vec& y) const;
   [[nodiscard]] Vec multiply(std::span<const double> x) const;
-
-  /// y = A^T * x.
-  void multiply_transposed(std::span<const double> x, Vec& y) const;
-  [[nodiscard]] Vec multiply_transposed(std::span<const double> x) const;
 
   /// C = A * B.
   [[nodiscard]] Matrix multiply(const Matrix& b) const;
@@ -71,6 +71,50 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   Vec data_;
+};
+
+/// A dense row-major matrix plus each row's nonzero column range
+/// [first, last), computed once at construction; an all-zero row has an
+/// empty range.  Built for mat-vecs with staircase matrices such as the
+/// Gram-Schmidt null-space basis, whose rows are one contiguous run of
+/// nonzeros each.
+///
+/// multiply() and Matrix::multiply share one loop: rows go in blocks of 8,
+/// one accumulator per row, over the union of the block's ranges in
+/// ascending column order (Matrix::multiply passes full ranges); tail rows
+/// run one at a time over their own range.
+///
+/// Bit identity, for finite x: each y[r] equals the full left-to-right row
+/// dot sum_c A(r, c) * x[c], because the loop computes that sum with some
+/// exact-zero terms left out (columns outside the row's range, whose
+/// product A(r, c) * x[c] is +-0 when x[c] is finite).  Leaving such a term
+/// out changes nothing: the accumulator starts at +0.0, and in round-to-
+/// nearest a sum that is exactly zero rounds to +0, so the accumulator is
+/// never -0, and acc + (+-0) == acc bit for bit.  An infinite or NaN x[c]
+/// makes 0 * x[c] a NaN that the full dot would carry and the profile
+/// loop skips, so the identity needs finite x.  It also needs ISO
+/// floating point: no FP contraction into FMAs and no reassociation, which
+/// holds for the library's -std=c++20 build on baseline x86-64.
+class ProfileMatrix {
+ public:
+  ProfileMatrix() = default;
+  explicit ProfileMatrix(Matrix a);
+
+  [[nodiscard]] std::size_t rows() const { return a_.rows(); }
+  [[nodiscard]] std::size_t cols() const { return a_.cols(); }
+
+  /// y = A * x (no aliasing between y and x); bit-identical to
+  /// Matrix::multiply for finite x.
+  void multiply(std::span<const double> x, Vec& y) const;
+
+  /// Sum of the row range lengths: the multiply-adds one multiply() needs,
+  /// before the 8-row blocks round the ranges up to their union.
+  [[nodiscard]] std::size_t profile_size() const { return profile_size_; }
+
+ private:
+  Matrix a_;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges_;  ///< [first, last) per row
+  std::size_t profile_size_ = 0;
 };
 
 /// LU factorization with partial pivoting of a square matrix.

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "fba/fba.hpp"
 #include "fba/geobacter_problem.hpp"
+#include "reference_repair.hpp"
 #include "support/geobacter_seed_lps.hpp"
 
 namespace rmp::fba {
@@ -173,6 +176,85 @@ TEST(GeobacterProblemTest, NullspaceRepairReducesViolation) {
     EXPECT_GE(x[i], lo[i] - 1e-9);
     EXPECT_LE(x[i], hi[i] + 1e-9);
   }
+}
+
+TEST(GeobacterProblemTest, RepairIsBitIdenticalToDenseOracle) {
+  auto net = std::make_shared<const MetabolicNetwork>(build_geobacter());
+  const GeobacterProblemOptions opts;  // repair and LP seeding on
+  const GeobacterProblem p(net, opts);
+
+  // The oracle's Q from the same public calls the constructor makes.  With
+  // LP seeding on, the first suggested point is the first seed, which is
+  // the problem's reference flux v0.
+  const num::Matrix q =
+      num::orthonormalize_columns(num::nullspace_basis(net->stoichiometric_matrix().to_dense()));
+  ASSERT_EQ(q.rows(), 608u);
+  ASSERT_GT(q.cols(), 0u);
+  num::Rng seed_rng(0);
+  std::vector<num::Vec> seeds(7);
+  ASSERT_EQ(p.suggest_initial(seeds, seed_rng), 7u);
+  const num::Vec& v0 = seeds.front();
+  const num::Vec lo = net->lower_bounds();
+  const num::Vec hi = net->upper_bounds();
+
+  // Interior points, points on the box, the seven LP seeds, and candidates
+  // that equal v0 in some coordinates (so v - v0 has exact zeros).
+  std::vector<num::Vec> candidates = seeds;
+  num::Rng rng(19);
+  for (int k = 0; k < 420; ++k) {
+    num::Vec x(608);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double top = std::min(hi[i], lo[i] + 10.0);
+      switch (k % 4) {
+        case 0:  // interior
+          x[i] = rng.uniform(lo[i], top);
+          break;
+        case 1:  // on the box
+          x[i] = rng.uniform() < 0.5 ? lo[i] : hi[i];
+          break;
+        case 2:  // v0 in about half the coordinates
+          x[i] = rng.uniform() < 0.5 ? v0[i] : rng.uniform(lo[i], top);
+          break;
+        default:  // a perturbed seed, as suggest_initial builds them
+          x[i] = seeds[static_cast<std::size_t>(k) % seeds.size()][i] + rng.normal(0.0, 0.5);
+          break;
+      }
+    }
+    candidates.push_back(std::move(x));
+  }
+  ASSERT_GE(candidates.size(), 400u);
+
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    num::Vec got = candidates[k];
+    num::Vec want = candidates[k];
+    p.repair(got);
+    reference::repair(q, v0, lo, hi, opts.repair_rounds, want);
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+        << "candidate " << k;
+  }
+}
+
+TEST(GeobacterProblemTest, LpSeedingOffSuggestsNoSeeds) {
+  auto net = std::make_shared<const MetabolicNetwork>(build_geobacter());
+  GeobacterProblemOptions opts;
+  opts.nullspace_repair = true;
+  opts.lp_seeding = false;
+  const GeobacterProblem p(net, opts);
+
+  num::Rng rng(2);
+  std::vector<num::Vec> out(4);
+  EXPECT_EQ(p.suggest_initial(out, rng), 0u);
+
+  // Repair still projects around the first seed, as with seeding on.
+  GeobacterProblemOptions seeded = opts;
+  seeded.lp_seeding = true;
+  const GeobacterProblem q(net, seeded);
+  num::Vec x(608, 1.0);
+  num::Vec y = x;
+  p.repair(x);
+  q.repair(y);
+  EXPECT_EQ(x, y);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "fba/reference_repair.hpp"
 #include "numeric/rng.hpp"
 
 namespace rmp::num {
@@ -29,8 +31,91 @@ TEST(MatrixTest, MultiplyTransposed) {
   a(1, 0) = 4;
   a(1, 1) = 5;
   a(1, 2) = 6;
-  const Vec y = a.multiply_transposed(Vec{1.0, 1.0});
+  Vec y;
+  fba::reference::multiply_transposed(a, Vec{1.0, 1.0}, y);
   EXPECT_EQ(y, (Vec{5.0, 7.0, 9.0}));
+}
+
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(MatrixTest, ProfileMultiplyIsBitIdenticalToRowDots) {
+  Rng rng(21);
+  // Row shapes: a staircase run, a run with zeros inside it, an empty row,
+  // a full row, and a run whose terms cancel exactly.
+  const auto fill_row = [&rng](Matrix& a, std::size_t r, int shape) {
+    const std::size_t n = a.cols();
+    if (n == 0) return;
+    const std::size_t first = rng.uniform_index(n);
+    const std::size_t last = first + 1 + rng.uniform_index(n - first);
+    switch (shape) {
+      case 0:  // staircase: one contiguous run of nonzeros
+        for (std::size_t c = first; c < last; ++c) a(r, c) = rng.uniform(-1, 1);
+        break;
+      case 1:  // zeros (and a -0.0) inside the run
+        for (std::size_t c = first; c < last; ++c) {
+          const double u = rng.uniform();
+          a(r, c) = u < 0.3 ? 0.0 : u < 0.4 ? -0.0 : rng.normal();
+        }
+        break;
+      case 2:  // empty row
+        break;
+      case 3:  // full row
+        for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.normal();
+        break;
+      default:  // +v, -v pairs that cancel to an exact zero
+        for (std::size_t c = first; c + 1 < last; c += 2) {
+          a(r, c) = 1.5;
+          a(r, c + 1) = -1.5;
+        }
+        break;
+    }
+  };
+
+  int cases = 0;
+  for (std::size_t rows = 0; rows <= 20; ++rows) {
+    for (const std::size_t cols : {0, 1, 3, 9, 17}) {
+      for (int variant = 0; variant < 3; ++variant) {
+        Matrix a(rows, cols, 0.0);
+        if (variant > 0) {  // variant 0 is the all-zero matrix
+          for (std::size_t r = 0; r < rows; ++r) {
+            fill_row(a, r, variant == 1 ? 0 : static_cast<int>(rng.uniform_index(5)));
+          }
+        }
+        // x mixes zeros, -0.0, and values that make the cancelling pairs sum
+        // to an exact zero.
+        Vec x(cols);
+        for (std::size_t c = 0; c < cols; ++c) {
+          const double u = rng.uniform();
+          x[c] = u < 0.15 ? 0.0 : u < 0.25 ? -0.0 : u < 0.5 ? 2.0 : rng.normal();
+        }
+        const ProfileMatrix p(a);
+        Vec got_profile, got_dense;
+        p.multiply(x, got_profile);
+        a.multiply(x, got_dense);
+        Vec want;  // one full left-to-right dot per row
+        fba::reference::multiply(a, x, want);
+        EXPECT_TRUE(same_bits(got_profile, want)) << rows << "x" << cols << " v" << variant;
+        EXPECT_TRUE(same_bits(got_dense, want)) << rows << "x" << cols << " v" << variant;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 21 * 5 * 3);
+}
+
+TEST(MatrixTest, ProfileSizeSumsRowRanges) {
+  Matrix a(3, 5, 0.0);
+  a(0, 1) = 1.0;  // [1, 4) with a zero inside
+  a(0, 3) = 2.0;
+  a(2, 0) = 3.0;  // [0, 5)
+  a(2, 4) = -0.5;
+  const ProfileMatrix p(a);  // row 1 is empty
+  EXPECT_EQ(p.rows(), 3u);
+  EXPECT_EQ(p.cols(), 5u);
+  EXPECT_EQ(p.profile_size(), 3u + 0u + 5u);
 }
 
 TEST(MatrixTest, MatrixProductAgainstIdentity) {
