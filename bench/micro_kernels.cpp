@@ -61,29 +61,25 @@ void BM_Hypervolume3dWfg(benchmark::State& state) {
 }
 BENCHMARK(BM_Hypervolume3dWfg)->Arg(20)->Arg(60);
 
-void BM_OdeStepExplicit(benchmark::State& state) {
-  const num::OdeRhs decay = [](double, std::span<const double> y, num::Vec& d) {
-    for (std::size_t i = 0; i < y.size(); ++i) d[i] = -y[i] * (1.0 + 0.01 * i);
-  };
-  const num::Vec y0(24, 1.0);
-  num::OdeOptions o;
-  o.method = num::OdeMethod::kDormandPrince54;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(num::integrate(decay, 0.0, y0, 1.0, o));
-  }
-}
-BENCHMARK(BM_OdeStepExplicit);
-
 void BM_OdeStepRosenbrock(benchmark::State& state) {
   const num::OdeRhs decay = [](double, std::span<const double> y, num::Vec& d) {
     for (std::size_t i = 0; i < y.size(); ++i) d[i] = -y[i] * (1.0 + 100.0 * i);
   };
+  const num::OdeJacobian decay_jac = [](double, std::span<const double> y,
+                                        num::Matrix& j) {
+    for (std::size_t i = 0; i < y.size(); ++i) j(i, i) = -(1.0 + 100.0 * i);
+  };
   const num::Vec y0(24, 1.0);
   num::OdeOptions o;
   o.method = num::OdeMethod::kRosenbrockW;
+  o.jacobian = decay_jac;
   for (auto _ : state) {
     benchmark::DoNotOptimize(num::integrate(decay, 0.0, y0, 1.0, o));
   }
+  // Deterministic work per integration, next to the wall time.
+  const num::OdeResult r = num::integrate(decay, 0.0, y0, 1.0, o);
+  state.counters["steps"] = static_cast<double>(r.steps + r.rejected);
+  state.counters["rhs_evals"] = static_cast<double>(r.rhs_evals);
 }
 BENCHMARK(BM_OdeStepRosenbrock);
 

@@ -134,11 +134,12 @@ for ablation in ablation_islands ablation_migration; do
 done
 
 # 3. Micro-kernels (optional: needs the system google-benchmark at
-#    configure time): the batch evaluator's thread scaling, and the
-#    Geobacter null-space repair's time per call with its deterministic
-#    multiply-add counter (madds, against the dense dense_madds).
+#    configure time): the batch evaluator's thread scaling, the Geobacter
+#    null-space repair's time per call with its deterministic multiply-add
+#    counter (madds, against the dense dense_madds), and one ROS2
+#    integration on an analytic Jacobian (the kinetic path's ODE step).
 if [[ -x "${BUILD_DIR}/bench/micro_kernels" ]]; then
-  "${BUILD_DIR}/bench/micro_kernels" --benchmark_filter='BM_EvaluateBatch|BM_NullspaceRepair' \
+  "${BUILD_DIR}/bench/micro_kernels" --benchmark_filter='BM_EvaluateBatch|BM_NullspaceRepair|BM_OdeStepRosenbrock' \
     | tee "${OUT_DIR}/micro_kernels.log"
 fi
 

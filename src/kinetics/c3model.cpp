@@ -707,6 +707,69 @@ constexpr double kAliveUptake = 0.5;
 /// num::NewtonOptions.
 constexpr std::size_t kChordMaxAge = 8;
 
+/// Damped-Newton options of the steady-state ladder (solve_from's Newton,
+/// PTC and polishes, quick_attempt's warm start), on the flow's analytic
+/// Jacobian.  Rate magnitudes are O(10) mmol/l/s; a residual of 2e-3 is
+/// already ~4 orders below the fluxes of interest.
+num::NewtonOptions steady_newton_options(num::JacobianFn jacobian,
+                                         std::size_t max_iterations) {
+  num::NewtonOptions nopts;
+  nopts.max_iterations = max_iterations;
+  nopts.tolerance = 2e-3;
+  nopts.state_floor = 1e-12;
+  nopts.chord_max_age = kChordMaxAge;
+  nopts.jacobian = jacobian;
+  return nopts;
+}
+
+/// Shooting options of the cycle path (the flow-map integrator without its
+/// Jacobian: callers attach their own named Jacobian callable).
+num::ShootingOptions cycle_shooting_options() {
+  num::ShootingOptions sopts;
+  // The third-order Rosenbrock rides the stiff orbit at a fraction of the
+  // step-doubling ROW2 cost; tolerances match the windowed fallback — the
+  // drift-tolerant acceptance below budgets a per-period family migration
+  // of order 1 mmol/l, so flights resolved to ~1e-2 absolute are already an
+  // order of magnitude inside the quantity being measured, and each decade
+  // of extra tolerance costs ~2x the steps on a 3rd-order method.  This is
+  // where the shooting path earns its speed: ~3 one-period flights plus a
+  // one-period averaging pass against the windowed fallback's ~18 periods
+  // at the SAME per-step cost.
+  sopts.ode.method = num::OdeMethod::kRosenbrock3;
+  sopts.ode.abs_tol = 1e-6;
+  sopts.ode.rel_tol = 1e-4;
+  sopts.ode.initial_step = 1e-3;
+  sopts.ode.state_floor = 0.0;
+  sopts.ode.max_step = 20.0;
+  // The solver's default drift budget (0.05 of the state scale) is what
+  // this model needs: its oscillatory shell has NO isolated limit cycle.
+  // Serine accumulates as a near-conserved photorespiratory pool, so the
+  // orbit drifts along a one-parameter family of pseudo-cycles, and the
+  // accepted phase-aligned snapshot of the current one has the same
+  // semantics as the windowed average it replaces, which is equally a
+  // snapshot of that drift.
+  // Each aligned round is one PLAIN period flight, and doubles as
+  // relaxation — the fast modes contract every round — so a generous cap
+  // is the cheap choice: a warm restart from a far-away pooled anchor that
+  // needs 10-12 rounds still costs a fraction of timing out into the cold
+  // bootstrap (a 400-unit transient plus a 240-unit period scan) it would
+  // otherwise trigger.
+  sopts.max_iterations = 16;
+  // Fast-remainder gate for the aligned residual split: 2e-4 * scale ~ 0.3
+  // mmol/l.  Two forces size it.  Downward pressure is answer quality — a
+  // snapshot whose fast modes still carry eps contaminates the cycle
+  // average by O(eps), and the differential harness holds shooting-vs-
+  // window agreement to ~1 mmol/l absolute, so 0.3 stays comfortably
+  // inside.  Upward pressure is the fast contraction rate: candidates sit
+  // near the Hopf shell where the radial multiplier is only ~0.5/period,
+  // so each decade of extra strictness costs 3-4 more full-period rounds
+  // on every warm restart (measured: a 3e-2 gate pushed warm solves to
+  // 4-8 rounds and timed a third of them out into the cold path, erasing
+  // the shooting advantage outright).
+  sopts.tolerance = 2e-4;
+  return sopts;
+}
+
 }  // namespace
 
 SteadyState C3Model::solve_from(std::span<const double> start,
@@ -714,15 +777,7 @@ SteadyState C3Model::solve_from(std::span<const double> start,
                                 bool allow_fallback) const {
   const Flow flow{*this, mult};
   const num::NonlinearSystem system = flow;
-
-  // Rate magnitudes are O(10) mmol/l/s; a residual of 2e-3 is already ~4
-  // orders below the fluxes of interest.
-  num::NewtonOptions nopts;
-  nopts.max_iterations = 60;
-  nopts.tolerance = 2e-3;
-  nopts.state_floor = 1e-12;
-  nopts.chord_max_age = kChordMaxAge;
-  nopts.jacobian = flow;
+  const num::NewtonOptions nopts = steady_newton_options(flow, 60);
 
   SteadyState ss;
   const auto tally = [&ss](const num::NewtonResult& r) {
@@ -767,7 +822,7 @@ SteadyState C3Model::solve_from(std::span<const double> start,
     ss.used_integration_fallback = true;
     // The system is stiff (fast PGA-reduction equilibria vs slow pool
     // modes); the linearly implicit Rosenbrock method takes ~100 steps per
-    // leg where the explicit pair needs tens of thousands.
+    // leg where an explicit method needs tens of thousands.
     num::OdeOptions iopts;
     iopts.method = num::OdeMethod::kRosenbrockW;
     iopts.abs_tol = 1e-7;
@@ -817,13 +872,8 @@ SteadyState C3Model::quick_attempt(std::span<const double> start,
                                    const num::LuFactorization* warm_lu) const {
   const Flow flow{*this, mult};
   const num::NonlinearSystem system = flow;
-  num::NewtonOptions nopts;
-  nopts.max_iterations = 30;
-  nopts.tolerance = 2e-3;
-  nopts.state_floor = 1e-12;
-  nopts.chord_max_age = kChordMaxAge;
+  num::NewtonOptions nopts = steady_newton_options(flow, 30);
   nopts.warm_lu = warm_lu;
-  nopts.jacobian = flow;
   num::NewtonResult newton = num::solve_newton(system, start, nopts);
   SteadyState ss;
   ss.newton_iterations = newton.iterations;
@@ -1146,54 +1196,6 @@ bool bootstrap_gate_open(std::optional<std::size_t> crossings) {
   return !crossings || *crossings >= num::kGateMinCrossings;
 }
 
-/// Shooting options of the cycle path (the flow-map integrator without its
-/// Jacobian: callers attach their own named Jacobian callable).
-num::ShootingOptions cycle_shooting_options() {
-  num::ShootingOptions sopts;
-  // The third-order Rosenbrock rides the stiff orbit at a fraction of the
-  // step-doubling ROW2 cost; tolerances match the windowed fallback — the
-  // drift-tolerant acceptance below budgets a per-period family migration
-  // of order 1 mmol/l, so flights resolved to ~1e-2 absolute are already an
-  // order of magnitude inside the quantity being measured, and each decade
-  // of extra tolerance costs ~2x the steps on a 3rd-order method.  This is
-  // where the shooting path earns its speed: ~3 one-period flights plus a
-  // one-period averaging pass against the windowed fallback's ~18 periods
-  // at the SAME per-step cost.
-  sopts.ode.method = num::OdeMethod::kRosenbrock3;
-  sopts.ode.abs_tol = 1e-6;
-  sopts.ode.rel_tol = 1e-4;
-  sopts.ode.initial_step = 1e-3;
-  sopts.ode.state_floor = 0.0;
-  sopts.ode.max_step = 20.0;
-  // The solver's default drift budget (0.05 of the state scale) is what
-  // this model needs: its oscillatory shell has NO isolated limit cycle.
-  // Serine accumulates as a near-conserved photorespiratory pool, so the
-  // orbit drifts along a one-parameter family of pseudo-cycles, and the
-  // accepted phase-aligned snapshot of the current one has the same
-  // semantics as the windowed average it replaces, which is equally a
-  // snapshot of that drift.
-  // Each aligned round is one PLAIN period flight, and doubles as
-  // relaxation — the fast modes contract every round — so a generous cap
-  // is the cheap choice: a warm restart from a far-away pooled anchor that
-  // needs 10-12 rounds still costs a fraction of timing out into the cold
-  // bootstrap (a 400-unit transient plus a 240-unit period scan) it would
-  // otherwise trigger.
-  sopts.max_iterations = 16;
-  // Fast-remainder gate for the aligned residual split: 2e-4 * scale ~ 0.3
-  // mmol/l.  Two forces size it.  Downward pressure is answer quality — a
-  // snapshot whose fast modes still carry eps contaminates the cycle
-  // average by O(eps), and the differential harness holds shooting-vs-
-  // window agreement to ~1 mmol/l absolute, so 0.3 stays comfortably
-  // inside.  Upward pressure is the fast contraction rate: candidates sit
-  // near the Hopf shell where the radial multiplier is only ~0.5/period,
-  // so each decade of extra strictness costs 3-4 more full-period rounds
-  // on every warm restart (measured: a 3e-2 gate pushed warm solves to
-  // 4-8 rounds and timed a third of them out into the cold path, erasing
-  // the shooting advantage outright).
-  sopts.tolerance = 2e-4;
-  return sopts;
-}
-
 }  // namespace
 
 num::ShootingResult C3Model::shoot_cycle(std::span<const double> y0,
@@ -1368,12 +1370,6 @@ CycleGateAudit C3Model::audit_cycle_gate(std::span<const double> mult) const {
   };
   (void)window_average(start, mult, at_gate);
   return audit;
-}
-
-std::optional<double> C3Model::steady_uptake(std::span<const double> mult) const {
-  const SteadyState ss = steady_state(mult);
-  if (!ss.converged) return std::nullopt;
-  return ss.co2_uptake;
 }
 
 double C3Model::nitrogen(std::span<const double> mult) const {

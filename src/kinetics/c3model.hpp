@@ -354,9 +354,6 @@ class C3Model {
   [[nodiscard]] CycleGateAudit audit_cycle_gate(
       std::span<const double> mult) const;
 
-  /// Steady-state CO2 uptake; 0 with converged=false propagated via optional.
-  [[nodiscard]] std::optional<double> steady_uptake(std::span<const double> mult) const;
-
   /// Total protein nitrogen of a multiplier partition (paper units, mg/l).
   [[nodiscard]] double nitrogen(std::span<const double> mult) const;
 

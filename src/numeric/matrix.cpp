@@ -102,12 +102,6 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
-}
-
 std::optional<LuFactorization> LuFactorization::compute(const Matrix& a,
                                                         double pivot_tol) {
   LuFactorization f;
@@ -120,7 +114,6 @@ bool LuFactorization::factor(const Matrix& a, double pivot_tol) {
   const std::size_t n = a.rows();
   lu_ = a;  // vector copy-assignment: reuses capacity once warmed up
   perm_.resize(n);
-  sign_ = 1;
   for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
 
   for (std::size_t k = 0; k < n; ++k) {
@@ -138,7 +131,6 @@ bool LuFactorization::factor(const Matrix& a, double pivot_tol) {
     if (piv != k) {
       for (std::size_t c = 0; c < n; ++c) std::swap(lu_(k, c), lu_(piv, c));
       std::swap(perm_[k], perm_[piv]);
-      sign_ = -sign_;
     }
     const double inv_piv = 1.0 / lu_(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
@@ -174,19 +166,6 @@ void LuFactorization::solve_into(std::span<const double> b, Vec& x) const {
     for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
     x[ii] = acc / lu_(ii, ii);
   }
-}
-
-double LuFactorization::determinant() const {
-  double det = static_cast<double>(sign_);
-  for (std::size_t i = 0; i < size(); ++i) det *= lu_(i, i);
-  return det;
-}
-
-std::optional<Vec> solve_linear(const Matrix& a, std::span<const double> b,
-                                double pivot_tol) {
-  auto f = LuFactorization::compute(a, pivot_tol);
-  if (!f) return std::nullopt;
-  return f->solve(b);
 }
 
 RowEchelon row_reduce(Matrix a, double tol) {

@@ -1,5 +1,5 @@
 // Dense row-major matrix with the factorizations the library needs:
-// LU with partial pivoting (linear solves, determinants), and Gaussian
+// LU with partial pivoting (linear solves), and Gaussian
 // elimination with full row reduction (rank, null-space basis — used to
 // parameterize the steady-state flux space of metabolic networks), plus a
 // row-profile view whose mat-vec skips each row's leading and trailing zeros.
@@ -63,9 +63,6 @@ class Matrix {
   [[nodiscard]] Matrix multiply(const Matrix& b) const;
 
   [[nodiscard]] Matrix transposed() const;
-
-  /// Frobenius norm.
-  [[nodiscard]] double frobenius_norm() const;
 
  private:
   std::size_t rows_ = 0;
@@ -139,20 +136,12 @@ class LuFactorization {
   /// capacity).  `x` must not alias `b`.
   void solve_into(std::span<const double> b, Vec& x) const;
 
-  /// Determinant of the factored matrix.
-  [[nodiscard]] double determinant() const;
-
   [[nodiscard]] std::size_t size() const { return lu_.rows(); }
 
  private:
   Matrix lu_;
   std::vector<std::size_t> perm_;
-  int sign_ = 1;
 };
-
-/// Convenience: solve A x = b once; nullopt if singular.
-[[nodiscard]] std::optional<Vec> solve_linear(const Matrix& a, std::span<const double> b,
-                                              double pivot_tol = 1e-12);
 
 /// Result of row-reducing a (possibly rectangular) matrix.
 struct RowEchelon {

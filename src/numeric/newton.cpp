@@ -1,8 +1,7 @@
 #include "numeric/newton.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <stdexcept>
 
 #include "numeric/workspace.hpp"
 
@@ -10,33 +9,10 @@ namespace rmp::num {
 
 namespace {
 
-/// Builds dF/dx at x into `j` — through the analytic callback when provided,
-/// by forward finite differences otherwise — and counts the work in
-/// `rhs_evaluations` (FD only) / the caller's factorization counter.
-/// Scratch comes from `ws`; nothing is allocated once the arena is warm.
-void build_jacobian(NonlinearSystem f, JacobianFn jac_fn,
-                    std::span<const double> x, const Vec& fx, double eps,
-                    Workspace& ws, Matrix& j, std::size_t& rhs_evaluations) {
-  const std::size_t n = x.size();
-  if (jac_fn) {
-    std::fill(j.data().begin(), j.data().end(), 0.0);
-    jac_fn(x, j);
-    return;
-  }
-  ScratchVec xp(ws, n);
-  ScratchVec fp(ws, n);
-  xp.get().assign(x.begin(), x.end());
-  for (std::size_t c = 0; c < n; ++c) {
-    const double h = eps * std::max(1.0, std::fabs(x[c]));
-    const double saved = xp[c];
-    xp[c] = saved + h;
-    fp.get().assign(n, 0.0);
-    f(xp, fp.get());
-    ++rhs_evaluations;
-    xp[c] = saved;
-    const double inv_h = 1.0 / h;
-    for (std::size_t r = 0; r < n; ++r) j(r, c) = (fp[r] - fx[r]) * inv_h;
-  }
+/// Builds dF/dx at x into `j` through the analytic callback.
+void build_jacobian(JacobianFn jac_fn, std::span<const double> x, Matrix& j) {
+  std::fill(j.data().begin(), j.data().end(), 0.0);
+  jac_fn(x, j);
 }
 
 void floor_state(Vec& x, double floor) {
@@ -48,6 +24,9 @@ void floor_state(Vec& x, double floor) {
 
 NewtonResult solve_newton(const NonlinearSystem& f, std::span<const double> x0,
                           const NewtonOptions& opts) {
+  if (!opts.jacobian) {
+    throw std::invalid_argument("solve_newton: NewtonOptions::jacobian is null");
+  }
   NewtonResult res;
   res.x.assign(x0.begin(), x0.end());
   floor_state(res.x, opts.state_floor);
@@ -90,8 +69,7 @@ NewtonResult solve_newton(const NonlinearSystem& f, std::span<const double> x0,
     const bool fresh =
         refresh || (!have_lu && seed == nullptr) || lu_age >= max_age;
     if (fresh) {
-      build_jacobian(f, opts.jacobian, res.x, fx.get(), opts.jacobian_eps, ws,
-                     j.get(), res.rhs_evaluations);
+      build_jacobian(opts.jacobian, res.x, j.get());
       ++res.jacobian_factorizations;
       have_lu = lu_slot.get().factor(j.get());
       if (!have_lu) return res;  // singular Jacobian: give up, caller falls back
@@ -167,6 +145,10 @@ NewtonResult solve_newton(const NonlinearSystem& f, std::span<const double> x0,
 NewtonResult solve_pseudo_transient(const NonlinearSystem& f,
                                     std::span<const double> x0,
                                     const PtcOptions& opts) {
+  if (!opts.jacobian) {
+    throw std::invalid_argument(
+        "solve_pseudo_transient: PtcOptions::jacobian is null");
+  }
   NewtonResult res;
   res.x.assign(x0.begin(), x0.end());
   floor_state(res.x, opts.state_floor);
@@ -211,8 +193,7 @@ NewtonResult solve_pseudo_transient(const NonlinearSystem& f,
     const bool fresh = refresh || !have_lu || lu_age >= max_age || !in_band;
     if (fresh) {
       // W = I/h - J; the step solves W dx = F (implicit Euler for x' = F).
-      build_jacobian(f, opts.jacobian, res.x, fx.get(), opts.jacobian_eps, ws,
-                     w.get(), res.rhs_evaluations);
+      build_jacobian(opts.jacobian, res.x, w.get());
       const double inv_h = 1.0 / h;
       for (std::size_t r = 0; r < n; ++r) {
         for (std::size_t c = 0; c < n; ++c) w(r, c) = -w(r, c);

@@ -6,18 +6,15 @@
 // optimizer.  Backtracking line search on ||F|| with an optional lower bound
 // on the state (concentrations must stay positive).
 //
-// Two compounding accelerations, both off by default so existing callers see
-// the classic method unchanged:
-//   * analytic Jacobians — NewtonOptions/PtcOptions::jacobian supplies
-//     dF/dx in closed form, eliminating the n finite-difference RHS
-//     evaluations every Jacobian build otherwise costs;
-//   * chord-Newton factorization reuse — chord_max_age > 1 keeps the LU
-//     factorization across iterations and refreshes it only when it goes
-//     stale (backtracking damping collapses, the residual reduction stalls,
-//     or the age bound is hit), amortizing both Jacobian assembly and the
-//     O(n^3) factorization over several steps.
-// NewtonResult counts RHS evaluations and factorizations so callers can
-// measure the work saved, not just the wall time.
+// Both solvers take dF/dx in closed form (NewtonOptions/PtcOptions::
+// jacobian); it is mandatory, and a null callback is rejected with
+// std::invalid_argument.  On top of that, chord-Newton factorization reuse
+// (chord_max_age > 1, off by default) keeps the LU factorization across
+// iterations and refreshes it only when it goes stale (backtracking damping
+// collapses, the residual reduction stalls, or the age bound is hit),
+// amortizing both Jacobian assembly and the O(n^3) factorization over
+// several steps.  NewtonResult counts RHS evaluations and factorizations so
+// callers can measure the work saved, not just the wall time.
 #pragma once
 
 #include <span>
@@ -45,11 +42,10 @@ struct NewtonOptions {
   std::size_t max_iterations = 60;
   double tolerance = 1e-10;        ///< convergence on ||F||_inf
   double min_damping = 1.0 / 1024; ///< smallest backtracking factor tried
-  double jacobian_eps = 1e-7;
   /// Elements of x are clamped to be >= state_floor after each update.
   double state_floor = -1e300;
-  /// Closed-form Jacobian; null = forward finite differences (n extra RHS
-  /// evaluations per Jacobian build).
+  /// Closed-form Jacobian; required (solve_newton throws
+  /// std::invalid_argument when it is null).
   JacobianFn jacobian;
   /// Chord-Newton: how many consecutive iterations may ride one LU
   /// factorization.  0 and 1 both mean classic Newton (fresh factorization
@@ -83,8 +79,9 @@ struct NewtonResult {
   double residual_norm = 0.0;
   std::size_t iterations = 0;
   bool converged = false;
-  /// Calls into the RHS callback, including finite-difference Jacobian
-  /// builds and backtracking trials — the solve's dominant work unit.
+  /// Calls into the RHS callback: the initial residual and every
+  /// backtracking trial (Jacobian builds go through the Jacobian callback
+  /// and are counted in jacobian_factorizations).
   std::size_t rhs_evaluations = 0;
   /// Jacobian assemblies + LU factorizations performed (chord reuse makes
   /// this less than `iterations`).
@@ -93,16 +90,16 @@ struct NewtonResult {
 
 [[nodiscard]] NewtonResult solve_newton(const NonlinearSystem& f,
                                         std::span<const double> x0,
-                                        const NewtonOptions& opts = {});
+                                        const NewtonOptions& opts);
 
 struct PtcOptions {
   std::size_t max_iterations = 200;
   double tolerance = 1e-10;        ///< convergence on ||F||_inf
   double initial_timestep = 1.0;
   double max_timestep = 1e9;
-  double jacobian_eps = 1e-7;
   double state_floor = -1e300;
-  /// Closed-form Jacobian; null = forward finite differences.
+  /// Closed-form Jacobian; required (solve_pseudo_transient throws
+  /// std::invalid_argument when it is null).
   JacobianFn jacobian;
   /// Reuse bound for the factored W = I/h - J: while the residual keeps
   /// falling and the SER timestep stays inside chord_h_band of the factored
@@ -126,6 +123,6 @@ struct PtcOptions {
 /// steady states where plain Newton's line search stalls.
 [[nodiscard]] NewtonResult solve_pseudo_transient(const NonlinearSystem& f,
                                                   std::span<const double> x0,
-                                                  const PtcOptions& opts = {});
+                                                  const PtcOptions& opts);
 
 }  // namespace rmp::num

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "numeric/workspace.hpp"
 
@@ -10,12 +11,7 @@ namespace rmp::num {
 
 namespace {
 
-void apply_floor(Vec& y, double floor) {
-  if (floor <= -1e299) return;
-  for (double& v : y) v = std::max(v, floor);
-}
-
-/// Weighted RMS error norm used for adaptive step-size control.
+/// Weighted RMS error norm used for step-size control.
 double error_norm(std::span<const double> err, std::span<const double> y0,
                   std::span<const double> y1, double abs_tol, double rel_tol) {
   double acc = 0.0;
@@ -26,119 +22,6 @@ double error_norm(std::span<const double> err, std::span<const double> y0,
     acc += e * e;
   }
   return std::sqrt(acc / static_cast<double>(err.size()));
-}
-
-/// Generic embedded explicit Runge-Kutta stepper driven by a Butcher tableau.
-/// Stage slopes live in a workspace Matrix (row s = k_s) — no per-step
-/// allocation.
-class EmbeddedRk {
- public:
-  EmbeddedRk(std::size_t stages, const double* a, const double* b_high,
-             const double* b_low, const double* c, std::size_t order_low)
-      : stages_(stages), a_(a), b_high_(b_high), b_low_(b_low), c_(c),
-        order_low_(order_low) {}
-
-  [[nodiscard]] std::size_t stages() const { return stages_; }
-  [[nodiscard]] std::size_t order_low() const { return order_low_; }
-
-  /// One trial step from (t, y) with size h; fills y_new and err.  Stage
-  /// slopes land in k (row s = k_s); y_stage and k_stage are scratch.
-  void trial(OdeRhs f, double t, const Vec& y, double h, Vec& y_new, Vec& err,
-             Matrix& k, Vec& y_stage, Vec& k_stage, OdeResult& stats) const {
-    const std::size_t n = y.size();
-
-    for (std::size_t s = 0; s < stages_; ++s) {
-      y_stage = y;
-      for (std::size_t j = 0; j < s; ++j) {
-        const double aij = a_[s * stages_ + j];
-        if (aij != 0.0) axpy(y_stage, h * aij, k.row(j));
-      }
-      // The RHS contract wants a Vec&, so the slope lands in k_stage and is
-      // copied into the matrix row (cheap next to the RHS evaluation).
-      k_stage.assign(n, 0.0);
-      f(t + c_[s] * h, y_stage, k_stage);
-      std::copy(k_stage.begin(), k_stage.end(), k.row(s).begin());
-      ++stats.rhs_evals;
-    }
-
-    y_new = y;
-    err.assign(n, 0.0);
-    for (std::size_t s = 0; s < stages_; ++s) {
-      if (b_high_[s] != 0.0) axpy(y_new, h * b_high_[s], k.row(s));
-      const double db = b_high_[s] - b_low_[s];
-      if (db != 0.0) axpy(err, h * db, k.row(s));
-    }
-  }
-
- private:
-  std::size_t stages_;
-  const double* a_;
-  const double* b_high_;
-  const double* b_low_;
-  const double* c_;
-  std::size_t order_low_;
-};
-
-// --- Dormand-Prince 5(4) tableau ---------------------------------------------
-constexpr double kDpA[7 * 7] = {
-    0, 0, 0, 0, 0, 0, 0,
-    1.0 / 5, 0, 0, 0, 0, 0, 0,
-    3.0 / 40, 9.0 / 40, 0, 0, 0, 0, 0,
-    44.0 / 45, -56.0 / 15, 32.0 / 9, 0, 0, 0, 0,
-    19372.0 / 6561, -25360.0 / 2187, 64448.0 / 6561, -212.0 / 729, 0, 0, 0,
-    9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176, -5103.0 / 18656, 0, 0,
-    35.0 / 384, 0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84, 0};
-constexpr double kDpB5[7] = {35.0 / 384, 0, 500.0 / 1113, 125.0 / 192,
-                             -2187.0 / 6784, 11.0 / 84, 0};
-constexpr double kDpB4[7] = {5179.0 / 57600,    0,          7571.0 / 16695, 393.0 / 640,
-                             -92097.0 / 339200, 187.0 / 2100, 1.0 / 40};
-constexpr double kDpC[7] = {0, 1.0 / 5, 3.0 / 10, 4.0 / 5, 8.0 / 9, 1.0, 1.0};
-
-OdeResult integrate_adaptive(const EmbeddedRk& rk, OdeRhs f, double t0,
-                             std::span<const double> y0, double t_end,
-                             const OdeOptions& opts, Workspace& ws) {
-  OdeResult res;
-  res.y.assign(y0.begin(), y0.end());
-  res.t = t0;
-  const std::size_t n = res.y.size();
-
-  ScratchVec y_new(ws, n), err(ws, n), y_stage(ws, n), k_stage(ws, n);
-  ScratchMat k(ws, rk.stages(), n);
-  double h = std::clamp(opts.initial_step, opts.min_step, opts.max_step);
-  const double order = static_cast<double>(rk.order_low()) + 1.0;
-  const double exponent = 1.0 / order;
-
-  while (res.t < t_end && res.steps < opts.max_steps) {
-    res.last_step = h;  // the controller's h, before end-of-interval truncation
-    h = std::min(h, t_end - res.t);
-    rk.trial(f, res.t, res.y, h, y_new.get(), err.get(), k.get(), y_stage.get(),
-             k_stage.get(), res);
-    const double en =
-        error_norm(err, res.y, y_new, opts.abs_tol, opts.rel_tol);
-    const bool finite = all_finite(y_new);
-
-    if (en <= 1.0 && finite) {
-      res.t += h;
-      res.y = y_new.get();
-      apply_floor(res.y, opts.state_floor);
-      ++res.steps;
-      if (opts.step_observer) opts.step_observer(res.t, h, res.y);
-      const double factor =
-          en > 0.0 ? std::clamp(0.9 * std::pow(en, -exponent), 0.2, 5.0) : 5.0;
-      h = std::clamp(h * factor, opts.min_step, opts.max_step);
-    } else {
-      ++res.rejected;
-      const double factor =
-          finite && en > 0.0 ? std::clamp(0.9 * std::pow(en, -exponent), 0.1, 0.9) : 0.1;
-      h *= factor;
-      if (h < opts.min_step) {
-        res.success = false;
-        return res;  // step size underflow: stiff beyond this method
-      }
-    }
-  }
-  res.success = res.t >= t_end;
-  return res;
 }
 
 // W = I - gamma h J for one ROS2 step of size h (Verwer's 2-stage, order-2,
@@ -173,22 +56,16 @@ void ros2_step(OdeRhs f, double t, const Vec& y, const Vec& f0, double h,
   for (std::size_t i = 0; i < n; ++i) y_new[i] += h * (1.5 * k1[i] + 0.5 * k2[i]);
 }
 
-/// Builds the augmented-system Jacobian (df/dy block; appended time state
-/// contributes a zero row/column under an analytic Jacobian, the FD path
-/// picks up df/dt for forced problems) into `j`.
-void rosenbrock_jacobian(OdeRhs f, OdeJacobian user_jac, double t,
-                         const Vec& y_aug, std::size_t n_user, Workspace& ws,
-                         Matrix& j, OdeResult& res) {
-  if (user_jac) {
-    ScratchMat ju(ws, n_user, n_user);
-    user_jac(y_aug[n_user], std::span<const double>(y_aug).first(n_user),
-             ju.get());
-    std::fill(j.data().begin(), j.data().end(), 0.0);
-    for (std::size_t r = 0; r < n_user; ++r) {
-      for (std::size_t c = 0; c < n_user; ++c) j(r, c) = ju(r, c);
-    }
-  } else {
-    fd_jacobian(f, t, y_aug, 1e-7, ws, j, res.rhs_evals);
+/// Builds the augmented-system Jacobian into `j`: the caller's df/dy block,
+/// with a zero row and column for the appended time state.
+void rosenbrock_jacobian(OdeJacobian user_jac, const Vec& y_aug,
+                         std::size_t n_user, Workspace& ws, Matrix& j) {
+  ScratchMat ju(ws, n_user, n_user);
+  user_jac(y_aug[n_user], std::span<const double>(y_aug).first(n_user),
+           ju.get());
+  std::fill(j.data().begin(), j.data().end(), 0.0);
+  for (std::size_t r = 0; r < n_user; ++r) {
+    for (std::size_t c = 0; c < n_user; ++c) j(r, c) = ju(r, c);
   }
 }
 
@@ -197,8 +74,7 @@ void rosenbrock_jacobian(OdeRhs f, OdeJacobian user_jac, double t,
 // components, so each step is compared against two half steps instead.
 //
 // ROS2's order-2 accuracy requires an autonomous system; time is therefore
-// appended as an extra state (Y = [y; t], dt/dt = 1), which also makes the
-// numeric Jacobian pick up the df/dt column for forced problems.
+// appended as an extra state (Y = [y; t], dt/dt = 1).
 OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
                                std::span<const double> y0, double t_end,
                                const OdeOptions& opts, Workspace& ws) {
@@ -230,8 +106,7 @@ OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
     res.last_step = h;  // the controller's h, before end-of-interval truncation
     h = std::min(h, t_end - res.t);
 
-    rosenbrock_jacobian(f, opts.jacobian, res.t, res.y, n_user, ws, j.get(),
-                        res);
+    rosenbrock_jacobian(opts.jacobian, res.y, n_user, ws, j.get());
 
     // One trial = a full step and two half steps, all on the Jacobian at
     // (t, y).  Both half steps use the same W(h/2), and the full step and
@@ -355,8 +230,7 @@ OdeResult integrate_rosenbrock3(OdeRhs f_user, double t0,
     h = std::min(h, t_end - res.t);
 
     if (!j_current) {
-      rosenbrock_jacobian(f, opts.jacobian, res.t, res.y, n_user, ws, j.get(),
-                          res);
+      rosenbrock_jacobian(opts.jacobian, res.y, n_user, ws, j.get());
       f0.get().assign(n, 0.0);
       f(res.t, res.y, f0.get());
       ++res.rhs_evals;
@@ -447,40 +321,18 @@ OdeResult integrate_rosenbrock3(OdeRhs f_user, double t0,
 OdeResult integrate(const OdeRhs& f, double t0, std::span<const double> y0, double t_end,
                     const OdeOptions& opts) {
   assert(t_end >= t0);
+  if (!opts.jacobian) {
+    throw std::invalid_argument("integrate: OdeOptions::jacobian is null");
+  }
   Workspace& ws =
       opts.workspace ? *opts.workspace : Workspace::thread_local_instance();
   switch (opts.method) {
-    case OdeMethod::kDormandPrince54: {
-      const EmbeddedRk rk(7, kDpA, kDpB5, kDpB4, kDpC, 4);
-      return integrate_adaptive(rk, f, t0, y0, t_end, opts, ws);
-    }
     case OdeMethod::kRosenbrockW:
       return integrate_rosenbrock(f, t0, y0, t_end, opts, ws);
     case OdeMethod::kRosenbrock3:
       return integrate_rosenbrock3(f, t0, y0, t_end, opts, ws);
   }
   return {};
-}
-
-void fd_jacobian(OdeRhs f, double t, std::span<const double> y, double eps,
-                 Workspace& ws, Matrix& j, std::size_t& rhs_evals) {
-  const std::size_t n = y.size();
-  ScratchVec base(ws, n), pert(ws, n), yp(ws, n);
-  yp.get().assign(y.begin(), y.end());
-  base.get().assign(n, 0.0);
-  f(t, y, base.get());
-  ++rhs_evals;
-  for (std::size_t c = 0; c < n; ++c) {
-    const double h = eps * std::max(1.0, std::fabs(y[c]));
-    const double saved = yp[c];
-    yp[c] = saved + h;
-    pert.get().assign(n, 0.0);
-    f(t, yp, pert.get());
-    ++rhs_evals;
-    yp[c] = saved;
-    const double inv_h = 1.0 / h;
-    for (std::size_t r = 0; r < n; ++r) j(r, c) = (pert[r] - base[r]) * inv_h;
-  }
 }
 
 }  // namespace rmp::num

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "numeric/workspace.hpp"
 
@@ -20,16 +21,16 @@ bool flow_map(OdeRhs f, std::span<const double> y, double horizon,
   return all_finite(out);
 }
 
-/// Step of the forward-difference Jacobian inside the variational
-/// propagator, used only when the caller supplies no analytic Jacobian.
-constexpr double kFdEps = 1e-6;
-
 }  // namespace
 
 ShootingResult solve_limit_cycle(OdeRhs f, std::span<const double> y0_guess,
                                  double period_guess,
                                  const ShootingOptions& opts,
                                  CycleObservable observable) {
+  if (!opts.ode.jacobian) {
+    throw std::invalid_argument(
+        "solve_limit_cycle: ShootingOptions::ode.jacobian is null");
+  }
   ShootingResult res;
   const std::size_t n = y0_guess.size();
   Workspace& ws = opts.workspace ? *opts.workspace
@@ -196,13 +197,8 @@ ShootingResult solve_limit_cycle(OdeRhs f, std::span<const double> y0_guess,
                                   std::span<const double> y) {
     if (!variational_ok) return;
     for (std::size_t i = 0; i < n; ++i) y_mid[i] = 0.5 * (y_prev[i] + y[i]);
-    if (opts.ode.jacobian) {
-      std::fill(jstep.get().data().begin(), jstep.get().data().end(), 0.0);
-      opts.ode.jacobian(t - 0.5 * h, y_mid.get(), jstep.get());
-    } else {
-      fd_jacobian(f, t - 0.5 * h, y_mid.get(), kFdEps, ws, jstep.get(),
-                  res.rhs_evals);
-    }
+    std::fill(jstep.get().data().begin(), jstep.get().data().end(), 0.0);
+    opts.ode.jacobian(t - 0.5 * h, y_mid.get(), jstep.get());
     y_prev.get().assign(y.begin(), y.end());
     const double gh = kSdirkGamma * h;
     for (std::size_t r = 0; r < n; ++r) {

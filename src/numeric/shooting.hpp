@@ -36,14 +36,18 @@
 // by convergence itself, and the averaging pass rides the variational
 // update on the single converged family direction (vprop = M * v, with M
 // the monodromy, at ~one extra plain flight's cost) to measure the family
-// multiplier.
+// multiplier.  Each step of that update linearizes with the caller's
+// closed-form Jacobian (ShootingOptions::ode.jacobian, required), so it
+// costs no RHS evaluations.
 //
 // Clean give-up contract: every failure mode (the guess or a return sits
 // at a fixed point; period drifts out of bounds; the rounds never agree
 // within max_iterations; amplitude below threshold; unstable cycle)
 // returns converged = false and callers fall back to long integration.
 // The solver is never silently wrong: a converged result has been
-// re-integrated over one full period with the residual re-measured.
+// re-integrated over one full period with the residual re-measured.  A
+// null Jacobian is a caller error, not a give-up: it throws
+// std::invalid_argument.
 //
 // estimate_period bootstraps the (y0, T) guess from a trajectory: it
 // samples the post-transient flow, picks the most-oscillatory coordinate,
@@ -70,6 +74,8 @@ using CycleObservable = FunctionRef<double(std::span<const double> y)>;
 
 struct ShootingOptions {
   /// Integrator for the flow map; the stiff cycle path wants kRosenbrock3.
+  /// Its jacobian is required: the flights integrate with it and the
+  /// variational update of the averaging pass linearizes with it.
   OdeOptions ode;
   /// Cap on aligned-Picard rounds (one period flight each).
   std::size_t max_iterations = 30;
@@ -116,10 +122,11 @@ struct ShootingResult {
   std::size_t rhs_evals = 0;  ///< total RHS work, integrations included
 };
 
+/// Throws std::invalid_argument when opts.ode.jacobian is null.
 [[nodiscard]] ShootingResult solve_limit_cycle(OdeRhs f,
                                                std::span<const double> y0_guess,
                                                double period_guess,
-                                               const ShootingOptions& opts = {},
+                                               const ShootingOptions& opts,
                                                CycleObservable observable = {});
 
 struct PeriodEstimate {

@@ -62,18 +62,6 @@ Vec SparseMatrix::multiply(std::span<const double> x) const {
   return y;
 }
 
-void SparseMatrix::multiply_transposed(std::span<const double> x, Vec& y) const {
-  assert(x.size() == rows_);
-  y.assign(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      y[col_indices_[k]] += values_[k] * xr;
-    }
-  }
-}
-
 double SparseMatrix::residual_norm1(std::span<const double> x) const {
   assert(x.size() == cols_);
   double total = 0.0;

@@ -46,9 +46,6 @@ class SparseMatrix {
   void multiply(std::span<const double> x, Vec& y) const;
   [[nodiscard]] Vec multiply(std::span<const double> x) const;
 
-  /// y = S^T * x.
-  void multiply_transposed(std::span<const double> x, Vec& y) const;
-
   /// ||S x||_1 — the steady-state violation measure used by the Geobacter
   /// experiment (computed without materializing S x when y_scratch given).
   [[nodiscard]] double residual_norm1(std::span<const double> x) const;

@@ -12,8 +12,8 @@
 //   * a Workspace is single-threaded state — one per solve context, never
 //     shared across threads;
 //   * checkouts nest but must release in reverse order (the Scratch* guards
-//     enforce this in debug builds), which lets an outer driver (implicit
-//     Euler, shooting) hold buffers across an inner solve_newton call;
+//     enforce this in debug builds), which lets an outer driver (the
+//     shooting solver) hold buffers across the inner integrations it runs;
 //   * callers that pass no workspace get a thread_local fallback, so every
 //     entry point is allocation-free after warm-up without plumbing.
 //

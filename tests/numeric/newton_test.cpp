@@ -3,16 +3,29 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+
+#include "numeric/fd_oracle.hpp"
 
 namespace rmp::num {
 namespace {
+
+/// solve_newton on the forward-difference oracle's Jacobian: the classic
+/// method, for problems whose assertions do not depend on where dF/dx
+/// comes from.
+NewtonResult solve_newton_fd(const NonlinearSystem& f, std::span<const double> x0,
+                             NewtonOptions opts = {}) {
+  reference::FdJacobian fd(f);
+  opts.jacobian = fd;
+  return solve_newton(f, x0, opts);
+}
 
 TEST(NewtonTest, ScalarRoot) {
   // F(x) = x^2 - 4: root at 2 from positive start.
   const NonlinearSystem f = [](std::span<const double> x, Vec& out) {
     out[0] = x[0] * x[0] - 4.0;
   };
-  const NewtonResult r = solve_newton(f, Vec{5.0});
+  const NewtonResult r = solve_newton_fd(f, Vec{5.0});
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.x[0], 2.0, 1e-8);
 }
@@ -23,7 +36,7 @@ TEST(NewtonTest, TwoDimensionalSystem) {
     out[0] = x[0] * x[0] + x[1] * x[1] - 5.0;
     out[1] = x[0] * x[1] - 2.0;
   };
-  const NewtonResult r = solve_newton(f, Vec{2.5, 0.5});
+  const NewtonResult r = solve_newton_fd(f, Vec{2.5, 0.5});
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.x[0], 2.0, 1e-7);
   EXPECT_NEAR(r.x[1], 1.0, 1e-7);
@@ -35,7 +48,7 @@ TEST(NewtonTest, LinearSystemOneIteration) {
     out[0] = 2.0 * x[0] + x[1] - 3.0;
     out[1] = x[0] - x[1];
   };
-  const NewtonResult r = solve_newton(f, Vec{10.0, -10.0});
+  const NewtonResult r = solve_newton_fd(f, Vec{10.0, -10.0});
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.x[0], 1.0, 1e-8);
   EXPECT_NEAR(r.x[1], 1.0, 1e-8);
@@ -48,7 +61,7 @@ TEST(NewtonTest, DampingRescuesOvershoot) {
   const NonlinearSystem f = [](std::span<const double> x, Vec& out) {
     out[0] = std::atan(x[0]);
   };
-  const NewtonResult r = solve_newton(f, Vec{3.0});
+  const NewtonResult r = solve_newton_fd(f, Vec{3.0});
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.x[0], 0.0, 1e-8);
 }
@@ -60,7 +73,7 @@ TEST(NewtonTest, StateFloorKeepsPositive) {
   };
   NewtonOptions opts;
   opts.state_floor = 1e-6;
-  const NewtonResult r = solve_newton(f, Vec{0.1}, opts);
+  const NewtonResult r = solve_newton_fd(f, Vec{0.1}, opts);
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.x[0], 2.0, 1e-6);
 }
@@ -72,7 +85,7 @@ TEST(NewtonTest, ReportsFailureOnNoRoot) {
   };
   NewtonOptions opts;
   opts.max_iterations = 30;
-  const NewtonResult r = solve_newton(f, Vec{1.0}, opts);
+  const NewtonResult r = solve_newton_fd(f, Vec{1.0}, opts);
   EXPECT_FALSE(r.converged);
   EXPECT_GE(r.residual_norm, 0.5);
 }
@@ -81,24 +94,30 @@ TEST(NewtonTest, AlreadyAtRoot) {
   const NonlinearSystem f = [](std::span<const double> x, Vec& out) {
     out[0] = x[0] - 1.0;
   };
-  const NewtonResult r = solve_newton(f, Vec{1.0});
+  const NewtonResult r = solve_newton_fd(f, Vec{1.0});
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.iterations, 0u);
 }
 
 TEST(NewtonTest, CountsRhsEvaluationsAndFactorizations) {
-  // Classic (FD, no chord) bookkeeping: every iteration builds one Jacobian
-  // (n FD probes) and factors it once; every build and backtrack trial plus
-  // the initial residual is an RHS evaluation.
+  // Classic (FD oracle, no chord) bookkeeping: every iteration builds one
+  // Jacobian (n + 1 oracle probes, counted by the oracle) and factors it
+  // once; every backtrack trial plus the initial residual is a solver RHS
+  // evaluation.
   const NonlinearSystem f = [](std::span<const double> x, Vec& out) {
     out[0] = x[0] * x[0] + x[1] * x[1] - 5.0;
     out[1] = x[0] * x[1] - 2.0;
   };
-  const NewtonResult r = solve_newton(f, Vec{2.5, 0.5});
+  reference::FdJacobian fd(f);
+  NewtonOptions opts;
+  opts.jacobian = fd;
+  const NewtonResult r = solve_newton(f, Vec{2.5, 0.5}, opts);
   ASSERT_TRUE(r.converged);
   EXPECT_EQ(r.jacobian_factorizations, r.iterations);
-  // >= 1 (initial) + per iteration: 2 FD probes + >= 1 trial.
-  EXPECT_GE(r.rhs_evaluations, 1 + 3 * r.iterations);
+  EXPECT_EQ(fd.probes(), 3 * r.jacobian_factorizations);
+  // >= 1 (initial) + per iteration: 2 FD column probes + >= 1 trial.
+  EXPECT_GE(r.rhs_evaluations + fd.probes(), 1 + 3 * r.iterations);
+  EXPECT_GE(r.rhs_evaluations, 1 + r.iterations);
 }
 
 TEST(NewtonTest, AnalyticJacobianSolvesWithoutFdProbes) {
@@ -118,9 +137,12 @@ TEST(NewtonTest, AnalyticJacobianSolvesWithoutFdProbes) {
   EXPECT_NEAR(a.x[0], 2.0, 1e-7);
   EXPECT_NEAR(a.x[1], 1.0, 1e-7);
   // No finite-difference probes: one RHS per backtrack trial plus the
-  // initial residual — strictly fewer than the FD path's n-per-build.
-  const NewtonResult fd = solve_newton(f, Vec{2.5, 0.5});
-  EXPECT_LT(a.rhs_evaluations, fd.rhs_evaluations);
+  // initial residual — strictly fewer than the FD oracle's n-per-build.
+  reference::FdJacobian oracle(f);
+  NewtonOptions fd_opts;
+  fd_opts.jacobian = oracle;
+  const NewtonResult fd = solve_newton(f, Vec{2.5, 0.5}, fd_opts);
+  EXPECT_LT(a.rhs_evaluations, fd.rhs_evaluations + oracle.probes());
   EXPECT_LE(a.rhs_evaluations, 1 + 2 * a.iterations);
 }
 
@@ -136,8 +158,8 @@ TEST(NewtonTest, ChordReuseAmortizesFactorizations) {
   classic.tolerance = 1e-12;
   NewtonOptions chord = classic;
   chord.chord_max_age = 16;
-  const NewtonResult a = solve_newton(f, Vec{3.0, 3.0}, classic);
-  const NewtonResult b = solve_newton(f, Vec{3.0, 3.0}, chord);
+  const NewtonResult a = solve_newton_fd(f, Vec{3.0, 3.0}, classic);
+  const NewtonResult b = solve_newton_fd(f, Vec{3.0, 3.0}, chord);
   ASSERT_TRUE(a.converged);
   ASSERT_TRUE(b.converged);
   EXPECT_NEAR(a.x[0], b.x[0], 1e-9);
@@ -157,7 +179,7 @@ TEST(NewtonTest, ChordRefreshesOnStalledResidual) {
   NewtonOptions opts;
   opts.chord_max_age = 1000;  // age alone never forces a refresh
   opts.tolerance = 1e-12;
-  const NewtonResult r = solve_newton(f, Vec{3.0}, opts);
+  const NewtonResult r = solve_newton_fd(f, Vec{3.0}, opts);
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.x[0], 1.0, 1e-9);
   EXPECT_GT(r.jacobian_factorizations, 1u);
@@ -171,7 +193,7 @@ TEST(NewtonTest, SingularJacobianGivesUpCleanly) {
     out[0] = x[0] * x[0] - 1.0;
     out[1] = x[0] * x[0] - 1.0;
   };
-  const NewtonResult r = solve_newton(f, Vec{3.0, 3.0});
+  const NewtonResult r = solve_newton_fd(f, Vec{3.0, 3.0});
   EXPECT_FALSE(r.converged);
   EXPECT_TRUE(all_finite(r.x));
   EXPECT_EQ(r.iterations, 0u);
@@ -188,7 +210,7 @@ TEST(NewtonTest, StateFloorInteractsWithBacktrackingUnderChord) {
   NewtonOptions opts;
   opts.state_floor = 1e-6;
   opts.chord_max_age = 8;
-  const NewtonResult r = solve_newton(f, Vec{0.1}, opts);
+  const NewtonResult r = solve_newton_fd(f, Vec{0.1}, opts);
   ASSERT_TRUE(r.converged);
   EXPECT_NEAR(r.x[0], 2.0, 1e-6);
 }
@@ -201,8 +223,10 @@ TEST(PtcTest, StiffTwoDimensionalSystemReachesKnownRoot) {
     out[0] = 1000.0 * (std::cos(x[1]) - x[0]);
     out[1] = x[0] - x[1];
   };
+  reference::FdJacobian oracle(f);
   PtcOptions opts;
   opts.tolerance = 1e-10;
+  opts.jacobian = oracle;
   const NewtonResult fd = solve_pseudo_transient(f, Vec{0.0, 0.0}, opts);
   ASSERT_TRUE(fd.converged);
   EXPECT_NEAR(fd.x[0], dottie, 1e-7);
@@ -221,7 +245,25 @@ TEST(PtcTest, StiffTwoDimensionalSystemReachesKnownRoot) {
   ASSERT_TRUE(an.converged);
   EXPECT_NEAR(an.x[0], dottie, 1e-7);
   EXPECT_NEAR(an.x[1], dottie, 1e-7);
-  EXPECT_LT(an.rhs_evaluations, fd.rhs_evaluations);
+  EXPECT_LT(an.rhs_evaluations, fd.rhs_evaluations + oracle.probes());
+}
+
+// The Jacobian is mandatory: a null callback is a caller error, reported
+// before any work is done, never a silent switch to finite differences.
+TEST(NewtonTest, NullJacobianIsRejected) {
+  const NonlinearSystem f = [](std::span<const double> x, Vec& out) {
+    out[0] = x[0] - 1.0;
+  };
+  EXPECT_THROW((void)solve_newton(f, Vec{2.0}, NewtonOptions{}),
+               std::invalid_argument);
+}
+
+TEST(PtcTest, NullJacobianIsRejected) {
+  const NonlinearSystem f = [](std::span<const double> x, Vec& out) {
+    out[0] = x[0] - 1.0;
+  };
+  EXPECT_THROW((void)solve_pseudo_transient(f, Vec{2.0}, PtcOptions{}),
+               std::invalid_argument);
 }
 
 // Parameterized: roots of x^3 - c for several c, from a far start.
@@ -235,7 +277,7 @@ TEST_P(NewtonCubeRoot, Converges) {
     out[0] = x[0] * x[0] * x[0] - c;
   };
   const NonlinearSystem f = cube;
-  const NewtonResult r = solve_newton(f, Vec{10.0});
+  const NewtonResult r = solve_newton_fd(f, Vec{10.0});
   ASSERT_TRUE(r.converged) << "c = " << c;
   EXPECT_NEAR(r.x[0], std::cbrt(c), 1e-6);
 }

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <span>
+#include <stdexcept>
 
 #include "numeric/ode.hpp"
 #include "numeric/shooting.hpp"
@@ -27,9 +28,20 @@ void vdp_rhs(double, std::span<const double> y, Vec& d) {
   d[1] = (1.0 - y[0] * y[0]) * y[1] - y[0];
 }
 
+void vdp_jacobian(double, std::span<const double> y, Matrix& j) {
+  j(0, 1) = 1.0;
+  j(1, 0) = -2.0 * y[0] * y[1] - 1.0;
+  j(1, 1) = 1.0 - y[0] * y[0];
+}
+
 void decay_rhs(double, std::span<const double> y, Vec& d) {
   d[0] = -y[0];
   d[1] = -y[1];
+}
+
+void decay_jacobian(double, std::span<const double>, Matrix& j) {
+  j(0, 0) = -1.0;
+  j(1, 1) = -1.0;
 }
 
 void harmonic_rhs(double, std::span<const double> y, Vec& d) {
@@ -37,10 +49,20 @@ void harmonic_rhs(double, std::span<const double> y, Vec& d) {
   d[1] = -y[0];
 }
 
+void harmonic_jacobian(double, std::span<const double>, Matrix& j) {
+  j(0, 1) = 1.0;
+  j(1, 0) = -1.0;
+}
+
 double first_component(std::span<const double> y) { return y[0]; }
 
-ShootingOptions vdp_options() {
+/// The tests' integrator: the cycle path's third-order Rosenbrock at tight
+/// tolerances, on the problem's closed-form Jacobian (van der Pol's unless
+/// named).
+ShootingOptions vdp_options(OdeJacobian jacobian = vdp_jacobian) {
   ShootingOptions opts;
+  opts.ode.method = OdeMethod::kRosenbrock3;
+  opts.ode.jacobian = jacobian;
   opts.ode.abs_tol = 1e-10;
   opts.ode.rel_tol = 1e-8;
   opts.ode.max_step = 0.5;
@@ -200,7 +222,7 @@ TEST(ShootingTest, CleanGiveUpOnNonPeriodicTrajectory) {
   // cycle.
   const OdeRhs f = decay_rhs;
   const ShootingResult r =
-      solve_limit_cycle(f, Vec{1.0, 1.0}, 5.0, vdp_options());
+      solve_limit_cycle(f, Vec{1.0, 1.0}, 5.0, vdp_options(decay_jacobian));
   EXPECT_FALSE(r.converged);
 }
 
@@ -219,7 +241,7 @@ TEST(ShootingTest, SubAmplitudeOrbitIsRejected) {
   // T = 2 pi, but its amplitude sits below min_amplitude: a fixed point
   // masquerading as a cycle for the caller's purposes.
   const OdeRhs f = harmonic_rhs;
-  ShootingOptions opts = vdp_options();
+  ShootingOptions opts = vdp_options(harmonic_jacobian);
   opts.min_amplitude = 1e-4;
   const ShootingResult r =
       solve_limit_cycle(f, Vec{1e-6, 0.0}, 2.0 * 3.14159265358979, opts);
@@ -248,9 +270,22 @@ TEST(ShootingTest, EstimatePeriodReadsTheVdpPeriodAndSeedsTheSolver) {
 
 TEST(ShootingTest, EstimatePeriodRejectsNonPeriodicTrajectories) {
   const OdeRhs f = decay_rhs;
-  const PeriodEstimate est =
-      estimate_period(f, Vec{1.0, 1.0}, 40.0, 0.05, vdp_options().ode);
+  const PeriodEstimate est = estimate_period(f, Vec{1.0, 1.0}, 40.0, 0.05,
+                                             vdp_options(decay_jacobian).ode);
   EXPECT_FALSE(est.valid);
+}
+
+TEST(ShootingTest, NullJacobianIsRejected) {
+  // The flights and the variational update both need dF/dy in closed form:
+  // a null callback throws before any work, even for a guess the period
+  // bounds would reject.
+  const OdeRhs f = vdp_rhs;
+  ShootingOptions opts = vdp_options();
+  opts.ode.jacobian = nullptr;
+  EXPECT_THROW((void)solve_limit_cycle(f, Vec{2.0, 0.0}, 6.5, opts),
+               std::invalid_argument);
+  EXPECT_THROW((void)solve_limit_cycle(f, Vec{2.0, 0.0}, 1e5, opts),
+               std::invalid_argument);
 }
 
 // --- pseudo-cycle families ---------------------------------------------------
@@ -272,13 +307,27 @@ void family_rhs(double, std::span<const double> y, Vec& d) {
   d[2] = -kFamilyEps * y[2];
 }
 
+/// The planar Hopf block of the Jacobian; the third row is left zero.
+void hopf_jacobian(double, std::span<const double> y, Matrix& j) {
+  const double r2 = y[0] * y[0] + y[1] * y[1];
+  j(0, 0) = 1.0 - r2 - 2.0 * y[0] * y[0];
+  j(0, 1) = -1.0 - 2.0 * y[0] * y[1];
+  j(1, 0) = 1.0 - 2.0 * y[0] * y[1];
+  j(1, 1) = 1.0 - r2 - 2.0 * y[1] * y[1];
+}
+
+void family_jacobian(double t, std::span<const double> y, Matrix& j) {
+  hopf_jacobian(t, y, j);
+  j(2, 2) = -kFamilyEps;
+}
+
 TEST(ShootingTest, DriftModeSnapshotsThePseudoCycleItWasGiven) {
   // With a drift budget the solver accepts the pseudo-cycle NEAR the guess
   // instead of chasing the family: the snapshot keeps z close to the
   // launch level (only a couple of e^{-2 pi eps} contractions away), the
   // period is the family's ~2 pi, and the migration rate is reported.
   const OdeRhs f = family_rhs;
-  ShootingOptions opts = vdp_options();
+  ShootingOptions opts = vdp_options(family_jacobian);
   opts.drift_tolerance = 0.05;
   const ShootingResult r =
       solve_limit_cycle(f, Vec{1.0, 0.0, 0.5}, 6.2, opts);
@@ -298,7 +347,7 @@ TEST(ShootingTest, DriftModeStillGivesUpCleanlyOffCycle) {
   // The budget forgives slow family drift, never non-periodicity: pure
   // decay must remain a clean give-up even with the budget wide open.
   const OdeRhs f = decay_rhs;
-  ShootingOptions opts = vdp_options();
+  ShootingOptions opts = vdp_options(decay_jacobian);
   opts.drift_tolerance = 0.05;
   const ShootingResult r = solve_limit_cycle(f, Vec{1.0, 1.0}, 5.0, opts);
   EXPECT_FALSE(r.converged);
@@ -351,7 +400,7 @@ constexpr std::size_t kScanRows = 801;  // kScanHorizon / kScanDt + 1
 /// Integrates [0, horizon] in legs of `leg` units with a TrajectorySampler
 /// on the step observer, the way the kinetic window feeds its gate.
 MeanCrossings gate_crossings(OdeRhs f, const Vec& y0, double leg) {
-  OdeOptions iopts = vdp_options().ode;
+  OdeOptions iopts = vdp_options(hopf_jacobian).ode;
   TrajectorySampler sampler(f, Workspace::thread_local_instance(), 0.0, y0,
                             kScanDt, kScanRows);
   iopts.step_observer = sampler;
@@ -370,7 +419,7 @@ TEST(PeriodScanTest, SamplerRecordsTheScanGridOfAnOscillation) {
   const OdeRhs f = hopf_drift_rhs<0>;
   const Vec y0{1.0, 0.0, 0.3};
   const PeriodEstimate est =
-      estimate_period(f, y0, kScanHorizon, kScanDt, vdp_options().ode);
+      estimate_period(f, y0, kScanHorizon, kScanDt, vdp_options(hopf_jacobian).ode);
   ASSERT_TRUE(est.valid);
   EXPECT_NEAR(est.period, kTwoPi, 0.05);
 
@@ -379,7 +428,7 @@ TEST(PeriodScanTest, SamplerRecordsTheScanGridOfAnOscillation) {
   const MeanCrossings scan = gate_crossings(f, y0, 10.0);
   EXPECT_GE(scan.count, kGateMinCrossings);
   EXPECT_GE(scan.count, 6u);  // ~6.4 periods
-  OdeOptions iopts = vdp_options().ode;
+  OdeOptions iopts = vdp_options(hopf_jacobian).ode;
   TrajectorySampler sampler(f, Workspace::thread_local_instance(), 0.0, y0,
                             kScanDt, kScanRows);
   iopts.step_observer = sampler;
@@ -398,7 +447,7 @@ TEST(PeriodScanTest, LinearDriftDefeatsTheScanAndTheGate) {
   const OdeRhs f = hopf_drift_rhs<500>;
   const Vec y0{1.0, 0.0, 0.0};
   const PeriodEstimate est =
-      estimate_period(f, y0, kScanHorizon, kScanDt, vdp_options().ode);
+      estimate_period(f, y0, kScanHorizon, kScanDt, vdp_options(hopf_jacobian).ode);
   EXPECT_FALSE(est.valid);
 
   const MeanCrossings scan = gate_crossings(f, y0, 10.0);

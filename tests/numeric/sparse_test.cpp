@@ -70,24 +70,6 @@ TEST(SparseTest, MultiplyMatchesDense) {
   for (std::size_t i = 0; i < ys.size(); ++i) EXPECT_NEAR(ys[i], yd[i], 1e-12);
 }
 
-TEST(SparseTest, MultiplyTransposedMatchesDense) {
-  Rng rng(43);
-  SparseMatrix::Builder b(15, 10);
-  for (int k = 0; k < 60; ++k) {
-    b.add(rng.uniform_index(15), rng.uniform_index(10), rng.normal());
-  }
-  const SparseMatrix m = b.build();
-  const Matrix dense_t = m.to_dense().transposed();
-
-  Vec x(15);
-  for (double& v : x) v = rng.normal();
-
-  Vec ys;
-  m.multiply_transposed(x, ys);
-  const Vec yd = dense_t.multiply(x);
-  for (std::size_t i = 0; i < ys.size(); ++i) EXPECT_NEAR(ys[i], yd[i], 1e-12);
-}
-
 TEST(SparseTest, ResidualNorm1) {
   const SparseMatrix m = small();
   // S x for x = (1, 1, 1): rows (3, -3) -> |3| + |-3| = 6.
