@@ -1,42 +1,34 @@
-// Evaluation cache + tangent-model prescreen benchmark.
+// Tangent-model prescreen stress benchmark.
 //
-// Measures the two PR-6 evaluation accelerators on a migration-heavy PMO2 +
-// robustness-ensemble workload, in two phases:
-//
-// Phase 1 (cache determinism): the same photosynthesis RunSpec is executed
-// through api::run() with the evaluation cache off and on, at island_threads
-// {1, 2, 8}.  All six archive fingerprints must be bit-identical — the
-// cache's epoch-committed staging makes memoization invisible to the search
-// — and the cached legs must actually serve hits.  Any divergence exits
-// non-zero.
-//
-// Phase 2 (full-solve reduction): a composed workload the prescreen was
-// built for.  A migration-heavy PMO2 archipelago optimizes a near-threshold
-// photosynthesis problem at FULL fidelity (prescreen off, so the archive is
-// bit-identical across legs by construction), then a perturbation-stress
-// study runs global-yield ensembles at escalating amplitudes (the stress
-// ladder) around the lowest-uptake Pareto designs — the designs whose
-// feasibility is actually at risk under expression noise, i.e. the natural
-// robustness question for a constrained design.  Three legs:
-//   off    — no cache, no prescreen (every novel trial is a full ladder solve);
-//   cache  — evaluation cache on, prescreen off;
-//   screen — cache on, and the tangent-model prescreen enabled for the
-//            stress stage: trials whose first-order uptake prediction sits
-//            confidently below min_uptake skip the kinetic solve and report
-//            infeasible.  Skips never touch the archive (it is already
-//            frozen), so the Pareto front and its quality metrics are
-//            unchanged BY CONSTRUCTION; the only observable is the gamma
-//            estimate, whose drift is measured and reported per ensemble.
+// A composed workload the prescreen was built for.  A migration-heavy PMO2
+// archipelago optimizes a near-threshold photosynthesis problem at FULL
+// fidelity (prescreen off, so the archive is bit-identical across legs by
+// construction), then a perturbation-stress study runs global-yield
+// ensembles at escalating amplitudes (the stress ladder) around the
+// lowest-uptake Pareto designs — the designs whose feasibility is actually
+// at risk under expression noise, i.e. the natural robustness question for
+// a constrained design.  Two legs:
+//   off    — prescreen off: every novel trial is a full ladder solve, and
+//            exact repeats are answered by the warm pool's exact-key hit;
+//   screen — the tangent-model prescreen enabled for the stress stage:
+//            trials whose first-order uptake prediction sits confidently
+//            below min_uptake skip the kinetic solve and report infeasible.
+//            Skips never touch the archive (it is already frozen), so the
+//            Pareto front and its quality metrics are unchanged BY
+//            CONSTRUCTION; the only observable is the gamma estimate, whose
+//            drift is measured and reported per ensemble.
 // The headline metric is the reduction in full kinetic solves
 // (off.full_evaluations / screen.full_evaluations) across the whole
-// workload; RMP_EVALCACHE_MIN_REDUCTION (default 1.5) gates it.
+// workload; RMP_PRESCREEN_MIN_REDUCTION (default 1.5) gates it.
 //
-// Environment knobs: RMP_EVALCACHE_GENERATIONS (10), RMP_EVALCACHE_TRIALS
-// (250 per ensemble), RMP_EVALCACHE_ISLANDS (8), RMP_EVALCACHE_POPULATION
-// (12), RMP_EVALCACHE_CENTERS (6 stress-study designs),
-// RMP_EVALCACHE_THREADS (0 = hardware), RMP_EVALCACHE_MIN_REDUCTION (1.5;
-// 0 = report only), RMP_EVALCACHE_PHASE1_GENERATIONS (6).
-// Usage: eval_cache [output.json]   (default BENCH_evalcache.json)
+// Environment knobs: RMP_PRESCREEN_GENERATIONS (10), RMP_PRESCREEN_TRIALS
+// (250 per ensemble), RMP_PRESCREEN_ISLANDS (8), RMP_PRESCREEN_POPULATION
+// (12), RMP_PRESCREEN_CENTERS (6 stress-study designs),
+// RMP_PRESCREEN_THREADS (0 = hardware), RMP_PRESCREEN_MIN_REDUCTION (1.5;
+// 0 = report only), RMP_PRESCREEN_STRESS (0.3,0.4,0.5),
+// RMP_PRESCREEN_MIN_UPTAKE (12), RMP_PRESCREEN_MARGIN (0.4),
+// RMP_PRESCREEN_RADIUS2 (16).
+// Usage: prescreen_stress [output.json]   (default BENCH_prescreen.json)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -48,11 +40,9 @@
 #include <vector>
 
 #include "api/registry.hpp"
-#include "api/run.hpp"
 #include "core/json.hpp"
 #include "core/report.hpp"
 #include "moo/archive.hpp"
-#include "moo/cached_problem.hpp"
 #include "pareto/front.hpp"
 #include "robustness/yield.hpp"
 
@@ -71,19 +61,17 @@ namespace robustness = rmp::robustness;
 namespace core = rmp::core;
 
 struct Knobs {
-  std::size_t generations = env_or("RMP_EVALCACHE_GENERATIONS", 10);
-  std::size_t trials = env_or("RMP_EVALCACHE_TRIALS", 250);
-  std::size_t islands = env_or("RMP_EVALCACHE_ISLANDS", 8);
-  std::size_t population = env_or("RMP_EVALCACHE_POPULATION", 12);
-  std::size_t centers = env_or("RMP_EVALCACHE_CENTERS", 6);
-  std::size_t threads = env_or("RMP_EVALCACHE_THREADS", 0);
-  std::size_t phase1_generations = env_or("RMP_EVALCACHE_PHASE1_GENERATIONS", 6);
-  double min_reduction = env_or_double("RMP_EVALCACHE_MIN_REDUCTION", 1.5);
+  std::size_t generations = env_or("RMP_PRESCREEN_GENERATIONS", 10);
+  std::size_t trials = env_or("RMP_PRESCREEN_TRIALS", 250);
+  std::size_t islands = env_or("RMP_PRESCREEN_ISLANDS", 8);
+  std::size_t population = env_or("RMP_PRESCREEN_POPULATION", 12);
+  std::size_t centers = env_or("RMP_PRESCREEN_CENTERS", 6);
+  std::size_t threads = env_or("RMP_PRESCREEN_THREADS", 0);
+  double min_reduction = env_or_double("RMP_PRESCREEN_MIN_REDUCTION", 1.5);
   std::uint64_t seed = 7;
-  std::size_t cache_capacity = 8192;
-  double min_uptake = env_or_double("RMP_EVALCACHE_MIN_UPTAKE", 12.0);
-  double margin = env_or_double("RMP_EVALCACHE_MARGIN", 0.4);
-  double radius2 = env_or_double("RMP_EVALCACHE_RADIUS2", 16.0);
+  double min_uptake = env_or_double("RMP_PRESCREEN_MIN_UPTAKE", 12.0);
+  double margin = env_or_double("RMP_PRESCREEN_MARGIN", 0.4);
+  double radius2 = env_or_double("RMP_PRESCREEN_RADIUS2", 16.0);
   // The stress habitat: past-low keeps the near-threshold band of the front
   // out of the model's oscillatory shell, so the warm pool actually holds
   // anchors where the stress trials land (oscillatory roots are never
@@ -99,10 +87,10 @@ struct Knobs {
   }();
   std::string optimizer_fmt = "pmo2?islands=%zu&population=%zu"
                               "&migration_interval=1&migrants=4";
-  /// Comma-separated override, e.g. RMP_EVALCACHE_STRESS=0.25,0.35,0.45.
+  /// Comma-separated override, e.g. RMP_PRESCREEN_STRESS=0.25,0.35,0.45.
   std::vector<double> stress_levels = [] {
     std::vector<double> levels;
-    if (const char* env = std::getenv("RMP_EVALCACHE_STRESS")) {
+    if (const char* env = std::getenv("RMP_PRESCREEN_STRESS")) {
       for (const char* c = env; *c != 0;) {
         char* end = nullptr;
         levels.push_back(std::strtod(c, &end));
@@ -122,41 +110,7 @@ struct Knobs {
 };
 
 // ---------------------------------------------------------------------------
-// Phase 1: cached-vs-uncached fingerprints across island_threads {1, 2, 8}.
-// ---------------------------------------------------------------------------
-
-struct Phase1Result {
-  std::vector<std::uint64_t> fingerprints;  // [threads x {off, cache}]
-  std::size_t cache_hits = 0;
-  bool identical = false;
-};
-
-Phase1Result run_phase1(const Knobs& k) {
-  Phase1Result r;
-  const std::size_t thread_counts[] = {1, 2, 8};
-  for (const std::size_t threads : thread_counts) {
-    for (const std::size_t cache : {std::size_t{0}, k.cache_capacity}) {
-      api::RunSpec spec;
-      spec.problem = k.problem;
-      spec.optimizer = k.optimizer();
-      spec.generations = k.phase1_generations;
-      spec.seed = k.seed;
-      spec.threads = threads;
-      spec.cache = cache;
-      spec.robustness.enabled = true;
-      spec.robustness.trials = 40;
-      const api::RunResult res = api::run(spec);
-      r.fingerprints.push_back(res.fingerprint);
-      if (cache > 0) r.cache_hits += res.eval_stats.cache_hits;
-    }
-  }
-  r.identical = std::all_of(r.fingerprints.begin(), r.fingerprints.end(),
-                            [&](std::uint64_t fp) { return fp == r.fingerprints[0]; });
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Phase 2: the stress-study workload, once per leg.
+// The stress-study workload, once per leg.
 // ---------------------------------------------------------------------------
 
 struct GammaPoint {
@@ -174,18 +128,18 @@ struct Leg {
   double seconds = 0.0;
 };
 
-Leg run_leg(const Knobs& k, const std::string& name, bool cache, bool screen) {
+Leg run_leg(const Knobs& k, const std::string& name, bool screen) {
   using clock = std::chrono::steady_clock;
   const auto start = clock::now();
   Leg leg;
   leg.name = name;
 
-  std::shared_ptr<moo::Problem> problem = api::ProblemRegistry::global().make(k.problem);
-  if (cache) problem = std::make_shared<moo::CachedProblem>(problem, k.cache_capacity);
+  const std::shared_ptr<moo::Problem> problem =
+      api::ProblemRegistry::global().make(k.problem);
 
   // Optimization at full fidelity (prescreen off in every leg): the archive
   // — and therefore the front and all quality metrics — is identical across
-  // legs by construction, which phase 2 asserts via the fingerprint.
+  // legs by construction, which main() asserts via the fingerprint.
   const auto optimizer = api::OptimizerRegistry::global().make(
       k.optimizer(), *problem, api::OptimizerContext{k.seed, k.threads});
   optimizer->initialize();
@@ -235,36 +189,24 @@ core::Json stats_json(const moo::EvalStats& s) {
       .set("evaluations", s.evaluations)
       .set("full_evaluations", s.full_evaluations)
       .set("pool_hits", s.pool_hits)
-      .set("cache_hits", s.cache_hits)
       .set("prescreen_skips", s.prescreen_skips);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_evalcache.json";
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_prescreen.json";
   const Knobs k;
 
-  // ---- Phase 1 ------------------------------------------------------------
-  std::printf("== Evaluation cache determinism: cache {off, on} x island_threads {1, 2, 8} ==\n");
-  const Phase1Result p1 = run_phase1(k);
-  std::printf("fingerprints: ");
-  for (const std::uint64_t fp : p1.fingerprints) std::printf("%016llx ",
-      static_cast<unsigned long long>(fp));
-  std::printf("\n%s (cache hits served: %zu)\n",
-              p1.identical ? "IDENTICAL" : "DIVERGED", p1.cache_hits);
-
-  // ---- Phase 2 ------------------------------------------------------------
-  std::printf("\n== Stress-study workload: %zu gens x %zu islands, "
+  std::printf("== Prescreen stress study: %zu gens x %zu islands, "
               "%zu designs x %zu stress levels x %zu trials ==\n",
               k.generations, k.islands, k.centers, k.stress_levels.size(), k.trials);
-  const Leg off = run_leg(k, "off", /*cache=*/false, /*screen=*/false);
-  const Leg cache = run_leg(k, "cache", /*cache=*/true, /*screen=*/false);
-  const Leg screen = run_leg(k, "screen", /*cache=*/true, /*screen=*/true);
+  const Leg off = run_leg(k, "off", /*screen=*/false);
+  const Leg screen = run_leg(k, "screen", /*screen=*/true);
 
   core::TextTable table({"leg", "fingerprint", "front", "evals", "full", "pool",
-                         "cache", "skips", "seconds"});
-  for (const Leg* leg : {&off, &cache, &screen}) {
+                         "skips", "seconds"});
+  for (const Leg* leg : {&off, &screen}) {
     char fp[24];
     std::snprintf(fp, sizeof fp, "%016llx",
                   static_cast<unsigned long long>(leg->fingerprint));
@@ -272,14 +214,12 @@ int main(int argc, char** argv) {
                std::to_string(leg->stats.evaluations),
                std::to_string(leg->stats.full_evaluations),
                std::to_string(leg->stats.pool_hits),
-               std::to_string(leg->stats.cache_hits),
                std::to_string(leg->stats.prescreen_skips),
                core::TextTable::fixed(leg->seconds, 2)});
   }
   table.print(std::cout);
 
-  const bool fronts_identical =
-      off.fingerprint == cache.fingerprint && off.fingerprint == screen.fingerprint;
+  const bool fronts_identical = off.fingerprint == screen.fingerprint;
   const double reduction =
       static_cast<double>(off.stats.full_evaluations) /
       static_cast<double>(std::max<std::size_t>(screen.stats.full_evaluations, 1));
@@ -296,19 +236,8 @@ int main(int argc, char** argv) {
               off.gammas.size(), max_dgamma);
 
   // ---- Artifact -----------------------------------------------------------
-  core::Json phase1 = core::Json::object();
-  {
-    core::Json fps = core::Json::array();
-    for (const std::uint64_t fp : p1.fingerprints) fps.push_back(core::Json::hex(fp));
-    phase1.set("fingerprints", std::move(fps))
-        .set("identical", p1.identical)
-        .set("cache_hits", p1.cache_hits)
-        .set("island_threads",
-             core::Json::array().push_back(std::size_t{1}).push_back(std::size_t{2})
-                 .push_back(std::size_t{8}));
-  }
   core::Json legs = core::Json::array();
-  for (const Leg* leg : {&off, &cache, &screen}) {
+  for (const Leg* leg : {&off, &screen}) {
     core::Json gammas = core::Json::array();
     for (const GammaPoint& g : leg->gammas) {
       gammas.push_back(core::Json::object()
@@ -326,7 +255,7 @@ int main(int argc, char** argv) {
   }
   const core::Json doc =
       core::Json::object()
-          .set("benchmark", "eval_cache")
+          .set("benchmark", "prescreen_stress")
           .set("config",
                core::Json::object()
                    .set("problem", k.problem)
@@ -341,9 +270,7 @@ int main(int argc, char** argv) {
                           return a;
                         }())
                    .set("threads", k.threads)
-                   .set("cache_capacity", k.cache_capacity)
                    .set("min_reduction", k.min_reduction))
-          .set("phase1", std::move(phase1))
           .set("legs", std::move(legs))
           .set("fronts_identical", fronts_identical)
           .set("full_solve_reduction", reduction)
@@ -354,16 +281,8 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", out_path.c_str());
 
-  if (!p1.identical) {
-    std::fprintf(stderr, "FAIL: cached-vs-uncached archive fingerprints diverged\n");
-    return 1;
-  }
-  if (p1.cache_hits == 0) {
-    std::fprintf(stderr, "FAIL: cached legs served no hits — cache inert on this workload\n");
-    return 1;
-  }
   if (!fronts_identical) {
-    std::fprintf(stderr, "FAIL: phase-2 leg archives diverged\n");
+    std::fprintf(stderr, "FAIL: leg archives diverged\n");
     return 1;
   }
   if (k.min_reduction > 0.0 && reduction < k.min_reduction) {

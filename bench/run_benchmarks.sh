@@ -22,7 +22,7 @@ SMOKE="${RMP_BENCH_SMOKE:-0}"
 # carries acceptance gates (determinism cross-checks, speedup floors); a
 # missing one must fail the driver up front, not let the remaining phases
 # "pass" while a gate was silently never exercised.
-REQUIRED_BENCHES=(pmo2_scaling archive_scaling kinetics_scaling eval_cache)
+REQUIRED_BENCHES=(pmo2_scaling archive_scaling kinetics_scaling prescreen_stress)
 missing=0
 for b in "${REQUIRED_BENCHES[@]}"; do
   if [[ ! -x "${BUILD_DIR}/bench/${b}" ]]; then
@@ -51,11 +51,10 @@ if [[ "${SMOKE}" == "1" ]]; then
   # Kinetic work ceilings for the smoke stream (see the full-scale block).
   export RMP_KINETICS_MAX_RHS="${RMP_KINETICS_MAX_RHS:-11037}"
   export RMP_KINETICS_MAX_LU="${RMP_KINETICS_MAX_LU:-4472}"
-  export RMP_EVALCACHE_GENERATIONS="${RMP_EVALCACHE_GENERATIONS:-4}"
-  export RMP_EVALCACHE_PHASE1_GENERATIONS="${RMP_EVALCACHE_PHASE1_GENERATIONS:-2}"
-  export RMP_EVALCACHE_TRIALS="${RMP_EVALCACHE_TRIALS:-60}"
-  export RMP_EVALCACHE_CENTERS="${RMP_EVALCACHE_CENTERS:-3}"
-  export RMP_EVALCACHE_MIN_REDUCTION="${RMP_EVALCACHE_MIN_REDUCTION:-0}"
+  export RMP_PRESCREEN_GENERATIONS="${RMP_PRESCREEN_GENERATIONS:-4}"
+  export RMP_PRESCREEN_TRIALS="${RMP_PRESCREEN_TRIALS:-60}"
+  export RMP_PRESCREEN_CENTERS="${RMP_PRESCREEN_CENTERS:-3}"
+  export RMP_PRESCREEN_MIN_REDUCTION="${RMP_PRESCREEN_MIN_REDUCTION:-0}"
 else
   # Full scale enforces the acceptance bars: >= 5x batch-vs-naive archive
   # merges, and the wall-clock speedup floors below.  Smoke runs skip the
@@ -78,13 +77,15 @@ else
   # a few aligned-Picard one-period flights replace the ~18-period averaging
   # window).
   export RMP_KINETICS_MIN_V2_MIXED="${RMP_KINETICS_MIN_V2_MIXED:-2}"
-  # eval_cache enforces a >= 1.5x full-kinetic-solve reduction on the
-  # stress-study workload (measured 1.74x); its reduction counters are
+  # prescreen_stress enforces a >= 1.5x full-kinetic-solve reduction on the
+  # stress-study workload (measured 1.74x when the gate was set; 1.34x
+  # today — off 5544 vs screen 4149 full solves, 1395 skips — so this floor
+  # currently FAILS at full scale, see ROADMAP).  Its counters are
   # deterministic (seeded, epoch-committed), so the gate is exact, not a
   # wall-clock measurement.  Smoke scale skips the gate (workload too small
-  # for a representative skip rate) but still enforces the fingerprint
-  # identities.
-  export RMP_EVALCACHE_MIN_REDUCTION="${RMP_EVALCACHE_MIN_REDUCTION:-1.5}"
+  # for a representative skip rate) but still enforces the leg-archive
+  # identity.
+  export RMP_PRESCREEN_MIN_REDUCTION="${RMP_PRESCREEN_MIN_REDUCTION:-1.5}"
 fi
 
 # 1. The gated benches.  Non-zero exit = a contract broke:
@@ -94,13 +95,13 @@ fi
 #    kinetics_scaling checks the steady-state engine (thread-invariant
 #    fingerprints for every solver configuration, the work ceilings at both
 #    scales, and the v2-over-v1 wall floor at full scale),
-#    eval_cache checks cached-vs-uncached archive fingerprints at
-#    island_threads {1,2,8} plus the prescreen's full-solve reduction on the
-#    stress-study workload (>= 1.5x at full scale).
+#    prescreen_stress checks that its two legs' archives are identical and
+#    the prescreen's full-solve reduction on the stress-study workload
+#    (>= 1.5x at full scale).
 "${BUILD_DIR}/bench/pmo2_scaling" "${OUT_DIR}/BENCH_pmo2.json"
 "${BUILD_DIR}/bench/archive_scaling" "${OUT_DIR}/BENCH_archive.json"
 "${BUILD_DIR}/bench/kinetics_scaling" "${OUT_DIR}/BENCH_kinetics.json"
-"${BUILD_DIR}/bench/eval_cache" "${OUT_DIR}/BENCH_evalcache.json"
+"${BUILD_DIR}/bench/prescreen_stress" "${OUT_DIR}/BENCH_prescreen.json"
 
 # Every artifact must exist and be non-empty — an empty file means a binary
 # died after truncating its output, which set -e alone would already have
@@ -109,7 +110,7 @@ fi
 # that never computed speedup_v2_mixed or the work totals would otherwise
 # sail past the RMP_KINETICS_MIN_V2_MIXED floor or the work ceilings without
 # measuring anything.
-for artifact in BENCH_pmo2 BENCH_archive BENCH_kinetics BENCH_evalcache; do
+for artifact in BENCH_pmo2 BENCH_archive BENCH_kinetics BENCH_prescreen; do
   [[ -s "${OUT_DIR}/${artifact}.json" ]] \
     || { echo "error: ${OUT_DIR}/${artifact}.json missing or empty" >&2; exit 1; }
 done
@@ -120,7 +121,7 @@ done
 
 # Validate the artifacts when a JSON parser is on the PATH.
 if command -v python3 >/dev/null 2>&1; then
-  for artifact in BENCH_pmo2 BENCH_archive BENCH_kinetics BENCH_evalcache; do
+  for artifact in BENCH_pmo2 BENCH_archive BENCH_kinetics BENCH_prescreen; do
     python3 -m json.tool "${OUT_DIR}/${artifact}.json" >/dev/null \
       && echo "${artifact}.json: valid JSON"
   done
@@ -153,5 +154,5 @@ echo
 echo "== ${OUT_DIR}/BENCH_kinetics.json =="
 cat "${OUT_DIR}/BENCH_kinetics.json"
 echo
-echo "== ${OUT_DIR}/BENCH_evalcache.json =="
-cat "${OUT_DIR}/BENCH_evalcache.json"
+echo "== ${OUT_DIR}/BENCH_prescreen.json =="
+cat "${OUT_DIR}/BENCH_prescreen.json"

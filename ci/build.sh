@@ -45,11 +45,12 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-# Cache differential gate, surfaced on its own (it also ran inside the full
-# suite above): cached / prescreened / plain runs must produce identical
-# archive fingerprints, mined candidates and robustness verdicts at
-# island_threads {1, 2, 8}.  A regression here means the evaluation cache
-# changed results — the one thing it must never do.
+# Repeat-path differential gate, surfaced on its own (it also ran inside the
+# full suite above): plain and prescreened kinetic runs, and a plain analytic
+# run, must each produce identical archive fingerprints, mined candidates,
+# robustness verdicts and evaluation accounting at island_threads {1, 2, 8}.
+# A regression here means the warm pool's exact hit or the prescreen made a
+# result depend on the thread count.
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -R "CacheDifferential"
 
 # Golden fingerprint gate, surfaced on its own for the same reason: the
@@ -84,7 +85,7 @@ mkdir -p "${SPOOL}/jobs" "${SERVE_SPECS}"
 cat > "${SERVE_SPECS}/jobA.json" <<'EOF'
 {"problem": "photosynthesis?scenario=present-low&pool=4096",
  "optimizer": "pmo2?islands=2&population=8&migration_interval=2&migrants=2",
- "generations": 40, "seed": 7, "threads": 2, "cache": 4096}
+ "generations": 40, "seed": 7, "threads": 2}
 EOF
 cat > "${SERVE_SPECS}/jobB.json" <<'EOF'
 {"problem": "zdt1?n=6", "optimizer": "nsga2?population=16",
@@ -144,7 +145,7 @@ RMP_BENCH_SMOKE=1 BUILD_DIR="${BUILD_DIR}" \
 # asserts this itself; re-checking here keeps CI honest even if the driver's
 # internal checks regress — a missing artifact means a determinism gate was
 # skipped, never a benign omission.
-for artifact in BENCH_pmo2 BENCH_archive BENCH_kinetics BENCH_evalcache; do
+for artifact in BENCH_pmo2 BENCH_archive BENCH_kinetics BENCH_prescreen; do
   test -s "${BUILD_DIR}/bench-results/${artifact}.json" \
     || { echo "bench smoke left no ${artifact}.json — phase gates skipped" >&2; exit 1; }
 done
@@ -183,7 +184,7 @@ SAN_TESTS=(
   numeric_workspace_test
   kinetics_c3model_test kinetics_control_analysis_test kinetics_enzymes_test
   kinetics_problem_test kinetics_prescreen_test kinetics_warm_start_test
-  moo_evalcache_test integration_cache_differential_test
+  integration_cache_differential_test
   robustness_robustness_test
   api_run_test api_session_test api_serve_test
   core_fault_test api_chaos_test)
@@ -192,7 +193,7 @@ SAN_TESTS=(
 # configuration — run_benchmarks.sh itself stays on the Release build, but a
 # bench that no longer compiles with sentinels + sanitizers on is a rotted
 # gate.
-BENCH_GATES=(pmo2_scaling archive_scaling kinetics_scaling eval_cache)
+BENCH_GATES=(pmo2_scaling archive_scaling kinetics_scaling prescreen_stress)
 
 # RMP_BUILD_BENCH=ON / RMP_BUILD_TOOLS=ON explicitly: they override the OFF
 # a pre-existing lane directory may still have cached (the bench gates below
@@ -272,12 +273,11 @@ echo "chaos smoke: torn checkpoint quarantined, lease reclaimed, fingerprint mat
 # engine + migration topology (moo_pmo2), the three-phase engine hooks its
 # epochs drive (moo_nsga2, moo_spea2), the flat robustness surface
 # (robustness_robustness), the whole pipeline at threads=4 (api_run), the
-# epoch-committed caches
-# (moo_evalcache covers EvalCache and CachedProblem, kinetics_warm_start the
-# warm pool), the thread-pool core itself, the sentinel suite, and the two
-# differential harnesses that run cached-vs-plain archipelagos at several
-# thread counts.  RelWithDebInfo: TSan's ~10x slowdown on top of -O0 would
-# blow the CI budget, and the contract being checked (mutex-staged writes,
+# epoch-committed warm pool (kinetics_warm_start), the thread-pool core
+# itself, the sentinel suite, and the two differential harnesses that run
+# plain and prescreened archipelagos at several thread counts.
+# RelWithDebInfo: TSan's ~10x slowdown on top of -O0 would blow the CI
+# budget, and the contract being checked (mutex-staged writes,
 # serial-barrier commits) is optimization-independent.  RMP_POOL_WORKERS
 # forces a real worker pool even on single-core CI runners — otherwise the
 # global pool sizes itself to zero workers, every "parallel" region runs
@@ -287,7 +287,7 @@ echo "chaos smoke: torn checkpoint quarantined, lease reclaimed, fingerprint mat
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 TSAN_TESTS=(
   core_parallel_test core_sentinel_test
-  moo_pmo2_test moo_nsga2_test moo_spea2_test moo_evalcache_test
+  moo_pmo2_test moo_nsga2_test moo_spea2_test
   kinetics_warm_start_test robustness_robustness_test
   integration_cache_differential_test numeric_solver_differential_test
   api_run_test api_session_test api_serve_test)

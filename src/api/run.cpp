@@ -70,7 +70,6 @@ core::Json result_to_json(const RunResult& result) {
       .set("eval_stats",
            Json::object()
                .set("evaluations", result.eval_stats.evaluations)
-               .set("cache_hits", result.eval_stats.cache_hits)
                .set("prescreen_skips", result.eval_stats.prescreen_skips)
                .set("pool_hits", result.eval_stats.pool_hits)
                .set("full_evaluations", result.eval_stats.full_evaluations))

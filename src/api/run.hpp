@@ -53,9 +53,9 @@ struct RunResult {
   std::uint64_t fingerprint = 0;
   std::size_t evaluations = 0;
   /// Evaluation accounting over the WHOLE run (optimize + mining +
-  /// robustness): cache hits, prescreen skips, warm-pool exact hits and the
-  /// full evaluations that remained.  All totals are thread-count invariant;
-  /// all-zero when the problem is uninstrumented and no cache is configured.
+  /// robustness): prescreen skips, warm-pool exact hits and the full
+  /// evaluations that remained.  All totals are thread-count invariant;
+  /// all-zero when the problem is uninstrumented.
   moo::EvalStats eval_stats;
   /// Closest-to-ideal and the shadow minima (when mining is on), then the
   /// max-yield pick of the robustness surface (when it ran).

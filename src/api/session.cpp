@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/fault.hpp"
-#include "moo/cached_problem.hpp"
 #include "moo/state.hpp"
 #include "pareto/mining.hpp"
 #include "robustness/yield.hpp"
@@ -75,7 +74,6 @@ core::Json progress_to_json(const SessionProgress& progress) {
       .set("eval_stats",
            Json::object()
                .set("evaluations", progress.eval_stats.evaluations)
-               .set("cache_hits", progress.eval_stats.cache_hits)
                .set("prescreen_skips", progress.eval_stats.prescreen_skips)
                .set("pool_hits", progress.eval_stats.pool_hits)
                .set("full_evaluations", progress.eval_stats.full_evaluations))
@@ -100,11 +98,6 @@ void Session::construct_stack() {
   if (spec_.prescreen && !problem_->set_prescreen(true)) {
     throw SpecError("spec \"prescreen\": problem \"" + spec_.problem +
                     "\" has no tangent-model prescreen");
-  }
-  if (spec_.cache > 0) {
-    // Decorate AFTER the prescreen switch: the cache forwards set_prescreen
-    // but the error message above names the inner problem directly.
-    problem_ = std::make_shared<moo::CachedProblem>(problem_, spec_.cache);
   }
   optimizer_ = OptimizerRegistry::global().make(
       spec_.optimizer, *problem_, OptimizerContext{spec_.seed, spec_.threads});

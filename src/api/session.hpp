@@ -4,9 +4,9 @@
 // needs the same pipeline sliced into epoch-sized steps that can pause,
 // checkpoint, and resume in a different process.  The determinism contract
 // makes that slicing exact: all mutable run state (engine populations, RNG
-// stream positions, the run archive, the problem's warm pool and evaluation
-// cache) moves only at serial epoch barriers, so a Session serialized at an
-// epoch boundary and restored into a fresh process continues bit-exactly —
+// stream positions, the run archive, the problem's warm pool) moves only at
+// serial epoch barriers, so a Session serialized at an epoch boundary and
+// restored into a fresh process continues bit-exactly —
 // the resumed run's archive fingerprint, mined candidates and EvalStats
 // totals are identical to the uninterrupted run's, for any island_threads.
 //
@@ -40,7 +40,7 @@ namespace rmp::api {
 
 /// Committed-epoch progress event: cumulative counters as of the epoch
 /// barrier.  eval_stats carries the full accounting breakdown
-/// (cache_hits/prescreen_skips/pool_hits/full_evaluations) every epoch —
+/// (prescreen_skips/pool_hits/full_evaluations) every epoch —
 /// not only at end-of-run as RunResult does.
 struct SessionProgress {
   std::size_t epoch = 0;         ///< committed epochs (0 = initialized only)
@@ -61,8 +61,9 @@ class Session {
   /// hook of Optimizer::run, preserved across the run-layer split.
   using Observer = std::function<void(const SessionProgress&)>;
 
-  /// Envelope schema version; bumped when the checkpoint layout changes.
-  static constexpr std::int64_t kStateVersion = 1;
+  /// Envelope schema version; bumped when the checkpoint layout changes
+  /// (2: the problem state no longer nests an evaluation-cache layer).
+  static constexpr std::int64_t kStateVersion = 2;
 
   /// Builds problem + optimizer from the spec and runs epoch 0
   /// (Optimizer::initialize, including the initial population's archive

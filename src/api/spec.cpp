@@ -101,7 +101,7 @@ RunSpec spec_from_json(const Json& doc) {
   if (!doc.is_object()) throw SpecError("a run spec must be a JSON object");
   require_keys(doc,
                {"problem", "optimizer", "generations", "seed", "threads",
-                "include_decision_vectors", "cache", "prescreen",
+                "include_decision_vectors", "prescreen",
                 "checkpoint_every", "checkpoint_path", "mining",
                 "robustness"},
                "the run spec");
@@ -126,9 +126,6 @@ RunSpec spec_from_json(const Json& doc) {
   if (const Json* v = doc.find("include_decision_vectors")) {
     spec.include_decision_vectors =
         field("include_decision_vectors", [&] { return v->as_bool(); });
-  }
-  if (const Json* v = doc.find("cache")) {
-    spec.cache = field("cache", [&] { return v->as_size(); });
   }
   if (const Json* v = doc.find("prescreen")) {
     spec.prescreen = field("prescreen", [&] { return v->as_bool(); });
@@ -163,7 +160,6 @@ Json spec_to_json(const RunSpec& spec) {
       .set("seed", spec.seed)
       .set("threads", spec.threads)
       .set("include_decision_vectors", spec.include_decision_vectors)
-      .set("cache", spec.cache)
       .set("prescreen", spec.prescreen)
       .set("checkpoint_every", spec.checkpoint_every)
       .set("checkpoint_path", spec.checkpoint_path)

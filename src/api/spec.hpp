@@ -59,20 +59,12 @@ struct RunSpec {
   /// Decision vectors of front members in the serialized result (mined
   /// candidates always carry theirs).
   bool include_decision_vectors = false;
-  /// Evaluation-cache capacity: when > 0 the problem is wrapped in a
-  /// moo::CachedProblem with this many entries, so bitwise-repeated
-  /// candidates (migration copies, pass-through children, robustness
-  /// nominals) skip their re-evaluation.  Results are unchanged — the run's
-  /// archive fingerprint is identical with the cache on or off — only the
-  /// work is.  0 = no cache.
-  std::size_t cache = 0;
   /// Tangent-model prescreen (problems that support it — photosynthesis):
   /// candidates whose first-order predicted objective is confidently
   /// infeasible skip the full kinetic solve.  Deterministic and
-  /// thread-count invariant, but unlike `cache` it may change which
-  /// (infeasible) violation values the optimizer sees, so it is opted into
-  /// separately.  Rejected with SpecError when the problem has no
-  /// prescreen.
+  /// thread-count invariant, but it may change which (infeasible)
+  /// violation values the optimizer sees, so it is opted into separately.
+  /// Rejected with SpecError when the problem has no prescreen.
   bool prescreen = false;
   /// Checkpoint cadence: every N committed epochs the session serializes its
   /// full run state (api::Session::checkpoint) to checkpoint_path.  0 = no

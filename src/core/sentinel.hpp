@@ -59,7 +59,7 @@ class ScopedAllocationBan {
 /// Aborts (sentinel builds) when the current thread is inside a
 /// deterministic parallel region — see core::in_deterministic_region().
 /// Instrument state accesses that are forbidden mid-epoch: snapshot commits
-/// (WarmStartPool::commit, EvalCache::commit call this) and any
+/// (WarmStartPool::commit calls this) and any
 /// history-bearing cache whose contents could make results depend on
 /// item-to-thread scheduling.  Release builds: no-op.
 void forbid_in_deterministic_region(const char* what);

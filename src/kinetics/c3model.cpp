@@ -6,8 +6,6 @@
 #include <mutex>
 
 #include "core/parallel.hpp"
-
-#include "moo/evalcache.hpp"
 #include "numeric/newton.hpp"
 #include "numeric/shooting.hpp"
 #include "numeric/workspace.hpp"
@@ -707,16 +705,31 @@ constexpr double kAliveUptake = 0.5;
 /// num::NewtonOptions.
 constexpr std::size_t kChordMaxAge = 8;
 
+/// Residual tolerance of the steady-state ladder's Newton and PTC solves.
+/// Rate magnitudes are O(10) mmol/l/s; a residual of 2e-3 is already ~4
+/// orders below the fluxes of interest.
+constexpr double kNewtonTolerance = 2e-3;
+
+/// Concentration floor of the ladder's Newton/PTC iterates and of the
+/// tangent-extrapolated warm start: metabolite pools stay strictly positive.
+constexpr double kStateFloor = 1e-12;
+
+/// Fast-remainder gate of the cycle path's aligned residual split (see
+/// cycle_shooting_options for how it is sized).
+constexpr double kShotTolerance = 2e-4;
+
+/// PTC's initial pseudo-timestep when plain Newton fails from the start.
+constexpr double kPtcInitialTimestep = 0.5;
+
 /// Damped-Newton options of the steady-state ladder (solve_from's Newton,
 /// PTC and polishes, quick_attempt's warm start), on the flow's analytic
-/// Jacobian.  Rate magnitudes are O(10) mmol/l/s; a residual of 2e-3 is
-/// already ~4 orders below the fluxes of interest.
+/// Jacobian.
 num::NewtonOptions steady_newton_options(num::JacobianFn jacobian,
                                          std::size_t max_iterations) {
   num::NewtonOptions nopts;
   nopts.max_iterations = max_iterations;
-  nopts.tolerance = 2e-3;
-  nopts.state_floor = 1e-12;
+  nopts.tolerance = kNewtonTolerance;
+  nopts.state_floor = kStateFloor;
   nopts.chord_max_age = kChordMaxAge;
   nopts.jacobian = jacobian;
   return nopts;
@@ -755,18 +768,18 @@ num::ShootingOptions cycle_shooting_options() {
   // bootstrap (a 400-unit transient plus a 240-unit period scan) it would
   // otherwise trigger.
   sopts.max_iterations = 16;
-  // Fast-remainder gate for the aligned residual split: 2e-4 * scale ~ 0.3
-  // mmol/l.  Two forces size it.  Downward pressure is answer quality — a
-  // snapshot whose fast modes still carry eps contaminates the cycle
-  // average by O(eps), and the differential harness holds shooting-vs-
-  // window agreement to ~1 mmol/l absolute, so 0.3 stays comfortably
+  // Fast-remainder gate for the aligned residual split: kShotTolerance *
+  // scale ~ 0.3 mmol/l.  Two forces size it.  Downward pressure is answer
+  // quality — a snapshot whose fast modes still carry eps contaminates the
+  // cycle average by O(eps), and the differential harness holds shooting-
+  // vs-window agreement to ~1 mmol/l absolute, so 0.3 stays comfortably
   // inside.  Upward pressure is the fast contraction rate: candidates sit
   // near the Hopf shell where the radial multiplier is only ~0.5/period,
   // so each decade of extra strictness costs 3-4 more full-period rounds
   // on every warm restart (measured: a 3e-2 gate pushed warm solves to
   // 4-8 rounds and timed a third of them out into the cold path, erasing
   // the shooting advantage outright).
-  sopts.tolerance = 2e-4;
+  sopts.tolerance = kShotTolerance;
   return sopts;
 }
 
@@ -797,7 +810,7 @@ SteadyState C3Model::solve_from(std::span<const double> start,
     popts.max_iterations = 150;
     popts.tolerance = nopts.tolerance;
     popts.state_floor = nopts.state_floor;
-    popts.initial_timestep = 0.5;
+    popts.initial_timestep = kPtcInitialTimestep;
     popts.jacobian = nopts.jacobian;
     popts.chord_max_age = nopts.chord_max_age;
     num::NewtonResult ptc = num::solve_pseudo_transient(system, start, popts);
@@ -905,7 +918,7 @@ num::Vec C3Model::warm_extrapolated_start(const WarmStartPool::Entry& entry,
   const num::Vec step = cache.lu->solve(f);
   if (!num::all_finite(step)) return start;
   num::axpy(start, -1.0, step);
-  for (double& v : start) v = std::max(v, 1e-12);
+  for (double& v : start) v = std::max(v, kStateFloor);
   if (!num::all_finite(start)) return num::Vec(entry.state);
   return start;
 }
@@ -928,7 +941,7 @@ TangentPrediction C3Model::predict_uptake(std::span<const double> mult) const {
         pred.valid = true;
         pred.cycle = true;
         pred.dist2 = cyc_d2;
-        pred.exact = moo::bitwise_equal(chit.entry->key, mult);
+        pred.exact = num::bitwise_equal(chit.entry->key, mult);
         pred.uptake = chit.entry->mean_uptake;
         return pred;
       }
@@ -936,7 +949,7 @@ TangentPrediction C3Model::predict_uptake(std::span<const double> mult) const {
   }
   if (hit.entry == nullptr) return pred;
   pred.dist2 = num::dist2(hit.entry->key, mult);
-  if (moo::bitwise_equal(hit.entry->key, mult)) {
+  if (num::bitwise_equal(hit.entry->key, mult)) {
     // Exact repeat: the stored root is the candidate's own, so this is the
     // full solve's answer, not a prediction.
     pred.valid = true;
@@ -1004,7 +1017,7 @@ bool C3Model::pool_exact_lookup(std::span<const double> mult,
   {
     const WarmStartPool::Hit chit = warm_pool_.nearest_cycle(mult);
     if (chit.entry != nullptr && chit.entry->mean_uptake > kAliveUptake &&
-        moo::bitwise_equal(chit.entry->key, mult)) {
+        num::bitwise_equal(chit.entry->key, mult)) {
       num::assign(out.state, chit.entry->state);
       out.co2_uptake = chit.entry->mean_uptake;
       num::Workspace& ws = num::Workspace::thread_local_instance();
@@ -1029,13 +1042,12 @@ bool C3Model::pool_exact_lookup(std::span<const double> mult,
     // candidate's living root, so return it directly instead of
     // re-iterating Newton from it.  Recomputing the uptake from
     // (state, mult) reproduces the originally reported value bitwise
-    // (the accepting attempt computed it the same way), which is what
-    // lets an EvalCache hit stand in for a re-evaluation without
-    // perturbing the optimizer's trajectory.  The root is NOT restaged:
-    // the pool's pending set, and hence its aging, stays identical
-    // whether repeats are answered here or by a cache layer above.
+    // (the accepting attempt computed it the same way), so a repeat
+    // answers exactly as its first evaluation did and the optimizer's
+    // trajectory is unperturbed.  The root is NOT restaged: the pool's
+    // pending set, and hence its aging, is unchanged by repeats.
     const WarmStartPool::Hit hit = warm_pool_.nearest_entry(mult);
-    if (hit.entry != nullptr && moo::bitwise_equal(hit.entry->key, mult)) {
+    if (hit.entry != nullptr && num::bitwise_equal(hit.entry->key, mult)) {
       num::assign(out.state, hit.entry->state);
       out.co2_uptake = co2_uptake(out.state, mult);
       num::Workspace& ws = num::Workspace::thread_local_instance();

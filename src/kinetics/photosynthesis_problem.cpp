@@ -9,9 +9,9 @@ namespace rmp::kinetics {
 
 namespace {
 /// Set by evaluate(), read by last_result_memoizable() on the same thread
-/// immediately afterwards (the CachedProblem contract), so a plain
-/// thread-local is race-free even with several problem instances sharing a
-/// thread.  Starts true: callers that never evaluated have nothing to veto.
+/// immediately afterwards, so a plain thread-local is race-free even with
+/// several problem instances sharing a thread.  Starts true: callers that
+/// never evaluated have nothing to flag.
 thread_local bool t_last_memoizable = true;
 }  // namespace
 
@@ -62,7 +62,7 @@ double PhotosynthesisProblem::evaluate(std::span<const double> x,
 
   const SteadyState ss = model_->steady_state(x);
   // Limit-cycle averages are feasible-looking but not bitwise-repeatable
-  // (no pooled root backs them); veto their memoization.
+  // (no pooled root backs them).
   t_last_memoizable = !ss.oscillatory;
   if (ss.pool_exact_hit) {
     pool_hits_.fetch_add(1, std::memory_order_relaxed);

@@ -75,7 +75,7 @@ class PhotosynthesisProblem final : public moo::Problem {
   void commit_epoch() const override;
 
   /// Evaluation accounting: evaluations/prescreen_skips/pool_hits/
-  /// full_evaluations (cache_hits stays 0 — the cache layer sits above).
+  /// full_evaluations.
   [[nodiscard]] moo::EvalStats eval_stats() const override;
 
   /// Checkpoint seam: the model's warm-start pool (roots + cycle anchors;
@@ -95,14 +95,13 @@ class PhotosynthesisProblem final : public moo::Problem {
     return prescreen_.load(std::memory_order_relaxed);
   }
 
-  /// Vetoes memoization of limit-cycle averages: a repeat of an oscillatory
-  /// candidate re-runs the solve ladder, and only LIVING cycles are backed
-  /// by the pool's exact-key short circuit (dead cycles re-shoot, and a
+  /// False for limit-cycle averages: a repeat of an oscillatory candidate
+  /// re-runs the solve ladder, and only LIVING cycles are backed by the
+  /// pool's exact-key short circuit (dead cycles re-shoot, and a
   /// pool-evicted anchor falls back to the windowed average) — so repeats
-  /// are not bitwise-guaranteed and the veto stays conservative.  Steady
-  /// roots are pooled and reproduced bitwise, so only those are memoizable.
-  /// (Per-thread state, read by the caching decorator straight after
-  /// evaluate() on the same thread.)
+  /// are not bitwise-guaranteed.  Steady roots are pooled and reproduced
+  /// bitwise.  (Per-thread state, read straight after evaluate() on the
+  /// same thread; see moo::Problem::last_result_memoizable.)
   [[nodiscard]] bool last_result_memoizable() const override;
 
   [[nodiscard]] const C3Model& model() const { return *model_; }

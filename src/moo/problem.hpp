@@ -19,12 +19,11 @@
 namespace rmp::moo {
 
 /// Evaluation accounting exposed by instrumented problems (the kinetic
-/// problem, the EvalCache decorator).  All counters are totals since
-/// construction; each is a sum of per-candidate deterministic outcomes, so
-/// the values are invariant under the evaluating thread count.
+/// problem).  All counters are totals since construction; each is a sum of
+/// per-candidate deterministic outcomes, so the values are invariant under
+/// the evaluating thread count.
 struct EvalStats {
   std::size_t evaluations = 0;       ///< evaluate() calls observed
-  std::size_t cache_hits = 0;        ///< answered by an EvalCache snapshot
   std::size_t prescreen_skips = 0;   ///< rejected by the tangent prescreen
   std::size_t pool_hits = 0;         ///< exact warm-pool key short-circuits
   std::size_t full_evaluations = 0;  ///< full (kinetic) solves actually run
@@ -84,11 +83,11 @@ class Problem {
   virtual bool set_prescreen(bool /*enabled*/) const { return false; }
 
   /// Serializes the problem's mutable accelerator state (warm-start pool,
-  /// evaluation cache snapshot, instrumentation counters) into `out` at an
-  /// epoch boundary.  const for the same reason commit_epoch() is: the
-  /// state captured lives in mutable epoch-committed members, and stateless
-  /// problems have nothing to save.  Default: nothing (pure analytic
-  /// problems are fully described by their construction).
+  /// instrumentation counters) into `out` at an epoch boundary.  const for
+  /// the same reason commit_epoch() is: the state captured lives in mutable
+  /// epoch-committed members, and stateless problems have nothing to save.
+  /// Default: nothing (pure analytic problems are fully described by their
+  /// construction).
   virtual void save_state(core::Json& /*out*/) const {}
 
   /// Restores a save_state() document.  Must be called before any
@@ -97,15 +96,12 @@ class Problem {
   virtual void load_state(const core::Json& /*doc*/) const {}
 
   /// Whether the result of the most recent evaluate() call ON THE CALLING
-  /// THREAD is bitwise-repeatable and may therefore be memoized by a
-  /// caching decorator.  A memoizing layer queries this immediately after
-  /// evaluate() on the same thread, before any other call can intervene.
-  /// Problems whose evaluations are not all repeatable — e.g. the kinetic
-  /// problem's limit-cycle averages, which depend on the evolving warm-pool
-  /// snapshot and are never answered by the pool's exact-key short circuit
-  /// — veto memoization here so a cache hit can never stand in for a
-  /// re-evaluation that might have answered differently.  Default: every
-  /// result is repeatable (true for pure analytic problems).
+  /// THREAD is bitwise-repeatable.  The kinetic problem answers false for
+  /// limit-cycle averages, which depend on the evolving warm-pool snapshot.
+  /// No library layer reads it: the only caller is perfbench's
+  /// TracedProblem, which queries it straight after evaluate() on the same
+  /// thread to classify the solve as a cycle.  Default: every result is
+  /// repeatable (true for pure analytic problems).
   [[nodiscard]] virtual bool last_result_memoizable() const { return true; }
 };
 

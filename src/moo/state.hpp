@@ -1,17 +1,17 @@
 // Checkpoint serialization helpers for the moo layer.
 //
 // The determinism contract makes a run fully described by its state at an
-// epoch boundary: all mutable state (populations, archives, cache snapshots,
-// RNG stream positions) moves only at serial commit points, so serializing at
-// a barrier and restoring into a freshly constructed engine reproduces the
-// uninterrupted run bit-exactly.  These helpers are the shared vocabulary of
-// every save_state/load_state implementation (moo::Optimizer, moo::Archive,
-// moo::EvalCache, kinetics::WarmStartPool, api::Session):
+// epoch boundary: all mutable state (populations, archives, warm-pool
+// snapshots, RNG stream positions) moves only at serial commit points, so
+// serializing at a barrier and restoring into a freshly constructed engine
+// reproduces the uninterrupted run bit-exactly.  These helpers are the
+// shared vocabulary of every save_state/load_state implementation
+// (moo::Optimizer, moo::Archive, kinetics::WarmStartPool, api::Session):
 //
 //   * Doubles travel as IEEE-754 bit patterns (core::Json::bits hex strings),
 //     never as decimal text: the round-trip must preserve NaN/Inf (crowding
 //     distances are +inf at front extremes) and the sign of -0.0 (bitwise
-//     cache keys distinguish it).
+//     warm-pool keys distinguish it).
 //   * Individuals serialize ALL five members including the rank/crowding
 //     scratch fields — NSGA-II's binary tournament reads them between steps
 //     and crowding is computed over the merged 2N population, so it cannot

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -68,6 +69,16 @@ void clamp_inplace(Vec& y, std::span<const double> lo, std::span<const double> h
 
 /// True when every element is finite (no NaN / Inf).
 [[nodiscard]] bool all_finite(std::span<const double> a);
+
+/// True iff a and b are identical IEEE-754 bit patterns of equal length —
+/// the kinetic pool's exact-hit key equality.  Stricter than operator==:
+/// -0.0 != +0.0, NaN == same NaN.
+[[nodiscard]] inline bool bitwise_equal(std::span<const double> a,
+                                        std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
 
 /// Sum of elements.
 [[nodiscard]] double sum(std::span<const double> a);

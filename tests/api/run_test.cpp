@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "api/registry.hpp"
 #include "api/spec.hpp"
@@ -97,6 +98,20 @@ TEST(RunSpecTest, RejectsBadSpecs) {
       SpecError);
   // Malformed JSON reaches the caller as JsonError.
   EXPECT_THROW((void)spec_from_string(R"({"problem": )"), core::JsonError);
+}
+
+TEST(RunSpecTest, RejectsTheRemovedCacheKey) {
+  // The evaluation cache is gone (the warm pool's exact hit is the one
+  // memo); a spec that still asks for it must fail naming the key rather
+  // than run without it.
+  try {
+    (void)spec_from_string(
+        R"({"problem": "photosynthesis?scenario=past-low", "cache": 4096})");
+    FAIL() << "a spec carrying \"cache\" was accepted";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("cache"), std::string::npos)
+        << "actual error: " << e.what();
+  }
 }
 
 // The acceptance criterion: the same spec + seed reproduces the same archive

@@ -1,13 +1,11 @@
-// Differential harness for the evaluation cache and the tangent prescreen:
-// the same RunSpec executed with cache off / cache on / cache+prescreen, at
-// island thread counts {1, 2, 8}.
+// Differential harness for the repeat paths of a run — the warm pool's
+// exact-key hit (the one memo) and the tangent prescreen: the same RunSpec
+// executed plain and prescreened, at island thread counts {1, 2, 8}.
 //
 // Contracts under test (the determinism section of ARCHITECTURE.md):
-//   * cache on vs off: IDENTICAL archive fingerprints, fronts and mined
-//     candidates — memoization must change work, never answers;
 //   * every configuration: bit-identical results across thread counts, and
-//     evaluation accounting (cache hits, prescreen skips, pool hits, full
-//     solves) that is itself thread-count invariant;
+//     evaluation accounting (prescreen skips, pool hits, full solves) that
+//     is itself thread-count invariant;
 //   * prescreen on: deterministic and thread-count invariant (it may change
 //     which violation values infeasible candidates report, so it is only
 //     required to agree with itself, not with the unscreened run — see the
@@ -15,23 +13,20 @@
 //   * the counters partition the evaluation budget exactly.
 //
 // The kinetic workload is migration-heavy PMO2 over the photosynthesis
-// problem with a robustness stage — the repeat-rich profile the cache is
-// for.  The pool= knob is sized so the warm pool never evicts (the
-// fingerprint-identity precondition documented in moo/cached_problem.hpp).
+// problem with a robustness stage — a repeat-rich profile, so the pool's
+// exact hit fires.  The pool= knob is sized so the warm pool never evicts.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
 #include "api/run.hpp"
-#include "moo/evalcache.hpp"
+#include "numeric/vec.hpp"
 
 namespace rmp::api {
 namespace {
 
-constexpr std::size_t kCacheCapacity = 4096;
-
-RunSpec kinetic_spec(std::size_t threads, std::size_t cache, bool prescreen) {
+RunSpec kinetic_spec(std::size_t threads, bool prescreen) {
   RunSpec spec;
   spec.problem = "photosynthesis?scenario=present-low&pool=4096";
   spec.optimizer =
@@ -39,7 +34,6 @@ RunSpec kinetic_spec(std::size_t threads, std::size_t cache, bool prescreen) {
   spec.generations = 6;
   spec.seed = 7;
   spec.threads = threads;
-  spec.cache = cache;
   spec.prescreen = prescreen;
   spec.robustness.enabled = true;
   spec.robustness.trials = 6;
@@ -53,14 +47,14 @@ void expect_same_answers(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.evaluations, b.evaluations) << what;
   ASSERT_EQ(a.front.size(), b.front.size()) << what;
   for (std::size_t i = 0; i < a.front.size(); ++i) {
-    EXPECT_TRUE(moo::bitwise_equal(a.front[i].f, b.front[i].f)) << what;
+    EXPECT_TRUE(num::bitwise_equal(a.front[i].f, b.front[i].f)) << what;
   }
   ASSERT_EQ(a.mined.size(), b.mined.size()) << what;
   for (std::size_t i = 0; i < a.mined.size(); ++i) {
     EXPECT_EQ(a.mined[i].selection, b.mined[i].selection) << what;
     EXPECT_EQ(a.mined[i].front_index, b.mined[i].front_index) << what;
-    EXPECT_TRUE(moo::bitwise_equal(a.mined[i].x, b.mined[i].x)) << what;
-    EXPECT_TRUE(moo::bitwise_equal(a.mined[i].objectives, b.mined[i].objectives))
+    EXPECT_TRUE(num::bitwise_equal(a.mined[i].x, b.mined[i].x)) << what;
+    EXPECT_TRUE(num::bitwise_equal(a.mined[i].objectives, b.mined[i].objectives))
         << what;
     ASSERT_EQ(a.mined[i].yield.has_value(), b.mined[i].yield.has_value()) << what;
     if (a.mined[i].yield) {
@@ -74,7 +68,6 @@ void expect_same_answers(const RunResult& a, const RunResult& b,
 void expect_same_accounting(const moo::EvalStats& a, const moo::EvalStats& b,
                             const char* what) {
   EXPECT_EQ(a.evaluations, b.evaluations) << what;
-  EXPECT_EQ(a.cache_hits, b.cache_hits) << what;
   EXPECT_EQ(a.prescreen_skips, b.prescreen_skips) << what;
   EXPECT_EQ(a.pool_hits, b.pool_hits) << what;
   EXPECT_EQ(a.full_evaluations, b.full_evaluations) << what;
@@ -82,8 +75,8 @@ void expect_same_accounting(const moo::EvalStats& a, const moo::EvalStats& b,
 
 void expect_counters_partition_budget(const RunResult& r, const char* what) {
   EXPECT_EQ(r.eval_stats.evaluations,
-            r.eval_stats.cache_hits + r.eval_stats.prescreen_skips +
-                r.eval_stats.pool_hits + r.eval_stats.full_evaluations)
+            r.eval_stats.prescreen_skips + r.eval_stats.pool_hits +
+                r.eval_stats.full_evaluations)
       << what;
   // The optimize stage's budget is part of the total (robustness adds more).
   EXPECT_GE(r.eval_stats.evaluations, r.evaluations) << what;
@@ -94,47 +87,28 @@ const std::vector<std::size_t>& thread_counts() {
   return counts;
 }
 
-TEST(CacheDifferentialTest, CacheOnEqualsCacheOffAcrossThreadCounts) {
-  std::vector<RunResult> uncached, cached;
+TEST(CacheDifferentialTest, KineticRunIsThreadCountInvariant) {
+  std::vector<RunResult> runs;
   for (const std::size_t t : thread_counts()) {
-    uncached.push_back(run(kinetic_spec(t, 0, false)));
-    cached.push_back(run(kinetic_spec(t, kCacheCapacity, false)));
+    runs.push_back(run(kinetic_spec(t, false)));
   }
-
-  // Thread-count invariance within each configuration...
-  for (std::size_t i = 1; i < uncached.size(); ++i) {
-    expect_same_answers(uncached[0], uncached[i], "uncached across threads");
-    expect_same_answers(cached[0], cached[i], "cached across threads");
-    expect_same_accounting(uncached[0].eval_stats, uncached[i].eval_stats,
-                           "uncached accounting across threads");
-    expect_same_accounting(cached[0].eval_stats, cached[i].eval_stats,
-                           "cached accounting across threads");
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    expect_same_answers(runs[0], runs[i], "plain across threads");
+    expect_same_accounting(runs[0].eval_stats, runs[i].eval_stats,
+                           "plain accounting across threads");
   }
-  // ... and cache-on == cache-off: memoization changes work, never answers.
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    expect_same_answers(uncached[i], cached[i], "cache on vs off");
+  for (const RunResult& r : runs) {
+    expect_counters_partition_budget(r, "plain");
   }
-
-  for (const RunResult& r : uncached) {
-    expect_counters_partition_budget(r, "uncached");
-    EXPECT_EQ(r.eval_stats.cache_hits, 0u);
-  }
-  for (const RunResult& r : cached) {
-    expect_counters_partition_budget(r, "cached");
-  }
-  // The workload genuinely repeats candidates, and the cache absorbs work
-  // the uncached run answers via pool exact hits or full solves.
-  EXPECT_GT(cached[0].eval_stats.cache_hits, 0u);
-  EXPECT_LT(cached[0].eval_stats.full_evaluations +
-                cached[0].eval_stats.pool_hits,
-            uncached[0].eval_stats.full_evaluations +
-                uncached[0].eval_stats.pool_hits);
+  // The workload genuinely repeats candidates, and the pool's exact hit
+  // answers them without a solve.
+  EXPECT_GT(runs[0].eval_stats.pool_hits, 0u);
 }
 
 TEST(CacheDifferentialTest, PrescreenIsThreadCountInvariant) {
   std::vector<RunResult> screened;
   for (const std::size_t t : thread_counts()) {
-    screened.push_back(run(kinetic_spec(t, kCacheCapacity, true)));
+    screened.push_back(run(kinetic_spec(t, true)));
   }
   for (std::size_t i = 1; i < screened.size(); ++i) {
     expect_same_answers(screened[0], screened[i], "prescreen across threads");
@@ -146,23 +120,31 @@ TEST(CacheDifferentialTest, PrescreenIsThreadCountInvariant) {
   }
 }
 
-TEST(CacheDifferentialTest, AnalyticProblemsCacheTransparently) {
-  // The decorator is problem-agnostic: a pure analytic problem must also
-  // fingerprint identically with the cache on.
+TEST(CacheDifferentialTest, AnalyticRunIsThreadCountInvariant) {
+  // A pure analytic problem carries no accelerator state and no counters:
+  // its answers must not depend on the thread count either, and its
+  // accounting reads all zero at every thread count.
   RunSpec spec;
   spec.problem = "zdt1?n=8";
   spec.optimizer = "pmo2?islands=2&population=12&migration_interval=3";
   spec.generations = 12;
   spec.seed = 5;
   spec.robustness.enabled = false;
+  std::vector<RunResult> runs;
   for (const std::size_t t : thread_counts()) {
     spec.threads = t;
-    spec.cache = 0;
-    const RunResult off = run(spec);
-    spec.cache = kCacheCapacity;
-    const RunResult on = run(spec);
-    expect_same_answers(off, on, "zdt1 cache on vs off");
-    expect_counters_partition_budget(on, "zdt1 cached");
+    runs.push_back(run(spec));
+  }
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    expect_same_answers(runs[0], runs[i], "zdt1 across threads");
+    expect_same_accounting(runs[0].eval_stats, runs[i].eval_stats,
+                           "zdt1 accounting across threads");
+  }
+  for (const RunResult& r : runs) {
+    EXPECT_EQ(r.eval_stats.evaluations, 0u) << "zdt1 is uninstrumented";
+    EXPECT_EQ(r.eval_stats.pool_hits + r.eval_stats.prescreen_skips +
+                  r.eval_stats.full_evaluations,
+              0u);
   }
 }
 

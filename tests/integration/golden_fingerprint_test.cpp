@@ -1,14 +1,14 @@
 // Golden-fingerprint regression corpus: committed (spec, seed) -> archive
 // fingerprint pairs for the canonical PMO2-over-photosynthesis workloads.
-// The differential suites prove invariances (cache on == off, any thread
-// count); this corpus pins the ABSOLUTE answers, so a behavioral drift that
+// The differential suites prove invariances (any thread count, kill and
+// resume); this corpus pins the ABSOLUTE answers, so a behavioral drift that
 // shifts every configuration in lockstep — which no differential test can
 // see — still fails loudly.
 //
 // The fingerprint is api::RunResult::fingerprint, the FNV-1a digest of the
 // canonical archive (see api/run.hpp).  Every workload below is small enough
 // for a fast ctest lane; the table spans two scenarios (past-low,
-// present-high) with the cache/prescreen ladder on each, and one
+// present-high) with the prescreen off and on for each, and one
 // Geobacter FBA run pins the LP seeds behind the paper's second case study.
 //
 // Regenerating after an INTENTIONAL behavior change (e.g. a new solver
@@ -36,7 +36,6 @@ namespace {
 struct GoldenRow {
   const char* name;      // stable identifier, also the gtest failure label
   const char* scenario;  // photosynthesis scenario label
-  std::size_t cache;     // EvalCache capacity (0 = off)
   bool prescreen;
   std::uint64_t fingerprint;
 };
@@ -50,23 +49,19 @@ RunSpec golden_spec(const GoldenRow& row) {
   spec.generations = 5;
   spec.seed = 11;
   spec.threads = 2;
-  spec.cache = row.cache;
   spec.prescreen = row.prescreen;
   spec.robustness.enabled = false;
   return spec;
 }
 
-// The committed corpus.  Cache-on rows MUST repeat the cache-off value for
-// the same scenario (memoization never changes answers); the prescreen rows
-// may differ (the skip path substitutes predicted violations — see
-// photosynthesis_problem.hpp).
+// The committed corpus.  The prescreen rows may differ from the plain rows
+// (the skip path substitutes predicted violations — see
+// photosynthesis_problem.hpp); at this scale they happen to coincide.
 constexpr GoldenRow kGolden[] = {
-    {"past-low/plain", "past-low", 0, false, 0xc56cbbdf779291a6ULL},
-    {"past-low/cache", "past-low", 4096, false, 0xc56cbbdf779291a6ULL},
-    {"past-low/cache+prescreen", "past-low", 4096, true, 0xc56cbbdf779291a6ULL},
-    {"present-high/plain", "present-high", 0, false, 0xd226f93e4eb9946bULL},
-    {"present-high/cache", "present-high", 4096, false, 0xd226f93e4eb9946bULL},
-    {"present-high/cache+prescreen", "present-high", 4096, true, 0xd226f93e4eb9946bULL},
+    {"past-low/plain", "past-low", false, 0xc56cbbdf779291a6ULL},
+    {"past-low/prescreen", "past-low", true, 0xc56cbbdf779291a6ULL},
+    {"present-high/plain", "present-high", false, 0xd226f93e4eb9946bULL},
+    {"present-high/prescreen", "present-high", true, 0xd226f93e4eb9946bULL},
 };
 
 TEST(GoldenFingerprintTest, ArchiveFingerprintsMatchCommittedTable) {
@@ -99,21 +94,12 @@ TEST(GoldenFingerprintTest, GeobacterFingerprintMatchesCommittedValue) {
   EXPECT_GT(result.front.size(), 0u);
 }
 
-TEST(GoldenFingerprintTest, CacheRowsRepeatThePlainFingerprint) {
-  // Redundant with the committed values, but self-checks the TABLE: a
-  // regeneration that pasted a cache-on row differing from its plain row
-  // would mean the invariant broke while regenerating — fail here, at the
-  // source, instead of in the differential suite later.
-  EXPECT_EQ(kGolden[0].fingerprint, kGolden[1].fingerprint);
-  EXPECT_EQ(kGolden[3].fingerprint, kGolden[4].fingerprint);
-}
-
 TEST(GoldenFingerprintTest, DISABLED_PrintCurrentTable) {
   for (const GoldenRow& row : kGolden) {
     const RunResult result = run(golden_spec(row));
-    std::printf("    {\"%s\", \"%s\", %zu, %s, 0x%016" PRIx64 "ULL},\n",
-                row.name, row.scenario, row.cache,
-                row.prescreen ? "true" : "false", result.fingerprint);
+    std::printf("    {\"%s\", \"%s\", %s, 0x%016" PRIx64 "ULL},\n",
+                row.name, row.scenario, row.prescreen ? "true" : "false",
+                result.fingerprint);
   }
   std::printf("kGeobacterGolden = 0x%016" PRIx64 "ULL\n",
               run(geobacter_golden_spec()).fingerprint);

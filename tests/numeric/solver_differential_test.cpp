@@ -40,7 +40,6 @@
 
 #include "kinetics/c3model.hpp"
 #include "kinetics/scenarios.hpp"
-#include "moo/evalcache.hpp"
 #include "moo/pmo2.hpp"
 #include "numeric/rng.hpp"
 #include "numeric/vec.hpp"
@@ -122,7 +121,7 @@ TEST(SolverDifferentialTest, V2AgreesWithReferenceOverRandomStream) {
       ++settled;
       // Settled candidates ride the identical Newton/PTC path over
       // identical root-pool snapshots: bitwise or bust.
-      EXPECT_TRUE(moo::bitwise_equal(a.state, b.state));
+      EXPECT_TRUE(num::bitwise_equal(a.state, b.state));
       EXPECT_EQ(a.co2_uptake, b.co2_uptake);
       EXPECT_EQ(a.residual, b.residual);
     } else if (a.oscillatory && b.oscillatory) {
@@ -169,7 +168,7 @@ TEST(SolverDifferentialTest, ExactRepeatOfALivingCycleIsAnsweredBitwise) {
     EXPECT_TRUE(repeat.pool_exact_hit);
     EXPECT_EQ(repeat.co2_uptake, first.co2_uptake);
     EXPECT_EQ(repeat.cycle_period, first.cycle_period);
-    EXPECT_TRUE(moo::bitwise_equal(repeat.state, first.state));
+    EXPECT_TRUE(num::bitwise_equal(repeat.state, first.state));
     return;  // one living cycle proves the contract
   }
   GTEST_SKIP() << "stream produced no living cycles on this seed";
@@ -220,7 +219,7 @@ TEST(SolverDifferentialTest, CyclePathAnswersArePinned) {
     if (anchored) {
       const SteadyState c = cold.steady_state(mult);
       from_cold = c.used_shooting && c.co2_uptake == ss.co2_uptake &&
-                  moo::bitwise_equal(c.state, ss.state);
+                  num::bitwise_equal(c.state, ss.state);
     }
     ++(from_cold ? cold_shots : warm_shots);
   }
@@ -244,7 +243,7 @@ TEST(SolverDifferentialTest, ShootingKnobNeverChangesSettledAnswers) {
     ASSERT_EQ(a.converged, b.converged);
     ASSERT_EQ(a.oscillatory, b.oscillatory);
     if (a.converged && !a.oscillatory) {
-      EXPECT_TRUE(moo::bitwise_equal(a.state, b.state));
+      EXPECT_TRUE(num::bitwise_equal(a.state, b.state));
       EXPECT_EQ(a.co2_uptake, b.co2_uptake);
     }
   }

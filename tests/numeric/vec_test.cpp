@@ -76,6 +76,21 @@ TEST(VecTest, AllFinite) {
   EXPECT_TRUE(all_finite(Vec{}));
 }
 
+TEST(VecTest, BitwiseEqual) {
+  const Vec a{1.0, 2.0};
+  const Vec b{1.0, std::nextafter(2.0, 3.0)};
+  EXPECT_TRUE(bitwise_equal(a, a));
+  EXPECT_TRUE(bitwise_equal(Vec{}, Vec{}));
+  EXPECT_FALSE(bitwise_equal(a, b));  // one ULP apart
+  EXPECT_FALSE(bitwise_equal(a, Vec{1.0}));  // length mismatch
+  // Numerically equal, distinct bit patterns.
+  ASSERT_TRUE(0.0 == -0.0);
+  EXPECT_FALSE(bitwise_equal(Vec{0.0}, Vec{-0.0}));
+  // Same NaN pattern compares equal, unlike operator==.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(bitwise_equal(Vec{nan}, Vec{nan}));
+}
+
 TEST(VecTest, SumMinMax) {
   const Vec a{3.0, -1.0, 2.0};
   EXPECT_DOUBLE_EQ(sum(a), 4.0);
