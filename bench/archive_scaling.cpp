@@ -1,11 +1,12 @@
 // Archive merge-engine benchmark — the PMO2 epoch hot path in isolation.
 //
-// Streams the same seeded candidate sequence through two archives that
-// differ only in merge policy (moo::ArchiveMerge::kBatch vs kNaive), in
-// island-commit-sized batches, and emits BENCH_archive.json (schema in
-// docs/BENCHMARKS.md): wall seconds and offers/sec per policy, the
-// batch-vs-naive speedup, and the fingerprint cross-check.  Identical
-// fingerprints are part of the benchmark — the two policies implement one
+// Streams the same seeded candidate sequence through moo::Archive's batch
+// merge and through the naive reference merge (the test oracle in
+// tests/support/naive_archive.hpp, reached through this bench's include
+// path), in island-commit-sized batches, and emits BENCH_archive.json
+// (schema in docs/BENCHMARKS.md): wall seconds and offers/sec per merge,
+// the batch-vs-naive speedup, and the fingerprint cross-check.  Identical
+// fingerprints are part of the benchmark — the two merges implement one
 // semantics, and the run exits non-zero when they diverge.
 //
 // The workload mimics what islands feed the archive: candidates near a
@@ -30,12 +31,13 @@
 #include "numeric/rng.hpp"
 
 #include "bench_util.hpp"
+#include "support/naive_archive.hpp"
 
 using rmp::bench::env_or;
 
 namespace {
 
-/// The candidate stream both policies consume: generated once, replayed
+/// The candidate stream both merges consume: generated once, replayed
 /// identically.  ~70% of points sit exactly on the front f1 = 1 - sqrt(f0):
 /// distinct draws are mutually non-dominated, so the archive rides at
 /// capacity and the single-pass prune runs on every batch.  ~25% are lifted
@@ -59,18 +61,19 @@ std::vector<rmp::moo::Individual> make_stream(std::size_t offers) {
   return stream;
 }
 
-struct PolicyResult {
+struct MergeResult {
   double wall_seconds = 0.0;
   double offers_per_sec = 0.0;
   std::uint64_t fingerprint = 0;
   std::size_t archive_size = 0;
 };
 
-PolicyResult run_policy(rmp::moo::ArchiveMerge policy,
-                        const std::vector<rmp::moo::Individual>& stream,
+/// Times one merge: ArchiveT is moo::Archive or the naive oracle.
+template <typename ArchiveT>
+MergeResult run_merge(const std::vector<rmp::moo::Individual>& stream,
                         std::size_t capacity, std::size_t batch) {
   using clock = std::chrono::steady_clock;
-  rmp::moo::Archive archive(capacity, policy);
+  ArchiveT archive(capacity);
   const auto t0 = clock::now();
   for (std::size_t start = 0; start < stream.size(); start += batch) {
     const std::size_t len = std::min(batch, stream.size() - start);
@@ -78,7 +81,7 @@ PolicyResult run_policy(rmp::moo::ArchiveMerge policy,
         std::span<const rmp::moo::Individual>(stream).subspan(start, len));
   }
   const std::chrono::duration<double> dt = clock::now() - t0;
-  PolicyResult r;
+  MergeResult r;
   r.wall_seconds = dt.count();
   r.offers_per_sec = static_cast<double>(stream.size()) / dt.count();
   r.fingerprint = archive.fingerprint();
@@ -101,13 +104,13 @@ int main(int argc, char** argv) {
               offers, capacity, batch);
   const auto stream = make_stream(offers);
 
-  const PolicyResult naive =
-      run_policy(moo::ArchiveMerge::kNaive, stream, capacity, batch);
+  const MergeResult naive =
+      run_merge<testing::NaiveArchive>(stream, capacity, batch);
   std::printf("naive: %.3f s (%.0f offers/s), archive %zu, fp %016llx\n",
               naive.wall_seconds, naive.offers_per_sec, naive.archive_size,
               static_cast<unsigned long long>(naive.fingerprint));
-  const PolicyResult batched =
-      run_policy(moo::ArchiveMerge::kBatch, stream, capacity, batch);
+  const MergeResult batched =
+      run_merge<moo::Archive>(stream, capacity, batch);
   std::printf("batch: %.3f s (%.0f offers/s), archive %zu, fp %016llx\n",
               batched.wall_seconds, batched.offers_per_sec, batched.archive_size,
               static_cast<unsigned long long>(batched.fingerprint));
@@ -117,7 +120,7 @@ int main(int argc, char** argv) {
   std::printf("batch-vs-naive speedup: %.1fx, fingerprints %s\n", speedup,
               fingerprints_match ? "match" : "DIVERGED");
 
-  const auto policy_json = [](const PolicyResult& r) {
+  const auto merge_json = [](const MergeResult& r) {
     return core::Json::object()
         .set("wall_seconds", r.wall_seconds)
         .set("offers_per_sec", r.offers_per_sec)
@@ -133,8 +136,8 @@ int main(int argc, char** argv) {
                              .set("capacity", capacity)
                              .set("batch_size", batch)
                              .set("seed", std::size_t{4242}))
-          .set("naive", policy_json(naive))
-          .set("batch", policy_json(batched))
+          .set("naive", merge_json(naive))
+          .set("batch", merge_json(batched))
           .set("speedup_batch_vs_naive", speedup)
           .set("fingerprints_match", fingerprints_match);
   if (!core::write_json_file(out_path, doc)) {
@@ -145,7 +148,7 @@ int main(int argc, char** argv) {
 
   if (!fingerprints_match) {
     std::fprintf(stderr,
-                 "error: naive and batch merge policies disagree — the batch "
+                 "error: the naive and batch merges disagree — the batch "
                  "engine broke the archive semantics\n");
     return 1;
   }

@@ -134,7 +134,7 @@ void BM_NullspaceRepair(benchmark::State& state) {
   // against the dense 2 * 608 * dim(null S) per round.
   const num::Matrix q = num::orthonormalize_columns(
       num::nullspace_basis(net->stoichiometric_matrix().to_dense()));
-  const auto rounds = static_cast<double>(fba::GeobacterProblemOptions{}.repair_rounds);
+  const auto rounds = static_cast<double>(fba::kRepairRounds);
   const num::ProfileMatrix qp(q), qtp(q.transposed());
   state.counters["madds"] =
       rounds * static_cast<double>(qp.profile_size() + qtp.profile_size());

@@ -166,7 +166,9 @@ CARGO_TARGET_DIR="${BUILD_DIR}/perfbench-target" \
 # kernels (compressed columns and sparse LU index lists, run over the
 # Geobacter seed LPs and against the dense oracle): the places where an
 # out-of-bounds index or UB-reliant shortcut (the old percentile Release OOB
-# class) would otherwise slip through Release CI.  -fno-sanitize-recover (set
+# class) would otherwise slip through Release CI.  The registry test runs
+# here too, so its out-of-range seeded_fraction / migration_probability
+# cases prove no float-to-size_t cast is reached.  -fno-sanitize-recover (set
 # by RMP_SANITIZE in CMake) turns every UBSan finding into a test failure.
 # Only the affected test binaries are built — the full suite already ran
 # above.
@@ -186,7 +188,7 @@ SAN_TESTS=(
   kinetics_problem_test kinetics_prescreen_test kinetics_warm_start_test
   integration_cache_differential_test
   robustness_robustness_test
-  api_run_test api_session_test api_serve_test
+  api_registry_test api_run_test api_session_test api_serve_test
   core_fault_test api_chaos_test)
 
 # The phase-gate benchmark binaries must at least BUILD under each sanitizer

@@ -134,7 +134,7 @@ void require_known_keys(const ParamMap& params, std::span<const std::string> kno
   }
 }
 
-// -- ProblemRegistry ----------------------------------------------------------
+// -- Built-in problems --------------------------------------------------------
 
 namespace {
 
@@ -153,6 +153,15 @@ std::size_t nsga2_population(const ParamMap& params, const char* optimizer,
   return population;
 }
 
+/// A fraction or probability parameter: a finite number in [0, 1].
+double param_fraction(const ParamMap& params, const std::string& key, double fallback) {
+  const double value = param_double(params, key, fallback);
+  if (value < 0.0 || value > 1.0) {
+    throw SpecError("parameter " + key + "=" + params.at(key) + " is not in [0, 1]");
+  }
+  return value;
+}
+
 /// ZDT variable count with the family's minimum of 2 (g(x) averages over the
 /// n-1 tail variables).
 std::size_t zdt_n(const ParamMap& params, std::size_t fallback) {
@@ -161,7 +170,7 @@ std::size_t zdt_n(const ParamMap& params, std::size_t fallback) {
   return n;
 }
 
-void register_builtin_problems(ProblemRegistry& reg) {
+void register_builtins(ProblemRegistry& reg) {
   reg.add("zdt1", "ZDT1, convex front (n=30)", {"n"}, [](const ParamMap& p) {
     return std::make_shared<moo::Zdt1>(zdt_n(p, 30));
   });
@@ -244,54 +253,7 @@ void register_builtin_problems(ProblemRegistry& reg) {
 
 }  // namespace
 
-ProblemRegistry& ProblemRegistry::global() {
-  static ProblemRegistry* instance = [] {
-    auto* reg = new ProblemRegistry();
-    register_builtin_problems(*reg);
-    return reg;
-  }();
-  return *instance;
-}
-
-void ProblemRegistry::add(std::string name, std::string summary,
-                          std::vector<std::string> keys, Factory factory) {
-  entries_[std::move(name)] =
-      Entry{std::move(summary), std::move(keys), std::move(factory)};
-}
-
-std::shared_ptr<moo::Problem> ProblemRegistry::make(const std::string& ref) const {
-  const ParsedRef parsed = parse_ref(ref);
-  const auto it = entries_.find(parsed.name);
-  if (it == entries_.end()) {
-    throw SpecError("unknown problem \"" + parsed.name +
-                    "\" (known: " + known_names(entries_) + ")");
-  }
-  require_known_keys(parsed.params, it->second.keys, "problem " + parsed.name);
-  return it->second.factory(parsed.params);
-}
-
-void ProblemRegistry::validate(const std::string& ref) const {
-  const ParsedRef parsed = parse_ref(ref);
-  const auto it = entries_.find(parsed.name);
-  if (it == entries_.end()) {
-    throw SpecError("unknown problem \"" + parsed.name +
-                    "\" (see rmp_run --list-problems)");
-  }
-  require_known_keys(parsed.params, it->second.keys, "problem " + parsed.name);
-}
-
-bool ProblemRegistry::contains(const std::string& name) const {
-  return entries_.count(name) != 0;
-}
-
-std::vector<std::pair<std::string, std::string>> ProblemRegistry::list() const {
-  std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.emplace_back(name, entry.summary);
-  return out;
-}
-
-// -- OptimizerRegistry --------------------------------------------------------
+// -- Built-in optimizers ------------------------------------------------------
 
 namespace {
 
@@ -304,14 +266,14 @@ moo::TopologyKind parse_topology(const std::string& name) {
                   "\" (known: all-to-all, ring, star, random)");
 }
 
-void register_builtin_optimizers(OptimizerRegistry& reg) {
+void register_builtins(OptimizerRegistry& reg) {
   reg.add("nsga2", "NSGA-II (population, seeded_fraction)",
           {"population", "seeded_fraction"},
           [](const moo::Problem& problem, const OptimizerContext& ctx,
              const ParamMap& p) -> std::unique_ptr<moo::Optimizer> {
             moo::Nsga2Options o;
             o.population_size = nsga2_population(p, "nsga2", o.population_size);
-            o.seeded_fraction = param_double(p, "seeded_fraction", o.seeded_fraction);
+            o.seeded_fraction = param_fraction(p, "seeded_fraction", o.seeded_fraction);
             o.seed = ctx.seed;
             o.eval_threads = ctx.threads;
             return std::make_unique<moo::Nsga2>(problem, o);
@@ -360,7 +322,7 @@ void register_builtin_optimizers(OptimizerRegistry& reg) {
             o.migration_interval =
                 param_size(p, "migration_interval", o.migration_interval);
             o.migration_probability =
-                param_double(p, "migration_probability", o.migration_probability);
+                param_fraction(p, "migration_probability", o.migration_probability);
             o.migrants_per_edge = param_size(p, "migrants", o.migrants_per_edge);
             o.topology = parse_topology(param_string(p, "topology", "all-to-all"));
             o.random_topology_degree = param_size(p, "degree", o.random_topology_degree);
@@ -410,59 +372,78 @@ void register_builtin_optimizers(OptimizerRegistry& reg) {
 
 }  // namespace
 
-OptimizerRegistry& OptimizerRegistry::global() {
-  static OptimizerRegistry* instance = [] {
-    auto* reg = new OptimizerRegistry();
-    register_builtin_optimizers(*reg);
+// -- Registry -----------------------------------------------------------------
+
+namespace {
+
+/// The noun of a registry's error messages and of its rmp_run listing flag.
+const char* noun(const ProblemRegistry&) { return "problem"; }
+const char* noun(const OptimizerRegistry&) { return "optimizer"; }
+
+}  // namespace
+
+template <typename Product, typename... Args>
+Registry<Product, Args...>& Registry<Product, Args...>::global() {
+  static Registry* instance = [] {
+    auto* reg = new Registry();
+    register_builtins(*reg);
     return reg;
   }();
   return *instance;
 }
 
-void OptimizerRegistry::add(std::string name, std::string summary,
-                            std::vector<std::string> keys, Factory factory) {
+template <typename Product, typename... Args>
+void Registry<Product, Args...>::add(std::string name, std::string summary,
+                                     std::vector<std::string> keys, Factory factory) {
   entries_[std::move(name)] =
       Entry{std::move(summary), std::move(keys), std::move(factory)};
 }
 
-std::unique_ptr<moo::Optimizer> OptimizerRegistry::make(
-    const std::string& ref, const moo::Problem& problem,
-    const OptimizerContext& context) const {
+template <typename Product, typename... Args>
+Product Registry<Product, Args...>::make(const std::string& ref, Args... args) const {
   const ParsedRef parsed = parse_ref(ref);
-  return make_named(parsed.name, problem, context, parsed.params);
+  return make_named(parsed.name, args..., parsed.params);
 }
 
-std::unique_ptr<moo::Optimizer> OptimizerRegistry::make_named(
-    const std::string& name, const moo::Problem& problem,
-    const OptimizerContext& context, const ParamMap& params) const {
+template <typename Product, typename... Args>
+Product Registry<Product, Args...>::make_named(const std::string& name, Args... args,
+                                               const ParamMap& params) const {
   const auto it = entries_.find(name);
   if (it == entries_.end()) {
-    throw SpecError("unknown optimizer \"" + name +
+    throw SpecError("unknown " + std::string(noun(*this)) + " \"" + name +
                     "\" (known: " + known_names(entries_) + ")");
   }
-  require_known_keys(params, it->second.keys, "optimizer " + name);
-  return it->second.factory(problem, context, params);
+  require_known_keys(params, it->second.keys, noun(*this) + (" " + name));
+  return it->second.factory(args..., params);
 }
 
-void OptimizerRegistry::validate(const std::string& ref) const {
+template <typename Product, typename... Args>
+void Registry<Product, Args...>::validate(const std::string& ref) const {
   const ParsedRef parsed = parse_ref(ref);
   const auto it = entries_.find(parsed.name);
   if (it == entries_.end()) {
-    throw SpecError("unknown optimizer \"" + parsed.name +
-                    "\" (see rmp_run --list-optimizers)");
+    throw SpecError("unknown " + std::string(noun(*this)) + " \"" + parsed.name +
+                    "\" (see rmp_run --list-" + noun(*this) + "s)");
   }
-  require_known_keys(parsed.params, it->second.keys, "optimizer " + parsed.name);
+  require_known_keys(parsed.params, it->second.keys, noun(*this) + (" " + parsed.name));
 }
 
-bool OptimizerRegistry::contains(const std::string& name) const {
+template <typename Product, typename... Args>
+bool Registry<Product, Args...>::contains(const std::string& name) const {
   return entries_.count(name) != 0;
 }
 
-std::vector<std::pair<std::string, std::string>> OptimizerRegistry::list() const {
+template <typename Product, typename... Args>
+std::vector<std::pair<std::string, std::string>> Registry<Product, Args...>::list()
+    const {
   std::vector<std::pair<std::string, std::string>> out;
   out.reserve(entries_.size());
   for (const auto& [name, entry] : entries_) out.emplace_back(name, entry.summary);
   return out;
 }
+
+template class Registry<std::shared_ptr<moo::Problem>>;
+template class Registry<std::unique_ptr<moo::Optimizer>, const moo::Problem&,
+                        const OptimizerContext&>;
 
 }  // namespace rmp::api

@@ -64,14 +64,25 @@ struct ParsedRef {
 void require_known_keys(const ParamMap& params, std::span<const std::string> known,
                         const std::string& context);
 
-class ProblemRegistry {
- public:
-  using Factory = std::function<std::shared_ptr<moo::Problem>(const ParamMap&)>;
+/// Seed/threading context a RunSpec hands every optimizer factory.
+struct OptimizerContext {
+  std::uint64_t seed = 7;
+  /// Coarse parallelism budget: island_threads for pmo2, eval_threads for
+  /// the single-population engines (0 = hardware concurrency, 1 = serial).
+  std::size_t threads = 0;
+};
 
-  /// The process-wide registry, pre-populated with every built-in problem:
-  /// zdt1..zdt4, zdt6, dtlz2, schaffer, kursawe, binh-korn, photosynthesis
-  /// (x6 scenarios) and geobacter.
-  [[nodiscard]] static ProblemRegistry& global();
+/// A name -> factory table.  A factory builds a Product from its leading
+/// Args and the reference's parameter map; ProblemRegistry and
+/// OptimizerRegistry below are its two instantiations.
+template <typename Product, typename... Args>
+class Registry {
+ public:
+  using Factory = std::function<Product(Args..., const ParamMap&)>;
+
+  /// The process-wide registry, pre-populated with every built-in (see the
+  /// two aliases below).
+  [[nodiscard]] static Registry& global();
 
   /// `keys` declares the parameters the factory understands — the registry
   /// rejects anything else before the factory runs, and validate() checks
@@ -81,7 +92,12 @@ class ProblemRegistry {
 
   /// Instantiates from a reference ("zdt1?n=30").  Throws SpecError on an
   /// unknown name (listing the known ones) or bad parameters.
-  [[nodiscard]] std::shared_ptr<moo::Problem> make(const std::string& ref) const;
+  [[nodiscard]] Product make(const std::string& ref, Args... args) const;
+
+  /// Same, from an already-parsed (name, params) pair — what the pmo2
+  /// factory calls to build island engines from its `engines=` list.
+  [[nodiscard]] Product make_named(const std::string& name, Args... args,
+                                   const ParamMap& params) const;
 
   /// Ref-grammar + name + parameter-key check without constructing anything
   /// (parameter *values* are validated by the factory at make() time).
@@ -101,54 +117,20 @@ class ProblemRegistry {
   std::map<std::string, Entry> entries_;
 };
 
-/// Seed/threading context a RunSpec hands every optimizer factory.
-struct OptimizerContext {
-  std::uint64_t seed = 7;
-  /// Coarse parallelism budget: island_threads for pmo2, eval_threads for
-  /// the single-population engines (0 = hardware concurrency, 1 = serial).
-  std::size_t threads = 0;
-};
+/// Problems.  global() holds every built-in: zdt1..zdt4, zdt6, dtlz2,
+/// schaffer, kursawe, binh-korn, photosynthesis (x6 scenarios) and
+/// geobacter.
+using ProblemRegistry = Registry<std::shared_ptr<moo::Problem>>;
 
-class OptimizerRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<moo::Optimizer>(
-      const moo::Problem& problem, const OptimizerContext& context,
-      const ParamMap& params)>;
+/// Optimizers.  global() holds nsga2, spea2, moead and pmo2.  The pmo2
+/// entry resolves its optional `engines=a,b,...` parameter through this
+/// same registry — heterogeneous island factories are registry lookups.
+using OptimizerRegistry =
+    Registry<std::unique_ptr<moo::Optimizer>, const moo::Problem&,
+             const OptimizerContext&>;
 
-  /// The process-wide registry: nsga2, spea2, moead, pmo2.  The pmo2 entry
-  /// resolves its optional `engines=a,b,...` parameter through this same
-  /// registry — heterogeneous island factories are registry lookups.
-  [[nodiscard]] static OptimizerRegistry& global();
-
-  /// `keys` declares the parameters the factory understands (see
-  /// ProblemRegistry::add).
-  void add(std::string name, std::string summary, std::vector<std::string> keys,
-           Factory factory);
-
-  [[nodiscard]] std::unique_ptr<moo::Optimizer> make(const std::string& ref,
-                                                     const moo::Problem& problem,
-                                                     const OptimizerContext& context) const;
-
-  /// Same, from an already-parsed (name, params) pair — what the pmo2
-  /// factory calls to build island engines from its `engines=` list.
-  [[nodiscard]] std::unique_ptr<moo::Optimizer> make_named(
-      const std::string& name, const moo::Problem& problem,
-      const OptimizerContext& context, const ParamMap& params) const;
-
-  /// Ref-grammar + name + parameter-key check without constructing anything.
-  void validate(const std::string& ref) const;
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-
-  [[nodiscard]] std::vector<std::pair<std::string, std::string>> list() const;
-
- private:
-  struct Entry {
-    std::string summary;
-    std::vector<std::string> keys;
-    Factory factory;
-  };
-  std::map<std::string, Entry> entries_;
-};
+extern template class Registry<std::shared_ptr<moo::Problem>>;
+extern template class Registry<std::unique_ptr<moo::Optimizer>,
+                               const moo::Problem&, const OptimizerContext&>;
 
 }  // namespace rmp::api

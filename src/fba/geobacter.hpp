@@ -18,21 +18,25 @@
 //     genome-scale model under a single growth condition.
 #pragma once
 
+#include <cstdint>
+
 #include "fba/network.hpp"
 
 namespace rmp::fba {
 
+/// The network's size (settable: the registry's `reactions` key) and its
+/// calibrated model constants (`static constexpr`, read as `spec.*`).
 struct GeobacterSpec {
   std::size_t total_reactions = 608;  ///< the paper's reaction count
-  double acetate_uptake_max = 26.1;   ///< mmol/gDW/h
-  double electron_capacity = 161.0;   ///< cytochrome-chain cap, mmol/gDW/h
-  double atp_maintenance = 0.45;      ///< fixed flux (paper Section 3.2)
-  double atp_per_nadh = 0.6;          ///< oxidative phosphorylation yield
-  double atp_per_fadh2 = 0.3;
-  double biomass_atp = 45.0;          ///< ATP per gDW
-  double generic_bound = 30.0;        ///< default |flux| cap on core reactions
-  double peripheral_export_bound = 0.05;
-  std::uint64_t seed = 608;           ///< seeds the peripheral generator
+  static constexpr double acetate_uptake_max = 26.1;   ///< mmol/gDW/h
+  static constexpr double electron_capacity = 161.0;   ///< cytochrome-chain cap, mmol/gDW/h
+  static constexpr double atp_maintenance = 0.45;      ///< fixed flux (paper Section 3.2)
+  static constexpr double atp_per_nadh = 0.6;          ///< oxidative phosphorylation yield
+  static constexpr double atp_per_fadh2 = 0.3;
+  static constexpr double biomass_atp = 45.0;          ///< ATP per gDW
+  static constexpr double generic_bound = 30.0;        ///< default |flux| cap on core reactions
+  static constexpr double peripheral_export_bound = 0.05;
+  static constexpr std::uint64_t seed = 608;           ///< seeds the peripheral generator
 };
 
 /// Well-known reaction ids of the calibrated core.

@@ -8,6 +8,9 @@
 
 namespace rmp::fba {
 
+/// ||S v||_1 at or below this counts as steady state (feasible).
+constexpr double kViolationTolerance = 1e-3;
+
 GeobacterProblem::GeobacterProblem(std::shared_ptr<const MetabolicNetwork> network,
                                    GeobacterProblemOptions options)
     : network_(std::move(network)), opts_(options) {
@@ -68,7 +71,7 @@ double GeobacterProblem::evaluate(std::span<const double> x,
   f[0] = -x[ep_index_];  // maximize electron production
   f[1] = -x[bp_index_];  // maximize biomass production
   const double violation = s_.residual_norm1(x);
-  return violation <= opts_.violation_tolerance ? 0.0 : violation;
+  return violation <= kViolationTolerance ? 0.0 : violation;
 }
 
 void GeobacterProblem::repair(num::Vec& x) const {
@@ -79,7 +82,7 @@ void GeobacterProblem::repair(num::Vec& x) const {
   // rounds are performed.  Both products are row dots over each row's
   // nonzero range, bit-identical to the dense products (finite x).
   num::Vec delta, coords, projected;
-  for (std::size_t round = 0; round < opts_.repair_rounds; ++round) {
+  for (std::size_t round = 0; round < kRepairRounds; ++round) {
     delta = x;
     num::sub_inplace(delta, reference_flux_);
     basis_t_.multiply(delta, coords);    // Q^T (v - v0)

@@ -18,11 +18,11 @@
 
 namespace rmp::fba {
 
+/// Project->clamp iterations of GeobacterProblem::repair.
+inline constexpr std::size_t kRepairRounds = 3;
+
 struct GeobacterProblemOptions {
   bool nullspace_repair = true;
-  std::size_t repair_rounds = 3;  ///< project->clamp iterations
-  /// ||S v||_1 below this counts as steady state (feasible).
-  double violation_tolerance = 1e-3;
   /// Seed the initial population with FBA vertices (max-EP, max-BP, blends).
   bool lp_seeding = true;
 };

@@ -22,75 +22,6 @@ double dmm(double x, double k) { return k / ((x + k) * (x + k)); }
 
 }  // namespace
 
-C3Model::C3Model(C3Config config)
-    : config_(config), warm_pool_(config.warm_pool_capacity) {
-  // Solve the wild-type steady state once.  A cold start can transiently
-  // drain the autocatalytic cycle in the harsher conditions (low Ci, high
-  // export pull), so the solve walks a continuation ladder: first the benign
-  // present-day/low-export condition from the textbook initial state, then
-  // Ci and the export capacity are moved to their targets one at a time,
-  // each rung starting from the previous attractor.
-  const num::Vec ones(kNumEnzymes, 1.0);
-  const C3Config target = config_;
-  thorough_fallback_ = true;  // the one-off natural solve can afford long legs
-
-  // Direct solve at the target condition first.
-  natural_ = solve_from(default_initial_state(), ones, /*allow_fallback=*/true);
-  if (natural_.converged && natural_.co2_uptake > 0.1) {
-    build_anchors();
-    thorough_fallback_ = false;
-    return;
-  }
-
-  config_.ci_ppm = 270.0;
-  config_.triose_export_vmax = 1.0;
-  natural_ = solve_from(default_initial_state(), ones, /*allow_fallback=*/true);
-
-  // Adaptive continuation of one scenario knob: try the full remaining jump
-  // with a Newton-only solve, halving the step whenever the new rung's
-  // attractor is out of reach.
-  const auto continue_knob = [&](double C3Config::* knob, double target_value) {
-    double current = config_.*knob;
-    double step = target_value - current;
-    while (natural_.converged && current != target_value && std::fabs(step) > 1e-3) {
-      config_.*knob = current + step;
-      const SteadyState next =
-          solve_from(natural_.state, ones, /*allow_fallback=*/false);
-      if (next.converged && next.co2_uptake > 0.05) {
-        natural_ = next;
-        current += step;
-        step = target_value - current;
-      } else {
-        step *= 0.5;
-      }
-    }
-    config_.*knob = target_value;
-    if (natural_.converged && current != target_value) {
-      // Final (possibly tiny) jump with the fallback enabled.
-      natural_ = solve_from(natural_.state, ones, /*allow_fallback=*/true);
-    }
-  };
-
-  continue_knob(&C3Config::ci_ppm, target.ci_ppm);
-  continue_knob(&C3Config::triose_export_vmax, target.triose_export_vmax);
-  config_ = target;
-  build_anchors();
-  thorough_fallback_ = false;
-}
-
-void C3Model::build_anchors() {
-  anchors_.clear();
-  if (!natural_.converged) return;
-  anchors_.push_back(natural_.state);
-  // Representative partitions spanning the search box; their steady states
-  // give Newton a nearby start for down- and up-regulated candidates.
-  for (const double level : {0.4, 2.5}) {
-    const num::Vec mult(kNumEnzymes, level);
-    const SteadyState ss = solve_from(natural_.state, mult, /*allow_fallback=*/true);
-    if (ss.converged) anchors_.push_back(ss.state);
-  }
-}
-
 num::Vec C3Model::default_initial_state() {
   num::Vec y(kNumMetabolites, 0.0);
   y[kRuBP] = 3.0;
@@ -683,43 +614,132 @@ void C3Model::derivatives_and_jacobian(std::span<const double> y,
 
 namespace {
 
-/// A converged Newton root must also be physically meaningful: finite,
-/// non-negative, and inside the conserved-pool budgets.  (The dead state has
-/// a one-parameter family of roots with arbitrary ATP because all consumers
-/// vanish; those are rejected here.)
-bool physical_state(std::span<const double> y, const C3Config& c) {
-  if (!num::all_finite(y)) return false;
-  for (double v : y) {
-    if (v < -1e-9) return false;
-  }
-  return y[kAtp] <= c.adenylate_total + 1e-6;
-}
+// The kinetic ladder's numbers, in one table: every tolerance, budget and
+// threshold of the steady-state ladder, the natural-state continuation and
+// the cycle path, each with the reason for its value.
 
+// -- Acceptance --
 /// Uptake above which a root/cycle counts as a LIVING solution (see
 /// steady_state's ladder; shared with the exact-cycle short circuit so a
 /// pooled cycle is only returned directly when the original call returned it).
 constexpr double kAliveUptake = 0.5;
+/// Round-off slack of physical_state: how far below zero a converged pool
+/// may sit, and how far ATP may overshoot the adenylate total.
+constexpr double kNegativeSlack = 1e-9;
+constexpr double kAdenylateSlack = 1e-6;
 
-/// Chord-Newton: iterations that may reuse one LU factorization before a
-/// mandatory refresh.  Stalls and damping collapses refresh earlier; see
-/// num::NewtonOptions.
-constexpr std::size_t kChordMaxAge = 8;
-
+// -- Newton and PTC --
 /// Residual tolerance of the steady-state ladder's Newton and PTC solves.
 /// Rate magnitudes are O(10) mmol/l/s; a residual of 2e-3 is already ~4
 /// orders below the fluxes of interest.
 constexpr double kNewtonTolerance = 2e-3;
-
 /// Concentration floor of the ladder's Newton/PTC iterates and of the
 /// tangent-extrapolated warm start: metabolite pools stay strictly positive.
 constexpr double kStateFloor = 1e-12;
-
-/// Fast-remainder gate of the cycle path's aligned residual split (see
-/// cycle_shooting_options for how it is sized).
-constexpr double kShotTolerance = 2e-4;
-
+/// Chord-Newton: iterations that may reuse one LU factorization before a
+/// mandatory refresh.  Stalls and damping collapses refresh earlier; see
+/// num::NewtonOptions.
+constexpr std::size_t kChordMaxAge = 8;
+/// Newton budgets of a ladder rung (solve_from, its polishes) and of a warm
+/// start (short: see quick_attempt); PTC rides the transient, so it gets more.
+constexpr std::size_t kLadderNewtonBudget = 60;
+constexpr std::size_t kWarmNewtonBudget = 30;
+constexpr std::size_t kPtcBudget = 150;
 /// PTC's initial pseudo-timestep when plain Newton fails from the start.
 constexpr double kPtcInitialTimestep = 0.5;
+/// An unconverged PTC below this residual reached the fixed point's
+/// neighbourhood; plain Newton closes the remaining digits.
+constexpr double kPolishResidual = 1.0;
+
+// -- Integrations --
+/// Step control of one of the ladder's stiff integrations; every one starts
+/// at kOdeInitialStep with a zero concentration floor.
+struct OdeStepControl { double abs_tol, rel_tol, max_step; };
+constexpr double kOdeInitialStep = 1e-3;
+/// solve_from's integration fallback, whose legs Newton polishes, and the
+/// legs' end times; the constructor's one-off natural solves can afford the
+/// long legs (thorough_fallback_).
+constexpr OdeStepControl kFallbackOde{1e-7, 1e-5, 50.0};
+constexpr double kFallbackLegs[] = {300.0, 2000.0};
+constexpr double kThoroughFallbackLegs[] = {300.0, 2000.0, 8000.0, 25000.0};
+/// Every cycle-path integration: the window's ROS2 legs, the bootstrap's
+/// Ros3 transient and scan, and the shooting flights.  The drift-tolerant
+/// shooting acceptance budgets a per-period family migration of order
+/// 1 mmol/l, so flights resolved to ~1e-2 absolute are already an order of
+/// magnitude inside the quantity being measured, and each decade of extra
+/// tolerance costs ~2x the steps on a 3rd-order method.
+constexpr OdeStepControl kCycleOde{1e-6, 1e-4, 20.0};
+
+// -- Cycle path --
+/// Cap on the shooting solver's aligned-Picard rounds.  Each round is one
+/// PLAIN period flight, and doubles as relaxation — the fast modes contract
+/// every round — so a generous cap is the cheap choice: a warm restart from
+/// a far-away pooled anchor that needs 10-12 rounds still costs a fraction
+/// of timing out into the cold bootstrap (a 400-unit transient plus a
+/// 240-unit period scan) it would otherwise trigger.
+constexpr std::size_t kShotRounds = 16;
+/// Fast-remainder gate of the cycle path's aligned residual split:
+/// kShotTolerance * scale ~ 0.3 mmol/l.  Two forces size it.  Downward
+/// pressure is answer quality — a snapshot whose fast modes still carry eps
+/// contaminates the cycle average by O(eps), and the differential harness
+/// holds shooting-vs-window agreement to ~1 mmol/l absolute, so 0.3 stays
+/// comfortably inside.  Upward pressure is the fast contraction rate:
+/// candidates sit near the Hopf shell where the radial multiplier is only
+/// ~0.5/period, so each decade of extra strictness costs 3-4 more
+/// full-period rounds on every warm restart (measured: a 3e-2 gate pushed
+/// warm solves to 4-8 rounds and timed a third of them out into the cold
+/// path, erasing the shooting advantage outright).
+constexpr double kShotTolerance = 2e-4;
+/// The windowed cycle average: ride out a 400-unit transient, then average
+/// the state at the end of each of 40 consecutive 10-unit legs.
+constexpr double kTransient = 400.0;
+constexpr int kWindowLegs = 40;
+constexpr double kWindowLeg = 10.0;
+/// The cold bootstrap's period scan: 240 units after the same transient,
+/// sampled every half unit — exactly the stretch the first 24 window legs
+/// cover, so the window can sample it on the way.
+constexpr double kScanHorizon = 240.0;
+constexpr double kScanDt = 0.5;
+constexpr int kGateLegs = static_cast<int>(kScanHorizon / kWindowLeg);
+constexpr std::size_t kScanRows =
+    static_cast<std::size_t>(kScanHorizon / kScanDt) + 1;
+
+// -- Natural-state continuation (constructor) --
+/// A direct natural solve is kept above kNaturalDirectUptake; otherwise the
+/// continuation walks from the benign present-low condition, accepting a
+/// Newton-only rung above kRungUptake and halving a rejected knob step down
+/// to kMinKnobStep (then one last jump with the fallback enabled).
+constexpr double kNaturalDirectUptake = 0.1;
+constexpr double kBenignCiPpm = 270.0;
+constexpr double kBenignExportVmax = 1.0;
+constexpr double kRungUptake = 0.05;
+constexpr double kMinKnobStep = 1e-3;
+/// Uniform multipliers of the anchor partitions (see build_anchors).
+constexpr double kAnchorLevels[] = {0.4, 2.5};
+
+/// A converged Newton root must also be physically meaningful: finite,
+/// non-negative, and inside the conserved-pool budgets.  (The dead state has
+/// a one-parameter family of roots with arbitrary ATP because all consumers
+/// vanish; those are rejected here.)
+bool physical_state(std::span<const double> y) {
+  return num::all_finite(y) &&
+         std::ranges::none_of(y, [](double v) { return v < -kNegativeSlack; }) &&
+         y[kAtp] <= C3Config::adenylate_total + kAdenylateSlack;
+}
+
+/// Options of one of the ladder's stiff integrations (the flow's Jacobian
+/// is attached by the caller).
+num::OdeOptions ladder_ode_options(num::OdeMethod method,
+                                   const OdeStepControl& step) {
+  num::OdeOptions opts;
+  opts.method = method;
+  opts.abs_tol = step.abs_tol;
+  opts.rel_tol = step.rel_tol;
+  opts.initial_step = kOdeInitialStep;
+  opts.state_floor = 0.0;
+  opts.max_step = step.max_step;
+  return opts;
+}
 
 /// Damped-Newton options of the steady-state ladder (solve_from's Newton,
 /// PTC and polishes, quick_attempt's warm start), on the flow's analytic
@@ -740,20 +760,11 @@ num::NewtonOptions steady_newton_options(num::JacobianFn jacobian,
 num::ShootingOptions cycle_shooting_options() {
   num::ShootingOptions sopts;
   // The third-order Rosenbrock rides the stiff orbit at a fraction of the
-  // step-doubling ROW2 cost; tolerances match the windowed fallback — the
-  // drift-tolerant acceptance below budgets a per-period family migration
-  // of order 1 mmol/l, so flights resolved to ~1e-2 absolute are already an
-  // order of magnitude inside the quantity being measured, and each decade
-  // of extra tolerance costs ~2x the steps on a 3rd-order method.  This is
-  // where the shooting path earns its speed: ~3 one-period flights plus a
-  // one-period averaging pass against the windowed fallback's ~18 periods
-  // at the SAME per-step cost.
-  sopts.ode.method = num::OdeMethod::kRosenbrock3;
-  sopts.ode.abs_tol = 1e-6;
-  sopts.ode.rel_tol = 1e-4;
-  sopts.ode.initial_step = 1e-3;
-  sopts.ode.state_floor = 0.0;
-  sopts.ode.max_step = 20.0;
+  // step-doubling ROW2 cost, at the window's tolerances.  This is where the
+  // shooting path earns its speed: ~3 one-period flights plus a one-period
+  // averaging pass against the windowed fallback's ~18 periods at the SAME
+  // per-step cost.
+  sopts.ode = ladder_ode_options(num::OdeMethod::kRosenbrock3, kCycleOde);
   // The solver's default drift budget (0.05 of the state scale) is what
   // this model needs: its oscillatory shell has NO isolated limit cycle.
   // Serine accumulates as a near-conserved photorespiratory pool, so the
@@ -761,36 +772,88 @@ num::ShootingOptions cycle_shooting_options() {
   // accepted phase-aligned snapshot of the current one has the same
   // semantics as the windowed average it replaces, which is equally a
   // snapshot of that drift.
-  // Each aligned round is one PLAIN period flight, and doubles as
-  // relaxation — the fast modes contract every round — so a generous cap
-  // is the cheap choice: a warm restart from a far-away pooled anchor that
-  // needs 10-12 rounds still costs a fraction of timing out into the cold
-  // bootstrap (a 400-unit transient plus a 240-unit period scan) it would
-  // otherwise trigger.
-  sopts.max_iterations = 16;
-  // Fast-remainder gate for the aligned residual split: kShotTolerance *
-  // scale ~ 0.3 mmol/l.  Two forces size it.  Downward pressure is answer
-  // quality — a snapshot whose fast modes still carry eps contaminates the
-  // cycle average by O(eps), and the differential harness holds shooting-
-  // vs-window agreement to ~1 mmol/l absolute, so 0.3 stays comfortably
-  // inside.  Upward pressure is the fast contraction rate: candidates sit
-  // near the Hopf shell where the radial multiplier is only ~0.5/period,
-  // so each decade of extra strictness costs 3-4 more full-period rounds
-  // on every warm restart (measured: a 3e-2 gate pushed warm solves to
-  // 4-8 rounds and timed a third of them out into the cold path, erasing
-  // the shooting advantage outright).
+  sopts.max_iterations = kShotRounds;
   sopts.tolerance = kShotTolerance;
   return sopts;
 }
 
 }  // namespace
 
+C3Model::C3Model(C3Config config)
+    : config_(config), warm_pool_(config.warm_pool_capacity) {
+  // Solve the wild-type steady state once.  A cold start can transiently
+  // drain the autocatalytic cycle in the harsher conditions (low Ci, high
+  // export pull), so the solve walks a continuation ladder: first the benign
+  // present-day/low-export condition from the textbook initial state, then
+  // Ci and the export capacity are moved to their targets one at a time,
+  // each rung starting from the previous attractor.
+  const num::Vec ones(kNumEnzymes, 1.0);
+  const C3Config target = config_;
+  thorough_fallback_ = true;  // the one-off natural solve can afford long legs
+
+  // Direct solve at the target condition first.
+  natural_ = solve_from(default_initial_state(), ones, /*allow_fallback=*/true);
+  if (natural_.converged && natural_.co2_uptake > kNaturalDirectUptake) {
+    build_anchors();
+    thorough_fallback_ = false;
+    return;
+  }
+
+  config_.ci_ppm = kBenignCiPpm;
+  config_.triose_export_vmax = kBenignExportVmax;
+  natural_ = solve_from(default_initial_state(), ones, /*allow_fallback=*/true);
+
+  // Adaptive continuation of one scenario knob: try the full remaining jump
+  // with a Newton-only solve, halving the step whenever the new rung's
+  // attractor is out of reach.
+  const auto continue_knob = [&](double C3Config::* knob, double target_value) {
+    double current = config_.*knob;
+    double step = target_value - current;
+    while (natural_.converged && current != target_value && std::fabs(step) > kMinKnobStep) {
+      config_.*knob = current + step;
+      const SteadyState next =
+          solve_from(natural_.state, ones, /*allow_fallback=*/false);
+      if (next.converged && next.co2_uptake > kRungUptake) {
+        natural_ = next;
+        current += step;
+        step = target_value - current;
+      } else {
+        step *= 0.5;
+      }
+    }
+    config_.*knob = target_value;
+    if (natural_.converged && current != target_value) {
+      // Final (possibly tiny) jump with the fallback enabled.
+      natural_ = solve_from(natural_.state, ones, /*allow_fallback=*/true);
+    }
+  };
+
+  continue_knob(&C3Config::ci_ppm, target.ci_ppm);
+  continue_knob(&C3Config::triose_export_vmax, target.triose_export_vmax);
+  config_ = target;
+  build_anchors();
+  thorough_fallback_ = false;
+}
+
+void C3Model::build_anchors() {
+  anchors_.clear();
+  if (!natural_.converged) return;
+  anchors_.push_back(natural_.state);
+  // Representative partitions spanning the search box; their steady states
+  // give Newton a nearby start for down- and up-regulated candidates.
+  for (const double level : kAnchorLevels) {
+    const num::Vec mult(kNumEnzymes, level);
+    const SteadyState ss = solve_from(natural_.state, mult, /*allow_fallback=*/true);
+    if (ss.converged) anchors_.push_back(ss.state);
+  }
+}
+
 SteadyState C3Model::solve_from(std::span<const double> start,
                                 std::span<const double> mult,
                                 bool allow_fallback) const {
   const Flow flow{*this, mult};
   const num::NonlinearSystem system = flow;
-  const num::NewtonOptions nopts = steady_newton_options(flow, 60);
+  const num::NewtonOptions nopts = steady_newton_options(flow, kLadderNewtonBudget);
 
   SteadyState ss;
   const auto tally = [&ss](const num::NewtonResult& r) {
@@ -800,14 +863,14 @@ SteadyState C3Model::solve_from(std::span<const double> start,
   };
   num::NewtonResult newton = num::solve_newton(system, start, nopts);
   tally(newton);
-  bool accepted = newton.converged && physical_state(newton.x, config_);
+  bool accepted = newton.converged && physical_state(newton.x);
 
   if (!accepted) {
     // Plain Newton's line search stalls on this system for starts outside
     // the immediate basin; pseudo-transient continuation is globally robust
     // at the same per-iteration cost.
     num::PtcOptions popts;
-    popts.max_iterations = 150;
+    popts.max_iterations = kPtcBudget;
     popts.tolerance = nopts.tolerance;
     popts.state_floor = nopts.state_floor;
     popts.initial_timestep = kPtcInitialTimestep;
@@ -815,14 +878,14 @@ SteadyState C3Model::solve_from(std::span<const double> start,
     popts.chord_max_age = nopts.chord_max_age;
     num::NewtonResult ptc = num::solve_pseudo_transient(system, start, popts);
     tally(ptc);
-    if (!ptc.converged && ptc.residual_norm < 1.0) {
+    if (!ptc.converged && ptc.residual_norm < kPolishResidual) {
       // PTC rode the transient into the fixed point's neighbourhood; plain
       // Newton closes the remaining digits.
       num::NewtonResult polish = num::solve_newton(system, ptc.x, nopts);
       tally(polish);
       if (polish.converged) ptc = std::move(polish);
     }
-    if (ptc.converged && physical_state(ptc.x, config_)) {
+    if (ptc.converged && physical_state(ptc.x)) {
       newton = std::move(ptc);
       accepted = true;
     }
@@ -836,21 +899,16 @@ SteadyState C3Model::solve_from(std::span<const double> start,
     // The system is stiff (fast PGA-reduction equilibria vs slow pool
     // modes); the linearly implicit Rosenbrock method takes ~100 steps per
     // leg where an explicit method needs tens of thousands.
-    num::OdeOptions iopts;
-    iopts.method = num::OdeMethod::kRosenbrockW;
-    iopts.abs_tol = 1e-7;
-    iopts.rel_tol = 1e-5;
-    iopts.initial_step = 1e-3;
-    iopts.state_floor = 0.0;
-    iopts.max_step = 50.0;
+    num::OdeOptions iopts =
+        ladder_ode_options(num::OdeMethod::kRosenbrockW, kFallbackOde);
     iopts.jacobian = flow;
     const num::OdeRhs rhs = flow;
 
     num::Vec y(start.begin(), start.end());
     double t = 0.0;
-    const std::vector<double> legs = thorough_fallback_
-                                         ? std::vector<double>{300.0, 2000.0, 8000.0, 25000.0}
-                                         : std::vector<double>{300.0, 2000.0};
+    const std::span<const double> legs =
+        thorough_fallback_ ? std::span<const double>(kThoroughFallbackLegs)
+                           : std::span<const double>(kFallbackLegs);
     for (const double t_next : legs) {
       const num::OdeResult leg = num::integrate(rhs, t, y, t_next, iopts);
       y = leg.y;
@@ -861,13 +919,13 @@ SteadyState C3Model::solve_from(std::span<const double> start,
       if (leg.last_step > 0.0) iopts.initial_step = leg.last_step;
       num::NewtonResult polished = num::solve_newton(system, y, nopts);
       tally(polished);
-      if (polished.converged && physical_state(polished.x, config_)) {
+      if (polished.converged && physical_state(polished.x)) {
         newton = std::move(polished);
         accepted = true;
         break;
       }
       if (polished.residual_norm < newton.residual_norm &&
-          physical_state(polished.x, config_)) {
+          physical_state(polished.x)) {
         newton = std::move(polished);
       }
     }
@@ -885,14 +943,14 @@ SteadyState C3Model::quick_attempt(std::span<const double> start,
                                    const num::LuFactorization* warm_lu) const {
   const Flow flow{*this, mult};
   const num::NonlinearSystem system = flow;
-  num::NewtonOptions nopts = steady_newton_options(flow, 30);
+  num::NewtonOptions nopts = steady_newton_options(flow, kWarmNewtonBudget);
   nopts.warm_lu = warm_lu;
   num::NewtonResult newton = num::solve_newton(system, start, nopts);
   SteadyState ss;
   ss.newton_iterations = newton.iterations;
   ss.rhs_evaluations = newton.rhs_evaluations;
   ss.jacobian_factorizations = newton.jacobian_factorizations;
-  ss.converged = newton.converged && physical_state(newton.x, config_);
+  ss.converged = newton.converged && physical_state(newton.x);
   ss.residual = newton.residual_norm;
   ss.state = std::move(newton.x);
   ss.co2_uptake = ss.converged ? co2_uptake(ss.state, mult) : 0.0;
@@ -1184,21 +1242,6 @@ SteadyState C3Model::steady_state(std::span<const double> mult,
 
 namespace {
 
-// The windowed cycle average (v1 path): ride out a 400-unit transient, then
-// average the state at the end of each of 40 consecutive 10-unit legs.
-constexpr double kTransient = 400.0;
-constexpr int kWindowLegs = 40;
-constexpr double kWindowLeg = 10.0;
-
-// The cold bootstrap's period scan: 240 units after the same transient,
-// sampled every half unit — exactly the stretch the first 24 window legs
-// cover, so the window can sample it on the way.
-constexpr double kScanHorizon = 240.0;
-constexpr double kScanDt = 0.5;
-constexpr int kGateLegs = static_cast<int>(kScanHorizon / kWindowLeg);
-constexpr std::size_t kScanRows =
-    static_cast<std::size_t>(kScanHorizon / kScanDt) + 1;
-
 /// Whether the cold bootstrap runs, given the upward mean-crossings the
 /// window's samples showed (nullopt: the window broke off before the
 /// samples were complete, so there is nothing to decide on).  The window
@@ -1224,7 +1267,7 @@ num::ShootingResult C3Model::shoot_cycle(std::span<const double> y0,
 SteadyState C3Model::cycle_result(const num::ShootingResult& cyc,
                                   std::span<const double> mult) const {
   SteadyState ss;
-  if (!cyc.converged || !physical_state(cyc.average_state, config_)) return ss;
+  if (!cyc.converged || !physical_state(cyc.average_state)) return ss;
 
   ss.state = cyc.average_state;
   ss.co2_uptake = cyc.average_observable;
@@ -1260,13 +1303,8 @@ num::PeriodEstimate C3Model::cold_period_scan(
 SteadyState C3Model::window_average(std::span<const double> start,
                                     std::span<const double> mult,
                                     CycleGate at_gate) const {
-  num::OdeOptions iopts;
-  iopts.method = num::OdeMethod::kRosenbrockW;
-  iopts.abs_tol = 1e-6;
-  iopts.rel_tol = 1e-4;
-  iopts.initial_step = 1e-3;
-  iopts.state_floor = 0.0;
-  iopts.max_step = 20.0;
+  num::OdeOptions iopts =
+      ladder_ode_options(num::OdeMethod::kRosenbrockW, kCycleOde);
   const Flow flow{*this, mult};
   iopts.jacobian = flow;
   const num::OdeRhs rhs = flow;
@@ -1286,8 +1324,8 @@ SteadyState C3Model::window_average(std::span<const double> start,
   double t = kTransient;
   const auto advance = [&]() {
     // Step-size continuation across sampling windows: without it every
-    // window re-ramps the adaptive step from 1e-3, which used to cost more
-    // steps than the windows themselves.
+    // window re-ramps the adaptive step from kOdeInitialStep, which used to
+    // cost more steps than the windows themselves.
     if (leg.last_step > 0.0) iopts.initial_step = leg.last_step;
     leg = num::integrate(rhs, t, y, t + kWindowLeg, iopts);
     if (!leg.success || !num::all_finite(leg.y)) return false;
@@ -1327,7 +1365,7 @@ SteadyState C3Model::window_average(std::span<const double> start,
   num::Vec d(kNumMetabolites);
   derivatives(ss.state, mult, d);
   ss.residual = num::norm_inf(d);
-  ss.converged = physical_state(ss.state, config_);
+  ss.converged = physical_state(ss.state);
   ss.oscillatory = true;
   ss.used_integration_fallback = true;
   return ss;

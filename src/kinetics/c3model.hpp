@@ -65,86 +65,12 @@ enum MetaboliteId : std::size_t {
   kNumMetabolites,
 };
 
-/// Environmental scenario + kinetic constants.
+/// Settable scenario and solver-strategy knobs, then the kinetic and
+/// reporting constants (`static constexpr` members, read as `c.km_*`).
 struct C3Config {
   // --- scenario knobs (the paper's six conditions) -----------------------
   double ci_ppm = 270.0;            ///< CO2 concentration, umol mol^-1
   double triose_export_vmax = 1.0;  ///< mmol l^-1 s^-1 (1 = low, 3 = high)
-
-  // --- environment -------------------------------------------------------
-  double o2_ppm = 210000.0;  ///< 21% O2
-
-  // --- Rubisco -----------------------------------------------------------
-  double kc_ppm = 300.0;     ///< CO2 Michaelis constant (gas-equivalent units)
-  double ko_ppm = 210000.0;  ///< O2 Michaelis constant
-  double vo_vc_capacity_ratio = 0.30;  ///< Vomax / Vcmax
-  double km_rubp = 0.30;     ///< mmol/l
-
-  // --- Calvin cycle Michaelis constants (mmol/l) --------------------------
-  // Kms are expressed against the equilibrium pools (T3P, PeP, HeP) — the
-  // fast GAP/DHAP etc. interconversions are folded into effective constants.
-  // PGA kinase and GAPDH operate near thermodynamic equilibrium in vivo;
-  // they are modeled reversibly with mass-action displacement terms.  This
-  // buffers the PGA/DPGA/T3P sector against both the "PGA swamp"
-  // (phosphate sequestration) and autocatalytic collapse.
-  double km_pga_pgak = 1.0, km_atp_pgak = 0.3;
-  double keq_pgak = 0.011;   ///< (DPGA*ADP)/(PGA*ATP) at equilibrium
-  double km_dpga_gapdh = 0.3;
-  double keq_gapdh = 45.0;   ///< (T3P*Pi)/DPGA at equilibrium
-  double km_t3p_ald = 0.45, km_fbp_ald_rev = 1.2;
-  double km_fbp_fbpase = 0.17;
-  double km_f6p_tk = 0.3, km_t3p_tk = 0.3;
-  double km_s7p_tk = 0.5;
-  double km_e4p_sald = 0.1, km_t3p_sald = 0.3;
-  double km_sbp_sbpase = 0.13;
-  double km_ru5p_prk = 0.05, km_atp_prk = 0.25, ki_pga_prk = 6.0;
-
-  // --- starch ------------------------------------------------------------
-  double km_g1p_adpgpp = 0.05;
-  double ka_pga_adpgpp = 3.0;   ///< half-activation PGA/Pi ratio
-  double ki_pi_adpgpp = 2.5;    ///< Pi inhibition constant
-
-  // --- photorespiration (mmol/l) ------------------------------------------
-  double km_pgca = 0.03;
-  double km_gca = 0.1;
-  double km_goa_ggat = 0.15;
-  double km_goa_gsat = 0.15, km_ser_gsat = 0.45;
-  double km_gly_gdc = 3.0;
-  double km_hpr = 0.09;
-  double km_gcea = 0.25, km_atp_gceak = 0.3;
-
-  // --- export & sucrose ----------------------------------------------------
-  // The Pi translocator carries PGA as well as triose-P (the paper's export
-  // pool is "PGA, GAP, and DHAP"); both species compete for the same
-  // carrier, so PGA export drains the PGA/Pi deadlock that otherwise locks
-  // the cycle at high fixation rates.
-  // The antiport needs free cytosolic Pi (recycled by sucrose synthesis);
-  // a congested cytosol throttles export — the sink-limitation mechanism.
-  double km_t3p_export = 1.8;
-  double km_pga_export = 5.0;
-  double km_pi_cyt_export = 0.3;
-  double km_t3pc_ald = 0.25;
-  double km_fbpc_fbpase = 0.10, ki_f26bp_fbpase = 0.004;
-  double km_hepc_udpgp = 0.15;
-  double km_udpg_sps = 0.25, km_hepc_sps = 0.25;
-  double km_sucp_spp = 0.05;
-  double km_f26bp_f26bpase = 0.005;
-  double f26bp_synthesis_rate = 0.003;  ///< fixed F6P-2-kinase capacity, mmol/l/s
-  double km_hepc_f26bpsyn = 0.5;
-
-  // --- cofactors and conserved pools ---------------------------------------
-  double atp_synthesis_vmax = 34.0;  ///< thylakoid capacity, mmol/l/s
-  double km_adp_atpsyn = 0.25, km_pi_atpsyn = 0.1;
-  double adenylate_total = 1.5;      ///< ATP + ADP, mmol/l
-  double stromal_phosphate_total = 18.0;  ///< free Pi + esterified P, mmol/l
-  double cytosolic_phosphate_total = 5.0;
-  double min_free_pi = 1e-4;
-
-  // --- equilibrium pool fractions -----------------------------------------
-  double frac_gap_t3p = 1.0 / 23.0;   ///< GAP share of the T3P pool (Keq ~ 22)
-  double frac_dhap_t3p = 22.0 / 23.0;
-  double frac_ru5p_pep = 0.30, frac_x5p_pep = 0.45, frac_r5p_pep = 0.25;
-  double frac_f6p_hep = 0.293, frac_g6p_hep = 0.674, frac_g1p_hep = 0.033;
 
   // --- steady-state solver strategy ------------------------------------------
   // The solver always runs the closed-form Jacobian with chord-Newton reuse;
@@ -157,17 +83,92 @@ struct C3Config {
   /// shooting (aligned-Picard rounds on (y0, T), see num::solve_limit_cycle)
   /// and average over exactly one converged period, warm-restarting from
   /// pooled cycle anchors.  When false — or whenever the shooting solver
-  /// gives up — the PR-5 windowed long integration runs instead, so
+  /// gives up — the windowed long integration runs instead, so
   /// classifications never depend on this knob, only cost and the averaging
   /// window do.
   bool cycle_shooting = true;
 
+  // --- environment -------------------------------------------------------
+  static constexpr double o2_ppm = 210000.0;  ///< 21% O2
+
+  // --- Rubisco -----------------------------------------------------------
+  static constexpr double kc_ppm = 300.0;     ///< CO2 Michaelis constant (gas-equivalent units)
+  static constexpr double ko_ppm = 210000.0;  ///< O2 Michaelis constant
+  static constexpr double vo_vc_capacity_ratio = 0.30;  ///< Vomax / Vcmax
+  static constexpr double km_rubp = 0.30;     ///< mmol/l
+
+  // --- Calvin cycle Michaelis constants (mmol/l) --------------------------
+  // Kms are expressed against the equilibrium pools (T3P, PeP, HeP) — the
+  // fast GAP/DHAP etc. interconversions are folded into effective constants.
+  // PGA kinase and GAPDH operate near thermodynamic equilibrium in vivo;
+  // they are modeled reversibly with mass-action displacement terms.  This
+  // buffers the PGA/DPGA/T3P sector against both the "PGA swamp"
+  // (phosphate sequestration) and autocatalytic collapse.
+  static constexpr double km_pga_pgak = 1.0, km_atp_pgak = 0.3;
+  static constexpr double keq_pgak = 0.011;   ///< (DPGA*ADP)/(PGA*ATP) at equilibrium
+  static constexpr double km_dpga_gapdh = 0.3;
+  static constexpr double keq_gapdh = 45.0;   ///< (T3P*Pi)/DPGA at equilibrium
+  static constexpr double km_t3p_ald = 0.45, km_fbp_ald_rev = 1.2;
+  static constexpr double km_fbp_fbpase = 0.17;
+  static constexpr double km_f6p_tk = 0.3, km_t3p_tk = 0.3;
+  static constexpr double km_s7p_tk = 0.5;
+  static constexpr double km_e4p_sald = 0.1, km_t3p_sald = 0.3;
+  static constexpr double km_sbp_sbpase = 0.13;
+  static constexpr double km_ru5p_prk = 0.05, km_atp_prk = 0.25, ki_pga_prk = 6.0;
+
+  // --- starch ------------------------------------------------------------
+  static constexpr double km_g1p_adpgpp = 0.05;
+  static constexpr double ka_pga_adpgpp = 3.0;   ///< half-activation PGA/Pi ratio
+  static constexpr double ki_pi_adpgpp = 2.5;    ///< Pi inhibition constant
+
+  // --- photorespiration (mmol/l) ------------------------------------------
+  static constexpr double km_pgca = 0.03;
+  static constexpr double km_gca = 0.1;
+  static constexpr double km_goa_ggat = 0.15;
+  static constexpr double km_goa_gsat = 0.15, km_ser_gsat = 0.45;
+  static constexpr double km_gly_gdc = 3.0;
+  static constexpr double km_hpr = 0.09;
+  static constexpr double km_gcea = 0.25, km_atp_gceak = 0.3;
+
+  // --- export & sucrose ----------------------------------------------------
+  // The Pi translocator carries PGA as well as triose-P (the paper's export
+  // pool is "PGA, GAP, and DHAP"); both species compete for the same
+  // carrier, so PGA export drains the PGA/Pi deadlock that otherwise locks
+  // the cycle at high fixation rates.
+  // The antiport needs free cytosolic Pi (recycled by sucrose synthesis);
+  // a congested cytosol throttles export — the sink-limitation mechanism.
+  static constexpr double km_t3p_export = 1.8;
+  static constexpr double km_pga_export = 5.0;
+  static constexpr double km_pi_cyt_export = 0.3;
+  static constexpr double km_t3pc_ald = 0.25;
+  static constexpr double km_fbpc_fbpase = 0.10, ki_f26bp_fbpase = 0.004;
+  static constexpr double km_hepc_udpgp = 0.15;
+  static constexpr double km_udpg_sps = 0.25, km_hepc_sps = 0.25;
+  static constexpr double km_sucp_spp = 0.05;
+  static constexpr double km_f26bp_f26bpase = 0.005;
+  static constexpr double f26bp_synthesis_rate = 0.003;  ///< fixed F6P-2-kinase capacity, mmol/l/s
+  static constexpr double km_hepc_f26bpsyn = 0.5;
+
+  // --- cofactors and conserved pools ---------------------------------------
+  static constexpr double atp_synthesis_vmax = 34.0;  ///< thylakoid capacity, mmol/l/s
+  static constexpr double km_adp_atpsyn = 0.25, km_pi_atpsyn = 0.1;
+  static constexpr double adenylate_total = 1.5;      ///< ATP + ADP, mmol/l
+  static constexpr double stromal_phosphate_total = 18.0;  ///< free Pi + esterified P, mmol/l
+  static constexpr double cytosolic_phosphate_total = 5.0;
+  static constexpr double min_free_pi = 1e-4;
+
+  // --- equilibrium pool fractions -----------------------------------------
+  static constexpr double frac_gap_t3p = 1.0 / 23.0;   ///< GAP share of the T3P pool (Keq ~ 22)
+  static constexpr double frac_dhap_t3p = 22.0 / 23.0;
+  static constexpr double frac_ru5p_pep = 0.30, frac_x5p_pep = 0.45, frac_r5p_pep = 0.25;
+  static constexpr double frac_f6p_hep = 0.293, frac_g6p_hep = 0.674, frac_g1p_hep = 0.033;
+
   // --- reporting ------------------------------------------------------------
   /// Converts net stromal fixation (mmol l^-1 s^-1) to leaf-area CO2 uptake
   /// (umol m^-2 s^-1): effective stroma volume per unit leaf area.
-  double uptake_area_scale = 7.266;
+  static constexpr double uptake_area_scale = 7.266;
   /// Scales SUM(vmax * MW / kcat) into the paper's mg l^-1 nitrogen axis.
-  double nitrogen_scale = 658.1;
+  static constexpr double nitrogen_scale = 658.1;
 };
 
 /// Instantaneous reaction rates (mmol l^-1 s^-1); primarily for tests and

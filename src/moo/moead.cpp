@@ -10,6 +10,13 @@
 
 namespace rmp::moo {
 
+/// Cap on the neighbours one child may replace.
+constexpr std::size_t kMaxReplacements = 2;
+/// Chance a subproblem mates within its neighbourhood, not the population.
+constexpr double kNeighborMatingProbability = 0.9;
+/// Added to the scalarized cost per unit violation.
+constexpr double kViolationPenalty = 1e6;
+
 Moead::Moead(const Problem& problem, MoeadOptions options)
     : problem_(problem), opts_(options), rng_(options.seed) {
   assert(opts_.population_size >= 4);
@@ -112,7 +119,7 @@ double Moead::scalar_cost(std::span<const double> f, double violation,
   } else {
     for (std::size_t j = 0; j < f.size(); ++j) g += w[j] * f[j];
   }
-  return g + opts_.violation_penalty * std::max(violation, 0.0);
+  return g + kViolationPenalty * std::max(violation, 0.0);
 }
 
 void Moead::initialize() {
@@ -147,17 +154,17 @@ void Moead::step() {
 
   for (std::size_t i = 0; i < pop_.size(); ++i) {
     // Mating pool: neighborhood with high probability, whole population else.
-    const bool local = rng_.bernoulli(opts_.neighbor_mating_probability);
+    const bool local = rng_.bernoulli(kNeighborMatingProbability);
     const auto& pool = neighbors_[i];
     const std::size_t a =
         local ? pool[rng_.uniform_index(pool.size())] : rng_.uniform_index(pop_.size());
     const std::size_t b =
         local ? pool[rng_.uniform_index(pool.size())] : rng_.uniform_index(pop_.size());
 
-    sbx_crossover(pop_[a].x, pop_[b].x, lo, hi, opts_.variation.crossover_probability,
+    sbx_crossover(pop_[a].x, pop_[b].x, lo, hi, kCrossoverProbability,
                   opts_.variation.crossover_eta, rng_, c1, c2);
     num::Vec& child = rng_.bernoulli(0.5) ? c1 : c2;
-    polynomial_mutation(child, lo, hi, opts_.variation.mutation_probability,
+    polynomial_mutation(child, lo, hi, kMutationProbability,
                         opts_.variation.mutation_eta, rng_);
     problem_.repair(child);
     num::clamp_inplace(child, lo, hi);
@@ -167,13 +174,13 @@ void Moead::step() {
     evaluate(ind);
     update_ideal(ind.f);
 
-    // Replace up to max_replacements neighbors the child improves.
+    // Replace up to kMaxReplacements neighbors the child improves.
     std::vector<std::size_t> candidates =
         local ? pool : rng_.permutation(pop_.size());
     rng_.shuffle(candidates);
     std::size_t replaced = 0;
     for (std::size_t j : candidates) {
-      if (replaced >= opts_.max_replacements) break;
+      if (replaced >= kMaxReplacements) break;
       const double g_new = scalar_cost(ind.f, ind.violation, j);
       const double g_old = scalar_cost(pop_[j].f, pop_[j].violation, j);
       if (g_new < g_old) {

@@ -16,12 +16,9 @@ enum class Scalarization { kTchebycheff, kWeightedSum };
 struct MoeadOptions {
   std::size_t population_size = 100;  ///< number of subproblems / weights
   std::size_t neighborhood_size = 20;
-  std::size_t max_replacements = 2;  ///< cap on neighbor replacements per child
-  double neighbor_mating_probability = 0.9;
   Scalarization scalarization = Scalarization::kTchebycheff;
   VariationParams variation;
   std::uint64_t seed = 1;
-  double violation_penalty = 1e6;  ///< added to the scalarized cost
   /// Threads used to evaluate the initial population batch (0 = hardware
   /// concurrency, 1 = serial).  step() stays sequential by construction:
   /// each child's bounded replacement feeds the next child's mating pool.

@@ -20,6 +20,10 @@ Nsga2::Nsga2(const Problem& problem, Nsga2Options options)
         "Nsga2: population_size must be even and >= 4 (pairwise mating), got " +
         std::to_string(opts_.population_size));
   }
+  if (!(opts_.seeded_fraction >= 0.0 && opts_.seeded_fraction <= 1.0)) {
+    throw std::invalid_argument("Nsga2: seeded_fraction must be in [0, 1], got " +
+                                std::to_string(opts_.seeded_fraction));
+  }
 }
 
 std::span<Individual> Nsga2::begin_initialize() {
@@ -81,10 +85,10 @@ std::span<Individual> Nsga2::begin_step() {
   for (std::size_t pair = 0; pair < opts_.population_size / 2; ++pair) {
     const Individual& p1 = pop_[binary_tournament(pop_, rng_)];
     const Individual& p2 = pop_[binary_tournament(pop_, rng_)];
-    sbx_crossover(p1.x, p2.x, lo, hi, opts_.variation.crossover_probability,
+    sbx_crossover(p1.x, p2.x, lo, hi, kCrossoverProbability,
                   opts_.variation.crossover_eta, rng_, c1, c2);
     for (num::Vec* child : {&c1, &c2}) {
-      polynomial_mutation(*child, lo, hi, opts_.variation.mutation_probability,
+      polynomial_mutation(*child, lo, hi, kMutationProbability,
                           opts_.variation.mutation_eta, rng_);
       problem_.repair(*child);
       num::clamp_inplace(*child, lo, hi);

@@ -11,10 +11,13 @@
 
 namespace rmp::moo {
 
+/// The engines' SBX crossover probability per mating pair, and their
+/// polynomial-mutation probability per variable (< 0 means 1/num_variables).
+inline constexpr double kCrossoverProbability = 0.9;
+inline constexpr double kMutationProbability = -1.0;
+
 struct VariationParams {
-  double crossover_probability = 0.9;
   double crossover_eta = 15.0;   ///< SBX distribution index
-  double mutation_probability = -1.0;  ///< < 0 means 1/num_variables
   double mutation_eta = 20.0;    ///< polynomial mutation distribution index
 };
 

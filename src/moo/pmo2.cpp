@@ -1,6 +1,8 @@
 #include "moo/pmo2.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "core/parallel.hpp"
 #include "moo/dominance.hpp"
@@ -51,8 +53,12 @@ Pmo2::Pmo2(const Problem& problem, Pmo2Options options, AlgorithmFactory factory
     : problem_(problem),
       opts_(options),
       rng_(options.seed ^ kMigrationStreamTag),
-      archive_(options.archive_capacity, options.archive_merge) {
+      archive_(options.archive_capacity) {
   assert(opts_.islands >= 1);
+  if (!(opts_.migration_probability >= 0.0 && opts_.migration_probability <= 1.0)) {
+    throw std::invalid_argument("Pmo2: migration_probability must be in [0, 1], got " +
+                                std::to_string(opts_.migration_probability));
+  }
   if (!factory) factory = default_nsga2_factory();
   islands_.reserve(opts_.islands);
   for (std::size_t i = 0; i < opts_.islands; ++i) {

@@ -78,10 +78,6 @@ struct Pmo2Options {
   TopologyKind topology = TopologyKind::kAllToAll;
   std::size_t random_topology_degree = 1;  ///< out-degree for TopologyKind::kRandom
   std::size_t archive_capacity = 0;        ///< 0 = unbounded
-  /// Merge policy of the global archive.  kBatch and the kNaive reference
-  /// are semantically identical (fingerprint-equal, tested); the knob exists
-  /// so differential tests and benches can pit them against each other.
-  ArchiveMerge archive_merge = ArchiveMerge::kBatch;
   std::uint64_t seed = 7;
   /// Width of every epoch phase: the per-island staging and commit tasks
   /// and the flat evaluation batch over all islands' offspring (0 = one

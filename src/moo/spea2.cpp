@@ -9,6 +9,9 @@
 
 namespace rmp::moo {
 
+/// Added to an individual's fitness per unit violation (scaled by 1e-6).
+constexpr double kViolationPenalty = 1e6;
+
 Spea2::Spea2(const Problem& problem, Spea2Options options)
     : problem_(problem), opts_(options), rng_(options.seed) {
   if (opts_.population_size % 2 != 0) ++opts_.population_size;
@@ -46,7 +49,7 @@ std::vector<double> Spea2::fitness(std::span<const Individual> all) const {
                      dists.end());
     const double dk = dists[std::min(k, dists.size() - 1)];
     fit[i] = raw[i] + 1.0 / (dk + 2.0) +
-             opts_.violation_penalty * std::max(all[i].violation, 0.0) * 1e-6;
+             kViolationPenalty * std::max(all[i].violation, 0.0) * 1e-6;
   }
   return fit;
 }
@@ -146,11 +149,11 @@ std::span<Individual> Spea2::begin_step() {
   while (staged_.size() < opts_.population_size) {
     const Individual& p1 = archive_[binary_tournament(archive_, rng_)];
     const Individual& p2 = archive_[binary_tournament(archive_, rng_)];
-    sbx_crossover(p1.x, p2.x, lo, hi, opts_.variation.crossover_probability,
+    sbx_crossover(p1.x, p2.x, lo, hi, kCrossoverProbability,
                   opts_.variation.crossover_eta, rng_, c1, c2);
     for (num::Vec* child : {&c1, &c2}) {
       if (staged_.size() == opts_.population_size) break;
-      polynomial_mutation(*child, lo, hi, opts_.variation.mutation_probability,
+      polynomial_mutation(*child, lo, hi, kMutationProbability,
                           opts_.variation.mutation_eta, rng_);
       problem_.repair(*child);
       num::clamp_inplace(*child, lo, hi);

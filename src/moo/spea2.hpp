@@ -17,7 +17,6 @@ struct Spea2Options {
   std::size_t archive_size = 100;
   VariationParams variation;
   std::uint64_t seed = 1;
-  double violation_penalty = 1e6;  ///< added to fitness per unit violation
   /// Threads used to evaluate each generation's offspring batch
   /// (0 = hardware concurrency, 1 = serial).  Results are identical for any
   /// value; see core/parallel.hpp.  Unused when the engine runs as a Pmo2

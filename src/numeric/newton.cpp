@@ -9,6 +9,21 @@ namespace rmp::num {
 
 namespace {
 
+/// Newton's smallest backtracking factor tried.
+constexpr double kMinDamping = 1.0 / 1024;
+/// Chord-Newton refresh triggers: a stale factorization is refreshed when
+/// the accepted step left ||F_new|| > kChordStallRatio * ||F_old||
+/// (residual reduction stalled), or when backtracking had to damp below
+/// kChordRefreshDamping to find descent (the chord direction is no longer
+/// trustworthy).
+constexpr double kChordStallRatio = 0.5;
+constexpr double kChordRefreshDamping = 0.25;
+/// PTC's cap on the SER pseudo-timestep.
+constexpr double kMaxTimestep = 1e9;
+/// Band (as a ratio >= 1) PTC's SER timestep may drift from the factored h
+/// before W = I/h - J must be rebuilt.
+constexpr double kChordHBand = 4.0;
+
 /// Builds dF/dx at x into `j` through the analytic callback.
 void build_jacobian(JacobianFn jac_fn, std::span<const double> x, Matrix& j) {
   std::fill(j.data().begin(), j.data().end(), 0.0);
@@ -92,7 +107,7 @@ NewtonResult solve_newton(const NonlinearSystem& f, std::span<const double> x0,
     double found_damping = 1.0;
     double found_norm = 0.0;
     const double previous_norm = res.residual_norm;
-    for (double damping = 1.0; damping >= opts.min_damping; damping *= 0.5) {
+    for (double damping = 1.0; damping >= kMinDamping; damping *= 0.5) {
       trial.get() = res.x;
       axpy(trial.get(), -damping, step.get());
       floor_state(trial.get(), opts.state_floor);
@@ -121,8 +136,8 @@ NewtonResult solve_newton(const NonlinearSystem& f, std::span<const double> x0,
     // what keeps chord mode's convergence set equal to classic Newton's
     // (a weakly-descending chord trajectory can wander into basins where
     // even a fresh Jacobian stalls).
-    if (!fresh && (found_damping < opts.chord_refresh_damping ||
-                   found_norm > opts.chord_stall_ratio * previous_norm)) {
+    if (!fresh && (found_damping < kChordRefreshDamping ||
+                   found_norm > kChordStallRatio * previous_norm)) {
       refresh = true;
       continue;
     }
@@ -133,8 +148,8 @@ NewtonResult solve_newton(const NonlinearSystem& f, std::span<const double> x0,
     ++lu_age;
     // Fresh steps keep classic acceptance; they only schedule a refresh
     // when progress was marginal (pointless to chord off a bad linearization).
-    if (found_damping < opts.chord_refresh_damping ||
-        found_norm > opts.chord_stall_ratio * previous_norm) {
+    if (found_damping < kChordRefreshDamping ||
+        found_norm > kChordStallRatio * previous_norm) {
       refresh = true;
     }
   }
@@ -154,7 +169,6 @@ NewtonResult solve_pseudo_transient(const NonlinearSystem& f,
   floor_state(res.x, opts.state_floor);
   const std::size_t n = res.x.size();
   const std::size_t max_age = std::max<std::size_t>(opts.chord_max_age, 1);
-  const double h_band = std::max(opts.chord_h_band, 1.0);
   Workspace& ws =
       opts.workspace ? *opts.workspace : Workspace::thread_local_instance();
 
@@ -189,7 +203,7 @@ NewtonResult solve_pseudo_transient(const NonlinearSystem& f,
     if (best_norm <= opts.tolerance) break;
 
     const bool in_band =
-        h >= h_factored / h_band && h <= h_factored * h_band;
+        h >= h_factored / kChordHBand && h <= h_factored * kChordHBand;
     const bool fresh = refresh || !have_lu || lu_age >= max_age || !in_band;
     if (fresh) {
       // W = I/h - J; the step solves W dx = F (implicit Euler for x' = F).
@@ -247,7 +261,7 @@ NewtonResult solve_pseudo_transient(const NonlinearSystem& f,
     }
     h = std::clamp(opts.initial_timestep * initial_norm /
                        std::max(current_norm, 1e-300),
-                   1e-12, opts.max_timestep);
+                   1e-12, kMaxTimestep);
   }
 
   res.x = best_x.get();

@@ -41,7 +41,6 @@ using JacobianFn = FunctionRef<void(std::span<const double> x, Matrix& jac)>;
 struct NewtonOptions {
   std::size_t max_iterations = 60;
   double tolerance = 1e-10;        ///< convergence on ||F||_inf
-  double min_damping = 1.0 / 1024; ///< smallest backtracking factor tried
   /// Elements of x are clamped to be >= state_floor after each update.
   double state_floor = -1e300;
   /// Closed-form Jacobian; required (solve_newton throws
@@ -54,12 +53,6 @@ struct NewtonOptions {
   /// factorization is retried with a fresh one before the solve gives up,
   /// so chord reuse never rejects a problem classic Newton would solve.
   std::size_t chord_max_age = 1;
-  /// Refresh a stale factorization when the accepted step left
-  /// ||F_new|| > chord_stall_ratio * ||F_old|| (residual reduction stalled).
-  double chord_stall_ratio = 0.5;
-  /// Refresh a stale factorization when backtracking had to damp below this
-  /// factor to find descent (the chord direction is no longer trustworthy).
-  double chord_refresh_damping = 0.25;
   /// Optional factorization to seed the chord with (e.g. a warm-start
   /// neighbour's cached root Jacobian), extending chord reuse ACROSS solves:
   /// the first iterations then need no Jacobian build at all.  Treated as
@@ -96,21 +89,17 @@ struct PtcOptions {
   std::size_t max_iterations = 200;
   double tolerance = 1e-10;        ///< convergence on ||F||_inf
   double initial_timestep = 1.0;
-  double max_timestep = 1e9;
   double state_floor = -1e300;
   /// Closed-form Jacobian; required (solve_pseudo_transient throws
   /// std::invalid_argument when it is null).
   JacobianFn jacobian;
   /// Reuse bound for the factored W = I/h - J: while the residual keeps
-  /// falling and the SER timestep stays inside chord_h_band of the factored
+  /// falling and the SER timestep stays inside kChordHBand of the factored
   /// h, up to chord_max_age consecutive steps ride one factorization (the
   /// step then uses the factored h — a slightly conservative pseudo-time
   /// increment, never a wrong one).  0 and 1 both mean rebuild every
   /// iteration.
   std::size_t chord_max_age = 1;
-  /// Band (as a ratio >= 1) the SER timestep may drift from the factored h
-  /// before W must be rebuilt.
-  double chord_h_band = 4.0;
   /// Scratch arena (see NewtonOptions::workspace).
   Workspace* workspace = nullptr;
 };

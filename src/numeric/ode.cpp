@@ -100,9 +100,9 @@ OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
       f_mid(ws, n);
   ScratchMat j(ws, n, n), w(ws, n, n);
   ScratchLu lu_full(ws), lu_half(ws);
-  double h = std::clamp(opts.initial_step, opts.min_step, opts.max_step);
+  double h = std::clamp(opts.initial_step, kOdeMinStep, opts.max_step);
 
-  while (res.t < t_end && res.steps < opts.max_steps) {
+  while (res.t < t_end && res.steps < kOdeMaxSteps) {
     res.last_step = h;  // the controller's h, before end-of-interval truncation
     h = std::min(h, t_end - res.t);
 
@@ -133,7 +133,7 @@ OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
     if (!ok) {
       h *= 0.5;
       ++res.rejected;
-      if (h < opts.min_step) {
+      if (h < kOdeMinStep) {
         res.y.pop_back();
         return res;
       }
@@ -162,11 +162,11 @@ OdeResult integrate_rosenbrock(OdeRhs f_user, double t0,
       }
       const double factor =
           en > 0.0 ? std::clamp(0.9 * std::pow(en, -1.0 / 3.0), 0.2, 5.0) : 5.0;
-      h = std::clamp(h * factor, opts.min_step, opts.max_step);
+      h = std::clamp(h * factor, kOdeMinStep, opts.max_step);
     } else {
       ++res.rejected;
       h *= 0.5;
-      if (h < opts.min_step) {
+      if (h < kOdeMinStep) {
         res.y.pop_back();
         return res;
       }
@@ -222,10 +222,10 @@ OdeResult integrate_rosenbrock3(OdeRhs f_user, double t0,
       err(ws, n), k1(ws, n), k2(ws, n), k3(ws, n);
   ScratchMat j(ws, n, n), w(ws, n, n);
   ScratchLu lu(ws);
-  double h = std::clamp(opts.initial_step, opts.min_step, opts.max_step);
+  double h = std::clamp(opts.initial_step, kOdeMinStep, opts.max_step);
   bool j_current = false;  // J is a function of y only; reuse across retries
 
-  while (res.t < t_end && res.steps < opts.max_steps) {
+  while (res.t < t_end && res.steps < kOdeMaxSteps) {
     res.last_step = h;  // the controller's h, before end-of-interval truncation
     h = std::min(h, t_end - res.t);
 
@@ -246,7 +246,7 @@ OdeResult integrate_rosenbrock3(OdeRhs f_user, double t0,
     if (!lu.get().factor(w.get())) {
       ++res.rejected;
       h *= 0.5;
-      if (h < opts.min_step) {
+      if (h < kOdeMinStep) {
         res.y.pop_back();
         return res;
       }
@@ -297,7 +297,7 @@ OdeResult integrate_rosenbrock3(OdeRhs f_user, double t0,
       j_current = false;
       const double factor =
           en > 0.0 ? std::clamp(0.9 * std::pow(en, -1.0 / 3.0), 0.2, 5.0) : 5.0;
-      h = std::clamp(h * factor, opts.min_step, opts.max_step);
+      h = std::clamp(h * factor, kOdeMinStep, opts.max_step);
     } else {
       ++res.rejected;
       const double factor =
@@ -305,7 +305,7 @@ OdeResult integrate_rosenbrock3(OdeRhs f_user, double t0,
               ? std::clamp(0.9 * std::pow(en, -1.0 / 3.0), 0.1, 0.9)
               : 0.1;
       h *= factor;
-      if (h < opts.min_step) {
+      if (h < kOdeMinStep) {
         res.y.pop_back();
         return res;
       }

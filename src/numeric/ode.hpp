@@ -52,14 +52,17 @@ enum class OdeMethod {
   kRosenbrock3 = 4,  ///< linearly implicit order 3(2), L-stable; cycle path
 };
 
+/// Every integrator's step-size floor (a step the controller would shrink
+/// below it fails the integration) and cap on accepted steps per call.
+inline constexpr double kOdeMinStep = 1e-12;
+inline constexpr std::size_t kOdeMaxSteps = 2'000'000;
+
 struct OdeOptions {
   OdeMethod method = OdeMethod::kRosenbrockW;
   double abs_tol = 1e-8;
   double rel_tol = 1e-6;
   double initial_step = 1e-3;
-  double min_step = 1e-12;
   double max_step = 1.0;
-  std::size_t max_steps = 2'000'000;
   /// Optional floor applied to every state after each accepted step
   /// (concentrations cannot go negative; kinetic models rely on this).
   double state_floor = -1e300;

@@ -36,7 +36,7 @@ ShootingResult solve_limit_cycle(OdeRhs f, std::span<const double> y0_guess,
   Workspace& ws = opts.workspace ? *opts.workspace
                                  : Workspace::thread_local_instance();
 
-  if (!(period_guess > opts.min_period) || !(period_guess < opts.max_period)) {
+  if (!(period_guess > kShootingMinPeriod) || !(period_guess < kShootingMaxPeriod)) {
     return res;
   }
 
@@ -102,7 +102,7 @@ ShootingResult solve_limit_cycle(OdeRhs f, std::span<const double> y0_guess,
     const bool tau_trusted = std::fabs(tau) <= tau_cap;
     tau = std::clamp(tau, -tau_cap, tau_cap);
     const double t_new = period + tau;
-    if (!(t_new > opts.min_period) || !(t_new < opts.max_period)) {
+    if (!(t_new > kShootingMinPeriod) || !(t_new < kShootingMaxPeriod)) {
       return res;
     }
     period = t_new;

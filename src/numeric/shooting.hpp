@@ -72,6 +72,11 @@ namespace rmp::num {
 /// g(mean state) != mean of g.
 using CycleObservable = FunctionRef<double(std::span<const double> y)>;
 
+/// solve_limit_cycle's admissible period window: leaving it is a clean
+/// give-up (non-periodic or wildly mis-guessed trajectory).
+inline constexpr double kShootingMinPeriod = 1e-2;
+inline constexpr double kShootingMaxPeriod = 1e4;
+
 struct ShootingOptions {
   /// Integrator for the flow map; the stiff cycle path wants kRosenbrock3.
   /// Its jacobian is required: the flights integrate with it and the
@@ -82,10 +87,6 @@ struct ShootingOptions {
   /// Fast-remainder gate: two consecutive deflated residuals must agree to
   /// this, relative to max(1, ||y0||_inf).
   double tolerance = 1e-6;
-  /// Admissible period window; an iterate leaving it is a clean give-up
-  /// (non-periodic or wildly mis-guessed trajectory).
-  double min_period = 1e-2;
-  double max_period = 1e4;
   /// Reject "cycles" whose largest per-component peak-to-peak amplitude is
   /// below this — a fixed point satisfies Phi_T(y) = y for every T.
   double min_amplitude = 1e-4;

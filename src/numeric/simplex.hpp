@@ -62,11 +62,14 @@ struct LpSolution {
   std::size_t refactorizations = 0;  ///< basis refactorizations attempted
 };
 
+/// The simplex's tolerances: phase-1 infeasibility (relative to 1 + ||b||_1),
+/// reduced-cost pricing, and the ratio test's smallest pivot magnitude.
+inline constexpr double kLpFeasibilityTol = 1e-8;
+inline constexpr double kLpOptimalityTol = 1e-9;
+inline constexpr double kLpPivotTol = 1e-10;
+
 struct LpOptions {
   std::size_t max_iterations = 50'000;
-  double feasibility_tol = 1e-8;
-  double optimality_tol = 1e-9;
-  double pivot_tol = 1e-10;
   std::size_t refactor_interval = 120;
 };
 

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
+#include "moo/nsga2.hpp"
 #include "moo/pmo2.hpp"
 #include "moo/testproblems.hpp"
 #include "numeric/vec.hpp"
@@ -190,6 +192,47 @@ TEST(OptimizerRegistryTest, RejectsOddNsga2Population) {
   // Even populations still construct.
   EXPECT_NE(reg.make("nsga2?population=32", problem, ctx), nullptr);
   EXPECT_NE(reg.make("pmo2?population=32&islands=2", problem, ctx), nullptr);
+}
+
+TEST(OptimizerRegistryTest, RejectsOutOfRangeFractions) {
+  // seeded_fraction and migration_probability are fractions.  Outside
+  // [0, 1] the LP seeds overfill the population, a negative fraction is
+  // cast to std::size_t, and bernoulli treats p > 1 as "always".  The spec
+  // layer rejects them naming the key; the constructors reject what
+  // bypasses it.
+  const moo::Zdt1 problem(6);
+  const OptimizerContext ctx{5, 1};
+  const auto& reg = OptimizerRegistry::global();
+  const auto expect_rejected = [&](const std::string& ref, const std::string& key) {
+    try {
+      (void)reg.make(ref, problem, ctx);
+      ADD_FAILURE() << ref << " was accepted";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  };
+  for (const char* v : {"2", "-0.5", "1.0000001"}) {
+    expect_rejected(std::string("nsga2?seeded_fraction=") + v, "seeded_fraction");
+    expect_rejected(std::string("pmo2?migration_probability=") + v,
+                    "migration_probability");
+  }
+  expect_rejected("pmo2?migration_probability=50", "migration_probability");
+  // Both ends of the interval stay valid.
+  for (const char* v : {"0", "1"}) {
+    EXPECT_NE(reg.make(std::string("nsga2?seeded_fraction=") + v, problem, ctx), nullptr);
+    EXPECT_NE(reg.make(std::string("pmo2?islands=2&population=8&migration_probability=") + v,
+                       problem, ctx),
+              nullptr);
+  }
+
+  moo::Nsga2Options nsga2;
+  nsga2.seeded_fraction = -0.1;
+  EXPECT_THROW(moo::Nsga2(problem, nsga2), std::invalid_argument);
+  nsga2.seeded_fraction = 2.0;
+  EXPECT_THROW(moo::Nsga2(problem, nsga2), std::invalid_argument);
+  moo::Pmo2Options pmo2;
+  pmo2.migration_probability = 50.0;
+  EXPECT_THROW(moo::Pmo2(problem, pmo2), std::invalid_argument);
 }
 
 TEST(OptimizerRegistryTest, ValidateChecksKeysWithoutConstructing) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 
 #include "fba/fba.hpp"
@@ -94,6 +95,30 @@ TEST(GeobacterTest, PeripheralPathwaysSilentAtOptimum) {
     }
   }
   EXPECT_LT(peripheral_flux, 1.0);
+}
+
+TEST(GeobacterTest, NetworkBitsArePinned) {
+  // Bit pin of every model constant build_geobacter reads: an FNV-1a hash
+  // of S (CSR structure and values) and of both flux-bound vectors.
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  const auto mix = [&h](auto v) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof v == sizeof bits);
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;  // FNV prime
+    }
+  };
+  const num::SparseMatrix s = model().stoichiometric_matrix();
+  mix(s.rows());
+  mix(s.cols());
+  for (const std::size_t v : s.row_offsets()) mix(v);
+  for (const std::size_t v : s.col_indices()) mix(v);
+  for (const double v : s.values()) mix(v);
+  for (const double v : model().lower_bounds()) mix(v);
+  for (const double v : model().upper_bounds()) mix(v);
+  EXPECT_EQ(h, 0x5645bd6392507812ULL) << std::hex << "0x" << h;
 }
 
 TEST(GeobacterTest, SeedLpWorkCountersArePinned) {
@@ -228,7 +253,7 @@ TEST(GeobacterProblemTest, RepairIsBitIdenticalToDenseOracle) {
     num::Vec got = candidates[k];
     num::Vec want = candidates[k];
     p.repair(got);
-    reference::repair(q, v0, lo, hi, opts.repair_rounds, want);
+    reference::repair(q, v0, lo, hi, kRepairRounds, want);
     ASSERT_EQ(got.size(), want.size());
     ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
         << "candidate " << k;

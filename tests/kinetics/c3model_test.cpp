@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 
@@ -187,6 +189,42 @@ TEST(C3ModelTest, AnalyticJacobianMatchesFiniteDifferences) {
       }
     }
   }
+}
+
+TEST(C3ModelTest, RatesAndJacobianBitsArePinned) {
+  // Bit pin of every kinetic and reporting constant: an FNV-1a hash of
+  // derivatives_and_jacobian, co2_uptake and nitrogen over a fixed seeded
+  // set of states and partitions in all six scenarios.  The random box
+  // reaches rate-law branches (clamped free Pi, starved ADP) that no golden
+  // run visits, so a constant whose bits move fails here even when every
+  // fingerprint holds.
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  const auto mix = [&h](double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;  // FNV prime
+    }
+  };
+  num::Vec y(kNumMetabolites), mult(kNumEnzymes), dydt(kNumMetabolites);
+  num::Matrix jac;
+  for (const Scenario& s : figure1_scenarios()) {
+    const auto model = make_model(s);
+    num::Rng rng(2024);
+    for (int trial = 0; trial < 16; ++trial) {
+      for (double& v : mult) v = rng.uniform(0.02, 5.0);
+      for (double& v : y) v = rng.uniform(0.0, 4.0);
+      model->derivatives_and_jacobian(y, mult, dydt, jac);
+      for (const double v : dydt) mix(v);
+      for (std::size_t r = 0; r < kNumMetabolites; ++r) {
+        for (std::size_t c = 0; c < kNumMetabolites; ++c) mix(jac(r, c));
+      }
+      mix(model->co2_uptake(y, mult));
+      mix(model->nitrogen(mult));
+    }
+  }
+  EXPECT_EQ(h, 0x8af2bb00494b2219ULL) << std::hex << "0x" << h;
 }
 
 TEST(C3ModelTest, RatesAreFiniteEverywhereInBox) {

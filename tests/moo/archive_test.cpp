@@ -11,6 +11,7 @@
 #include "moo/dominance.hpp"
 #include "moo/state.hpp"
 #include "numeric/rng.hpp"
+#include "support/naive_archive.hpp"
 
 namespace rmp::moo {
 namespace {
@@ -185,8 +186,8 @@ std::vector<Individual> random_batch(num::Rng& rng, std::size_t count) {
 TEST(ArchiveTest, BatchAndNaivePoliciesAreBitIdentical) {
   for (const std::size_t capacity : {std::size_t{0}, std::size_t{40}}) {
     num::Rng rng(17);
-    Archive batch_archive(capacity, ArchiveMerge::kBatch);
-    Archive naive_archive(capacity, ArchiveMerge::kNaive);
+    Archive batch_archive(capacity);
+    testing::NaiveArchive naive_archive(capacity);
     for (int round = 0; round < 30; ++round) {
       const auto batch = random_batch(rng, 1 + static_cast<std::size_t>(round) % 60);
       batch_archive.offer_all(batch);
@@ -254,16 +255,16 @@ TEST(ArchiveTest, PruneBreaksCrowdingTiesCanonically) {
   EXPECT_EQ(forward.solutions()[1].f, (num::Vec{1.0, 2.0}));
   EXPECT_EQ(forward.solutions()[2].f, (num::Vec{3.0, 0.0}));
 
-  // The naive reference applies the same rule.
-  Archive naive(3, ArchiveMerge::kNaive);
+  // The naive oracle applies the same rule.
+  testing::NaiveArchive naive(3);
   naive.offer_all(points);
   EXPECT_EQ(naive.fingerprint(), forward.fingerprint());
 }
 
 TEST(ArchiveTest, ThreeObjectiveBatchMatchesNaive) {
   num::Rng rng(31);
-  Archive batch_archive(25, ArchiveMerge::kBatch);
-  Archive naive_archive(25, ArchiveMerge::kNaive);
+  Archive batch_archive(25);
+  testing::NaiveArchive naive_archive(25);
   for (int round = 0; round < 10; ++round) {
     std::vector<Individual> pop;
     for (int i = 0; i < 50; ++i) {

@@ -195,27 +195,6 @@ TEST(Pmo2Test, DeterministicForSeed) {
   ASSERT_EQ(a.archive().size(), b.archive().size());
 }
 
-// The batch merge engine and the naive reference are one semantics: a whole
-// archipelago run — epoch merges, migration injections, capacity pruning —
-// fingerprints identically under either archive policy.
-TEST(Pmo2Test, ArchiveBitIdenticalAcrossMergePolicies) {
-  const Zdt3 problem(10);
-  auto run = [&](ArchiveMerge merge) {
-    Pmo2Options o;
-    o.islands = 3;
-    o.generations = 15;
-    o.migration_interval = 4;
-    o.migration_probability = 0.5;
-    o.archive_capacity = 60;  // small enough that pruning actually runs
-    o.seed = 77;
-    o.archive_merge = merge;
-    Pmo2 pmo2(problem, o, Pmo2::default_nsga2_factory(16));
-    pmo2.run();
-    return pmo2.archive().fingerprint();
-  };
-  EXPECT_EQ(run(ArchiveMerge::kBatch), run(ArchiveMerge::kNaive));
-}
-
 // The archipelago determinism contract: the archive — and everything mined
 // from it — is bit-identical for any island_threads.  This extends the
 // tests/core/parallel_test.cpp thread-invariance checks from one batch to

@@ -239,10 +239,10 @@ OdeResult oracle_rosenbrock(const OdeRhs& f_user, double t0,
   res.t = t0;
   const std::size_t n = res.y.size();
   Vec y_full, y_half, y_two, err(n);
-  double h = std::clamp(opts.initial_step, opts.min_step, opts.max_step);
+  double h = std::clamp(opts.initial_step, kOdeMinStep, opts.max_step);
   factorized_trials = 0;
 
-  while (res.t < t_end && res.steps < opts.max_steps) {
+  while (res.t < t_end && res.steps < kOdeMaxSteps) {
     res.last_step = h;
     h = std::min(h, t_end - res.t);
 
@@ -261,7 +261,7 @@ OdeResult oracle_rosenbrock(const OdeRhs& f_user, double t0,
     if (!ok) {
       h *= 0.5;
       ++res.rejected;
-      if (h < opts.min_step) {
+      if (h < kOdeMinStep) {
         res.y.pop_back();
         return res;
       }
@@ -283,11 +283,11 @@ OdeResult oracle_rosenbrock(const OdeRhs& f_user, double t0,
       ++res.steps;
       const double factor =
           en > 0.0 ? std::clamp(0.9 * std::pow(en, -1.0 / 3.0), 0.2, 5.0) : 5.0;
-      h = std::clamp(h * factor, opts.min_step, opts.max_step);
+      h = std::clamp(h * factor, kOdeMinStep, opts.max_step);
     } else {
       ++res.rejected;
       h *= 0.5;
-      if (h < opts.min_step) {
+      if (h < kOdeMinStep) {
         res.y.pop_back();
         return res;
       }

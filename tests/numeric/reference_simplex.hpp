@@ -50,7 +50,7 @@ class SimplexSolver {
       sol.status = s1;
       return sol;
     }
-    if (phase_objective(phase1_cost) > opts_.feasibility_tol * (1.0 + norm1(b_))) {
+    if (phase_objective(phase1_cost) > kLpFeasibilityTol * (1.0 + norm1(b_))) {
       sol.status = LpStatus::kInfeasible;
       return sol;
     }
@@ -168,7 +168,7 @@ class SimplexSolver {
 
       // Pricing: pick an entering variable that improves the objective.
       std::size_t entering = n_ + m_;
-      double best_violation = use_bland ? 0.0 : opts_.optimality_tol;
+      double best_violation = use_bland ? 0.0 : kLpOptimalityTol;
       int entering_dir = 0;
       for (std::size_t j = 0; j < n_ + m_; ++j) {
         if (status_[j] == VarStatus::kBasic) continue;
@@ -180,14 +180,14 @@ class SimplexSolver {
         }
         int dir = 0;
         double violation = 0.0;
-        if (status_[j] == VarStatus::kAtLower && d < -opts_.optimality_tol) {
+        if (status_[j] == VarStatus::kAtLower && d < -kLpOptimalityTol) {
           dir = +1;
           violation = -d;
-        } else if (status_[j] == VarStatus::kAtUpper && d > opts_.optimality_tol) {
+        } else if (status_[j] == VarStatus::kAtUpper && d > kLpOptimalityTol) {
           dir = -1;
           violation = d;
         } else if (status_[j] == VarStatus::kFreeAtZero &&
-                   std::fabs(d) > opts_.optimality_tol) {
+                   std::fabs(d) > kLpOptimalityTol) {
           dir = d < 0.0 ? +1 : -1;
           violation = std::fabs(d);
         }
@@ -225,7 +225,7 @@ class SimplexSolver {
       for (std::size_t i = 0; i < m_; ++i) {
         const double delta = sigma * w[i];
         const std::size_t bj = basis_[i];
-        if (delta > opts_.pivot_tol) {  // basic value decreases toward lower
+        if (delta > kLpPivotTol) {  // basic value decreases toward lower
           if (!std::isfinite(lower_[bj])) continue;
           const double t = (xb_[i] - lower_[bj]) / delta;
           if (t < t_limit - 1e-15 ||
@@ -234,7 +234,7 @@ class SimplexSolver {
             leaving_pos = i;
             leaving_to_upper = false;
           }
-        } else if (delta < -opts_.pivot_tol) {  // basic value increases toward upper
+        } else if (delta < -kLpPivotTol) {  // basic value increases toward upper
           if (!std::isfinite(upper_[bj])) continue;
           const double t = (xb_[i] - upper_[bj]) / delta;
           if (t < t_limit - 1e-15 ||
@@ -281,7 +281,7 @@ class SimplexSolver {
 
       // Product-form update of the explicit inverse.
       const double piv = w[leaving_pos];
-      if (std::fabs(piv) < opts_.pivot_tol) {
+      if (std::fabs(piv) < kLpPivotTol) {
         refactorize();  // pathological pivot; rebuild from scratch
         continue;
       }

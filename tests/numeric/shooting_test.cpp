@@ -96,8 +96,8 @@ TEST(ShootingTest, PeriodIsPositiveAndInsideConfiguredBounds) {
   const ShootingResult r = solve_limit_cycle(f, Vec{2.0, 0.0}, 6.5, opts);
   ASSERT_TRUE(r.converged);
   EXPECT_GT(r.period, 0.0);
-  EXPECT_GT(r.period, opts.min_period);
-  EXPECT_LT(r.period, opts.max_period);
+  EXPECT_GT(r.period, kShootingMinPeriod);
+  EXPECT_LT(r.period, kShootingMaxPeriod);
 }
 
 TEST(ShootingTest, GuessOutsidePeriodBoundsIsARejectionNotASolve) {

@@ -177,7 +177,7 @@ TEST(SimplexTest, MediumScaleDiet) {
 
 TEST(SimplexTest, SingularRefactorizationWaitsAFullInterval) {
   // One row, columns 1e-8, 1e-16, 1e-24: each pivot's |w| is 1e-8, well
-  // above pivot_tol, but the basis [1e-16] reached after pivot 2 is below
+  // above kLpPivotTol, but the basis [1e-16] reached after pivot 2 is below
   // the refactorization's singularity threshold.  The refactor keeps the
   // product-form inverse and must wait a full interval before trying again,
   // so pivot 3 (x2 -> x3) triggers no second attempt.
