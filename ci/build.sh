@@ -168,7 +168,9 @@ CARGO_TARGET_DIR="${BUILD_DIR}/perfbench-target" \
 # out-of-bounds index or UB-reliant shortcut (the old percentile Release OOB
 # class) would otherwise slip through Release CI.  The registry test runs
 # here too, so its out-of-range seeded_fraction / migration_probability
-# cases prove no float-to-size_t cast is reached.  -fno-sanitize-recover (set
+# cases prove no float-to-size_t cast is reached, and moo_state_test runs
+# here because the checkpoint decoder of packed double vectors indexes
+# untrusted text through a lookup table.  -fno-sanitize-recover (set
 # by RMP_SANITIZE in CMake) turns every UBSan finding into a test failure.
 # Only the affected test binaries are built — the full suite already ran
 # above.
@@ -176,7 +178,8 @@ SAN_BUILD_DIR="${SAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 SAN_TESTS=(
   core_parallel_test core_sentinel_test
   moo_archive_test moo_dominance_test moo_moead_test moo_nsga2_test
-  moo_operators_test moo_pmo2_test moo_spea2_test moo_testproblems_test
+  moo_operators_test moo_pmo2_test moo_spea2_test moo_state_test
+  moo_testproblems_test
   pareto_coverage_test pareto_front_test pareto_hypervolume_test
   pareto_mining_test
   numeric_matrix_test numeric_newton_test numeric_ode_test numeric_rng_test

@@ -31,7 +31,7 @@ RunResult run(const RunSpec& spec, const Session::Observer& observer) {
     if (!due) return;
     try {
       core::atomic_write_file(spec.checkpoint_path,
-                              session.checkpoint().dump(2) + "\n",
+                              session.checkpoint().dump(0) + "\n",
                               "checkpoint.write");
     } catch (const core::IoError& e) {
       throw SpecError("cannot write checkpoint to \"" + spec.checkpoint_path +

@@ -183,7 +183,7 @@ void JobServer::write_checkpoint(const Job& job) {
   // the adoption path's second resume candidate.
   const std::string current = checkpoint_file(job.id);
   if (fs::exists(current)) move_quiet(current, prev_checkpoint_file(job.id));
-  core::atomic_write_file(current, job.session.checkpoint().dump(2) + "\n",
+  core::atomic_write_file(current, job.session.checkpoint().dump(0) + "\n",
                           "checkpoint.write");
 }
 

@@ -62,8 +62,9 @@ class Session {
   using Observer = std::function<void(const SessionProgress&)>;
 
   /// Envelope schema version; bumped when the checkpoint layout changes
-  /// (2: the problem state no longer nests an evaluation-cache layer).
-  static constexpr std::int64_t kStateVersion = 2;
+  /// (2: the problem state no longer nests an evaluation-cache layer;
+  /// 3: every double vector is one packed base64 string, see moo/state.hpp).
+  static constexpr std::int64_t kStateVersion = 3;
 
   /// Builds problem + optimizer from the spec and runs epoch 0
   /// (Optimizer::initialize, including the initial population's archive

@@ -15,7 +15,12 @@ namespace {
 
 void write_escaped(std::string& out, const std::string& s) {
   out += '"';
-  for (const char c : s) {
+  std::size_t plain = 0;  // start of the pending run that needs no escaping
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) continue;
+    out.append(s, plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -24,16 +29,14 @@ void write_escaped(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s, plain, std::string::npos);
   out += '"';
 }
 
@@ -196,13 +199,19 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      const char c = take();
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) fail("unescaped control character");
-      if (c != '\\') {
-        out += c;
-        continue;
+      // Copy the run of plain characters up to the next quote or backslash
+      // in one append.
+      std::size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\') {
+        if (static_cast<unsigned char>(text_[end]) < 0x20) {
+          pos_ = end + 1;
+          fail("unescaped control character");
+        }
+        ++end;
       }
+      out.append(text_.data() + pos_, end - pos_);
+      pos_ = end;
+      if (take() == '"') return out;
       const char esc = take();
       switch (esc) {
         case '"': out += '"'; break;

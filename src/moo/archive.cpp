@@ -22,19 +22,16 @@ bool canonical_less(const Individual& a, const Individual& b) {
 }  // namespace
 
 bool Archive::offer(const Individual& candidate) {
-  if (!candidate.feasible()) return false;
-  for (const Individual& m : members_) {
-    if (dominates(m.f, candidate.f)) return false;
-    // Reject exact duplicates in objective space.
-    if (m.f == candidate.f) return false;
-  }
-  std::erase_if(members_,
-                [&](const Individual& m) { return dominates(candidate.f, m.f); });
-  members_.insert(
-      std::upper_bound(members_.begin(), members_.end(), candidate, canonical_less),
-      candidate);
-  if (capacity_ != 0 && members_.size() > capacity_) prune();
-  return true;
+  const auto holds_objectives = [&] {
+    return std::any_of(members_.begin(), members_.end(), [&](const Individual& m) {
+      return m.f == candidate.f;
+    });
+  };
+  // A resident with the candidate's objectives wins the duplicate rule;
+  // without one, a member holding them after the merge is the candidate.
+  const bool resident = holds_objectives();
+  offer_all(std::span<const Individual>(&candidate, 1));
+  return !resident && holds_objectives();
 }
 
 void Archive::offer_all(std::span<const Individual> candidates) {

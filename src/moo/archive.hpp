@@ -51,10 +51,9 @@ class Archive {
   /// capacity == 0 means unbounded.
   explicit Archive(std::size_t capacity = 0) : capacity_(capacity) {}
 
-  /// Offers a candidate: inserted iff feasible-and-non-dominated w.r.t. the
-  /// archive (infeasible candidates are never archived).  Dominated residents
-  /// are evicted.  Returns true when the candidate was inserted (it may
-  /// still fall to the capacity prune that follows).
+  /// offer_all of a one-element batch.  Returns whether the candidate is a
+  /// member afterwards: false when it is infeasible, dominated by or an
+  /// objective duplicate of a resident, or evicted by the capacity prune.
   bool offer(const Individual& candidate);
 
   /// Offers a population as one batch transaction (semantics above).

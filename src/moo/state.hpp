@@ -8,10 +8,13 @@
 // shared vocabulary of every save_state/load_state implementation
 // (moo::Optimizer, moo::Archive, kinetics::WarmStartPool, api::Session):
 //
-//   * Doubles travel as IEEE-754 bit patterns (core::Json::bits hex strings),
-//     never as decimal text: the round-trip must preserve NaN/Inf (crowding
-//     distances are +inf at front extremes) and the sign of -0.0 (bitwise
-//     warm-pool keys distinguish it).
+//   * Doubles travel as IEEE-754 bit patterns, never as decimal text: the
+//     round-trip must preserve NaN payloads, Inf (crowding distances are
+//     +inf at front extremes) and the sign of -0.0 (bitwise warm-pool keys
+//     distinguish it).  A double VECTOR is one packed string
+//     (doubles_to_json); a scalar (violation, crowding, the banked normal)
+//     is a core::Json::bits hex string.  Packing is what keeps a checkpoint
+//     small: one JSON node per vector instead of one per double.
 //   * Individuals serialize ALL five members including the rank/crowding
 //     scratch fields — NSGA-II's binary tournament reads them between steps
 //     and crowding is computed over the merged 2N population, so it cannot
@@ -48,8 +51,17 @@ class StateError : public std::runtime_error {
 
 namespace state {
 
-/// A double vector as a JSON array of bit-exact hex strings.
+/// A double vector as ONE JSON string: RFC 4648 base64 (standard alphabet,
+/// "=" padded) of each value's IEEE-754 bit pattern as 8 little-endian
+/// bytes, values in order.  The bytes are built with shifts, so the text is
+/// the same on every host; {1.0, -0.0} is "AAAAAAAA8D8AAAAAAAAAgA==".
 [[nodiscard]] core::Json doubles_to_json(std::span<const double> values);
+
+/// Decodes a doubles_to_json string bit-exactly.  Accepts that canonical
+/// form and nothing else: a non-string, a length that is not a multiple of
+/// 4, a byte outside the alphabet (whitespace included), bad or misplaced
+/// padding, nonzero bits under the padding, or a byte count that is not a
+/// multiple of 8 throws StateError.
 [[nodiscard]] num::Vec doubles_from_json(const core::Json& doc);
 
 /// All five Individual members (x, f, violation, rank, crowding).

@@ -20,6 +20,7 @@
 #include "api/spec.hpp"
 #include "api/trace.hpp"
 #include "core/json.hpp"
+#include "support/version2_checkpoint.hpp"
 
 namespace rmp::api {
 namespace {
@@ -38,7 +39,7 @@ RunSpec job_spec(std::uint64_t seed) {
 
 /// Fresh spool directory per test case.
 std::string make_spool(const std::string& name) {
-  const std::string spool = testing::TempDir() + "rmp_serve_" + name;
+  const std::string spool = ::testing::TempDir() + "rmp_serve_" + name;
   fs::remove_all(spool);
   fs::create_directories(spool);
   return spool;
@@ -271,6 +272,30 @@ TEST(JobServerTest, TruncatedCheckpointIsQuarantinedAndTheJobRecovers) {
   JobServer second(ServeOptions{spool});
   drain(second);
   EXPECT_TRUE(fs::exists(spool + "/work/alpha.corrupt.0"));
+  EXPECT_EQ(result_fingerprint(spool, "alpha"), run(job_spec(11)).fingerprint);
+  expect_conformant(spool);
+}
+
+TEST(JobServerTest, Version2CheckpointIsQuarantinedAndTheJobRecovers) {
+  const std::string spool = make_spool("v2_ckpt");
+  submit(spool, "alpha", spec_to_json(job_spec(11)));
+  {
+    JobServer first(ServeOptions{spool});
+    (void)first.tick();
+    first.checkpoint_all();
+  }
+  // A spool upgraded mid-run still holds the checkpoint an older build
+  // wrote: state_version 2, one hex string per double.  It is refused by
+  // name and quarantined, and the job reruns from its spec.
+  const std::string ckpt_path = spool + "/work/alpha.checkpoint.json";
+  ASSERT_TRUE(core::write_json_file(
+      ckpt_path, testing::as_version2(core::load_json_file(ckpt_path))));
+
+  JobServer second(ServeOptions{spool});
+  drain(second);
+  EXPECT_TRUE(fs::exists(spool + "/work/alpha.corrupt.0"));
+  EXPECT_FALSE(fs::exists(spool + "/failed/alpha.json"));
+  EXPECT_EQ(count_events(spool, "alpha", "quarantined"), 1u);
   EXPECT_EQ(result_fingerprint(spool, "alpha"), run(job_spec(11)).fingerprint);
   expect_conformant(spool);
 }

@@ -20,6 +20,7 @@
 #include "api/spec.hpp"
 #include "core/json.hpp"
 #include "numeric/vec.hpp"
+#include "support/version2_checkpoint.hpp"
 
 namespace rmp::api {
 namespace {
@@ -167,7 +168,7 @@ TEST(SessionObserverTest, FinalProgressFingerprintIsTheRunFingerprint) {
 }
 
 TEST(SessionCheckpointKnobTest, PeriodicCheckpointFileResumes) {
-  const std::string path = testing::TempDir() + "rmp_session_knob.ckpt.json";
+  const std::string path = ::testing::TempDir() + "rmp_session_knob.ckpt.json";
   RunSpec spec = zdt_spec();
   spec.checkpoint_every = 3;
   spec.checkpoint_path = path;
@@ -236,6 +237,17 @@ TEST(SessionRejectionTest, Version1CheckpointIsRejected) {
   ckpt.set("spec", std::move(spec));
   ckpt.set("state_version", std::int64_t{1});
   expect_rejected(ckpt, "state_version");
+}
+
+TEST(SessionRejectionTest, Version2CheckpointIsRejected) {
+  // Version 2 wrote every double of a vector as its own hex string.  The
+  // version check names the cause; were the tag edited to pass it, the
+  // decoder would still refuse the per-double arrays.
+  core::Json v2 = testing::as_version2(checkpoint_of(zdt_spec(), 2));
+  ASSERT_TRUE(v2.at("optimizer").at("population").at(0).at("x").is_array());
+  expect_rejected(v2, "state_version");
+  v2.set("state_version", Session::kStateVersion);
+  expect_rejected(v2, "packed double vector");
 }
 
 TEST(SessionRejectionTest, SpecHashMismatchNamesTheCause) {

@@ -41,6 +41,40 @@ TEST(JsonTest, ParsesStringsWithEscapes) {
   EXPECT_EQ(Json::parse(R"("\ud83d\ude00")").as_string(), "\xf0\x9f\x98\x80");
 }
 
+TEST(JsonTest, EscapesAtEveryPositionKeepTheirBytes) {
+  // The writer copies runs of plain characters whole and the reader does the
+  // same between escapes; escapes at the start, middle and end of a string
+  // and next to each other keep the exact bytes of a per-character writer.
+  const struct {
+    std::string value;
+    std::string text;
+  } cases[] = {
+      {"\"lead", R"("\"lead")"},
+      {"mid\\dle", R"("mid\\dle")"},
+      {"tail\n", R"("tail\n")"},
+      {"\ttab\x01mid\x1f" "end\"", R"("\ttab\u0001mid\u001fend\"")"},
+      {"\b\f\r", R"("\b\f\r")"},
+      {"caf\xc3\xa9 /\x7f", "\"caf\xc3\xa9 /\x7f\""},
+      {"plain", R"("plain")"},
+      {"", R"("")"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(Json(c.value).dump(), c.text);
+    EXPECT_EQ(Json::parse(c.text).as_string(), c.value) << c.text;
+    // Keys take the same path as values.
+    const Json obj = Json::object().set(c.value, c.value);
+    EXPECT_EQ(obj.dump(0), "{" + c.text + ":" + c.text + "}");
+    EXPECT_EQ(Json::parse(obj.dump(2)).at(c.value).as_string(), c.value);
+  }
+  // A control character inside a plain run is still refused, at its offset.
+  try {
+    (void)Json::parse("\"abc\x01" "def\"");
+    FAIL() << "accepted an unescaped control character";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte 5"), std::string::npos) << e.what();
+  }
+}
+
 TEST(JsonTest, ParsesNestedDocuments) {
   const Json doc = Json::parse(R"({
     "name": "run",

@@ -60,6 +60,16 @@ TEST(ArchiveTest, RejectsObjectiveDuplicates) {
   EXPECT_EQ(a.size(), 1u);
 }
 
+TEST(ArchiveTest, OfferReportsMembershipAfterThePrune) {
+  Archive a(2);
+  EXPECT_TRUE(a.offer(make(0.0, 3.0)));
+  EXPECT_TRUE(a.offer(make(3.0, 0.0)));
+  // Non-dominated, so the merge takes it, but as the only interior member
+  // it is the one the capacity prune evicts.
+  EXPECT_FALSE(a.offer(make(1.0, 2.0)));
+  EXPECT_EQ(a.size(), 2u);
+}
+
 TEST(ArchiveTest, CapacityPruningKeepsExtremes) {
   Archive a(5);
   // A dense front: f1 = 10 - f0.
