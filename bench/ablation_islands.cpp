@@ -69,13 +69,12 @@ int main() {
     for (const std::size_t islands : {2u, 4u}) {
       moo::Pmo2Options po;
       po.islands = islands;
-      po.generations = generations;
       po.migration_interval = 30;
       po.seed = 5;
       po.island_threads = island_threads;
       moo::Pmo2 pmo2(*p, po,
                      moo::Pmo2::default_nsga2_factory(4 * base_pop / islands));
-      pmo2.run();
+      pmo2.run(generations);
       fronts.push_back(pareto::Front::from_population(pmo2.archive().solutions()));
     }
 
@@ -96,7 +95,6 @@ int main() {
   std::printf("\n# ZDT1 convergence: generation, PMO2-2isl HV, single NSGA-II HV\n");
   moo::Pmo2Options po;
   po.islands = 2;
-  po.generations = generations;
   po.migration_interval = 30;
   po.seed = 9;
   po.island_threads = island_threads;

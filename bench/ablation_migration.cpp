@@ -63,14 +63,13 @@ int main() {
     for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
       moo::Pmo2Options po;
       po.islands = 4;
-      po.generations = generations;
       po.migration_interval = cfg.interval;
       po.migration_probability = cfg.probability;
       po.topology = cfg.topology;
       po.seed = seed;
       po.island_threads = island_threads;
       moo::Pmo2 pmo2(problem, po, moo::Pmo2::default_nsga2_factory(population));
-      pmo2.run();
+      pmo2.run(generations);
       agg.offer_all(pmo2.archive().solutions());
     }
     fronts.push_back(pareto::Front::from_population(agg.solutions()));

@@ -38,11 +38,10 @@ int main() {
 
   moo::Pmo2Options po;
   po.islands = 2;
-  po.generations = generations;
   po.migration_interval = std::max<std::size_t>(1, generations / 4);
   po.seed = 41;
   moo::Pmo2 pmo2(*problem, po, moo::Pmo2::default_nsga2_factory(population));
-  pmo2.run();
+  pmo2.run(generations);
   const auto front = pareto::Front::from_population(pmo2.archive().solutions());
   std::printf("front: %zu points\n\n", front.size());
 

@@ -60,7 +60,6 @@ RunResult run(const rmp::fba::GeobacterProblem& problem, std::size_t generations
               std::size_t population) {
   rmp::moo::Pmo2Options po;
   po.islands = 2;
-  po.generations = generations;
   po.migration_interval = std::max<std::size_t>(1, generations / 4);
   po.seed = 61;
   // A third of each island starts from the LP seeds (vertices + the
@@ -74,7 +73,7 @@ RunResult run(const rmp::fba::GeobacterProblem& problem, std::size_t generations
         return std::make_unique<rmp::moo::Nsga2>(p, o);
       };
   rmp::moo::Pmo2 pmo2(problem, po, factory);
-  pmo2.run();
+  pmo2.run(generations);
 
   RunResult r;
   r.front = rmp::pareto::Front::from_population(pmo2.archive().solutions());

@@ -194,14 +194,13 @@ std::uint64_t pmo2_fingerprint(const C3Config& cfg, std::size_t island_threads,
   const rmp::kinetics::PhotosynthesisProblem problem(model);
   rmp::moo::Pmo2Options opts;
   opts.islands = 2;
-  opts.generations = generations;
   opts.migration_interval = 2;
   opts.archive_capacity = 64;
   opts.seed = 7;
   opts.island_threads = island_threads;
   rmp::moo::Pmo2 pmo2(problem, opts,
                       rmp::moo::Pmo2::default_nsga2_factory(population));
-  pmo2.run();
+  pmo2.run(generations);
   return pmo2.archive().fingerprint();
 }
 

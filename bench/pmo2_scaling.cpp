@@ -110,14 +110,13 @@ int main(int argc, char** argv) {
     for (std::size_t rep = 0; rep < repeats; ++rep) {
       moo::Pmo2Options o;
       o.islands = islands;
-      o.generations = generations;
       o.migration_interval = std::max<std::size_t>(1, generations / 4);
       o.migration_probability = 0.5;
       o.seed = 41;
       o.island_threads = width;
       moo::Pmo2 pmo2(problem, o, moo::Pmo2::default_nsga2_factory(population));
       const auto t0 = clock::now();
-      pmo2.run();
+      pmo2.run(generations);
       const std::chrono::duration<double> dt = clock::now() - t0;
       r.best_wall_seconds = std::min(r.best_wall_seconds, dt.count());
       if (rep + 1 == repeats) {

@@ -174,8 +174,11 @@ Leg run_leg(const Knobs& k, const std::string& name, bool screen) {
       ycfg.perturbation.max_relative = stress;
       ycfg.threads = k.threads;
       ycfg.epoch_commit = [problem] { problem->commit_epoch(); };
-      ycfg.nominal_value = c.f[0];  // bitwise, from the archive
-      const robustness::YieldResult y = robustness::global_yield(c.x, property, ycfg);
+      // The nominal is c.f[0], bitwise, from the archive.
+      const robustness::EnsembleRequest request{c.x, c.f[0], ycfg.seed,
+                                                robustness::kAllVariables};
+      const robustness::YieldResult y =
+          robustness::score_ensembles({&request, 1}, property, ycfg).front();
       leg.gammas.push_back({-c.f[0], stress, y.gamma});
     }
   }

@@ -72,6 +72,16 @@ test -n "$("${RMP_RUN}" --list-problems)" || { echo "rmp_run --list-problems is 
 grep -q '"fingerprint": "0x' "${BUILD_DIR}/rmp_run_result.json" \
   || { echo "rmp_run result carries no fingerprint" >&2; exit 1; }
 
+# Robustness example smoke: examples/robustness_screening is the one
+# non-test caller of robustness::local_yields (every enzyme's local
+# ensemble in one chunked scorer call), so it must run to completion and
+# print a yield for each of the 23 enzymes.
+"${BUILD_DIR}/examples/robustness_screening" > "${BUILD_DIR}/robustness_screening.txt"
+grep -q '^per-enzyme local yield' "${BUILD_DIR}/robustness_screening.txt" \
+  || { echo "robustness_screening printed no local-yield profile" >&2; exit 1; }
+test "$(grep -cE '%[[:space:]]+[0-9.]+[[:space:]]*$' "${BUILD_DIR}/robustness_screening.txt")" -eq 23 \
+  || { echo "robustness_screening did not print 23 local yields" >&2; exit 1; }
+
 # rmp_serve smoke: the daemon must survive a deterministic mid-run stop
 # (--step-limit drains to checkpoints), a real SIGTERM mid-run, and a final
 # --drain restart — with both spooled jobs completing to validated result

@@ -31,12 +31,11 @@ int main() {
   const fba::GeobacterProblem problem(net);
   moo::Pmo2Options o;
   o.islands = 2;
-  o.generations = 25;
   o.migration_interval = 8;
   o.seed = 13;
   o.island_threads = 0;  // islands evolve concurrently; results are thread-invariant
   moo::Pmo2 pmo2(problem, o, moo::Pmo2::default_nsga2_factory(30));
-  pmo2.run();
+  pmo2.run(25);
 
   const auto front = pareto::Front::from_population(pmo2.archive().solutions());
   std::printf("PMO2: %zu evaluations, %zu trade-off fluxes on the front\n\n",

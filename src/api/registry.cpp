@@ -203,7 +203,7 @@ void register_builtins(ProblemRegistry& reg) {
   reg.add("photosynthesis",
           "C3 enzyme partition design; scenario in {past,present,future}-{low,high}",
           {"scenario", "pool", "min_uptake", "prescreen_margin",
-           "prescreen_radius2", "cycle_prescreen_radius2"},
+           "prescreen_radius2"},
           [](const ParamMap& p) {
             const std::string label = param_string(p, "scenario", "present-high");
             const kinetics::Scenario* s = kinetics::scenario_by_label(label);
@@ -229,21 +229,14 @@ void register_builtins(ProblemRegistry& reg) {
                 param_double(p, "prescreen_margin", bounds.prescreen_margin);
             bounds.prescreen_radius2 =
                 param_double(p, "prescreen_radius2", bounds.prescreen_radius2);
-            bounds.cycle_prescreen_radius2 = param_double(
-                p, "cycle_prescreen_radius2", bounds.cycle_prescreen_radius2);
             return std::make_shared<kinetics::PhotosynthesisProblem>(
                 std::make_shared<const kinetics::C3Model>(cfg), bounds);
           });
   reg.add("geobacter",
           "Geobacter 608-reaction flux design (EP vs BP, steady-state violation)",
-          {"reactions", "repair", "lp_seeding"}, [](const ParamMap& p) {
-            fba::GeobacterSpec spec;
-            spec.total_reactions = param_size(p, "reactions", spec.total_reactions);
-            if (spec.total_reactions < 100) {
-              throw SpecError("geobacter needs reactions >= 100 (the calibrated core)");
-            }
+          {"repair", "lp_seeding"}, [](const ParamMap& p) {
             auto network =
-                std::make_shared<const fba::MetabolicNetwork>(fba::build_geobacter(spec));
+                std::make_shared<const fba::MetabolicNetwork>(fba::build_geobacter());
             fba::GeobacterProblemOptions opts;
             opts.nullspace_repair = param_bool(p, "repair", opts.nullspace_repair);
             opts.lp_seeding = param_bool(p, "lp_seeding", opts.lp_seeding);
@@ -310,10 +303,10 @@ void register_builtins(OptimizerRegistry& reg) {
           });
   reg.add("pmo2",
           "PMO2 archipelago (islands, population, migration_interval, "
-          "migration_probability, migrants, topology, degree, archive_capacity, "
+          "migration_probability, migrants, topology, archive_capacity, "
           "engines=a,b,...)",
           {"islands", "population", "migration_interval", "migration_probability",
-           "migrants", "topology", "degree", "archive_capacity", "engines"},
+           "migrants", "topology", "archive_capacity", "engines"},
           [](const moo::Problem& problem, const OptimizerContext& ctx,
              const ParamMap& p) -> std::unique_ptr<moo::Optimizer> {
             moo::Pmo2Options o;
@@ -325,7 +318,6 @@ void register_builtins(OptimizerRegistry& reg) {
                 param_fraction(p, "migration_probability", o.migration_probability);
             o.migrants_per_edge = param_size(p, "migrants", o.migrants_per_edge);
             o.topology = parse_topology(param_string(p, "topology", "all-to-all"));
-            o.random_topology_degree = param_size(p, "degree", o.random_topology_degree);
             o.archive_capacity = param_size(p, "archive_capacity", o.archive_capacity);
             o.seed = ctx.seed;
             o.island_threads = ctx.threads;

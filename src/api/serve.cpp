@@ -187,8 +187,8 @@ void JobServer::write_checkpoint(const Job& job) {
                           "checkpoint.write");
 }
 
-void JobServer::quarantine_file(const std::string& id,
-                                const std::string& path) {
+void JobServer::quarantine_file(const std::string& id, const std::string& path,
+                                const std::string& reason) {
   std::string target;
   for (int n = 0;; ++n) {
     target = options_.spool + "/work/" + id + ".corrupt." + std::to_string(n);
@@ -197,8 +197,9 @@ void JobServer::quarantine_file(const std::string& id,
   move_quiet(path, target);
   try {
     append_event(id, "quarantined",
-                 core::Json::object().set(
-                     "file", fs::path(target).filename().string()));
+                 core::Json::object()
+                     .set("file", fs::path(target).filename().string())
+                     .set("reason", reason));
   } catch (const core::IoError&) {
     // quarantine evidence is on disk either way
   }
@@ -221,8 +222,8 @@ std::optional<Session> JobServer::build_session(const std::string& id,
             "submitted job");
       }
       return session;
-    } catch (const SpecError&) {
-      quarantine_file(id, candidate);
+    } catch (const SpecError& e) {
+      quarantine_file(id, candidate, e.what());
     }
   }
   try {

@@ -176,7 +176,10 @@ class JobServer {
   /// pristine spec fails (caller fails the job).
   [[nodiscard]] std::optional<Session> build_session(
       const std::string& id, const RunSpec& spec, std::string& error);
-  void quarantine_file(const std::string& id, const std::string& path);
+  /// Moves `path` to work/<id>.corrupt.<n> and appends a `quarantined`
+  /// event naming the file and the SpecError `reason` that rejected it.
+  void quarantine_file(const std::string& id, const std::string& path,
+                       const std::string& reason);
 
   void step_jobs(TickReport& report, std::vector<std::string>& dropped);
   void stamp_heartbeats();

@@ -288,17 +288,17 @@ RunResult Session::finish() {
     for (MinedCandidate& c : result.mined) {
       // The mined candidate's archived objective 0 IS the property's nominal
       // value (bitwise — the archive stores what evaluate() reported), so
-      // hand it through instead of re-evaluating the nominal point.
-      robustness::YieldConfig candidate_cfg = ycfg;
-      candidate_cfg.nominal_value = c.objectives[0];
-      c.yield = robustness::global_yield(c.x, property, candidate_cfg);
+      // hand it through instead of re-evaluating the nominal point.  One
+      // call per candidate keeps an epoch barrier after each ensemble.
+      const robustness::EnsembleRequest request{c.x, c.objectives[0], ycfg.seed,
+                                                robustness::kAllVariables};
+      c.yield = robustness::score_ensembles({&request, 1}, property, ycfg).front();
     }
     // Surface screening + the max-yield selection (Figure 3 / Table 2).
     if (spec_.robustness.surface_samples > 0) {
       robustness::SurfaceConfig scfg;
       scfg.yield = ycfg;
       scfg.samples = spec_.robustness.surface_samples;
-      scfg.threads = spec_.threads;
       result.surface = robustness::robustness_surface(result.front, property, scfg);
       if (!result.surface.empty()) {
         const auto best = std::max_element(

@@ -15,14 +15,14 @@
 // dynamically scheduled batch on one pool.  A PMO2 epoch runs three of them
 // (Pmo2::step: stage every island's variation, then ONE evaluate_batch over
 // all islands' offspring, then commit every island), and the robustness
-// surface scores all picks' nominals as one batch, then their trials in
-// batches of up to kSurfaceChunkTrials.  A parallel region started from inside a pool batch runs inline on
-// the calling thread instead of re-entering the pool, so code reached from
-// a pool task (an engine whose whole step runs in the PMO2 commit phase, a
-// yield ensemble inside a caller's region) executes serially on that
-// thread: total width stays bounded by the outer request and no nesting
-// can deadlock.  A region whose outer loop is explicitly serial leaves the
-// pool free for the regions nested in it.  See the tuning table in
+// scorer scores whole Monte-Carlo ensembles in batches of up to
+// kEnsembleChunkTrials trials.  A parallel region started from inside a
+// pool batch runs inline on the calling thread instead of re-entering the
+// pool, so code reached from a pool task (an engine whose whole step runs
+// in the PMO2 commit phase, a yield ensemble inside a caller's region)
+// executes serially on that thread: total width stays bounded by the
+// outer request and no nesting can deadlock.  A region whose outer loop is
+// explicitly serial leaves the pool free for the regions nested in it.  See the tuning table in
 // docs/ARCHITECTURE.md.
 //
 // Layering note: these files live in src/core/ (the paper-pipeline layer)
@@ -49,7 +49,7 @@ namespace rmp::core {
 /// thread participates in the batch, so a pool of W workers applies W+1
 /// threads.  Re-entrant calls from inside a batch degrade to serial inline
 /// execution instead of deadlocking, which makes nested parallel loops
-/// (robustness surface -> yield ensemble) safe by construction.
+/// (a yield ensemble inside a caller's region) safe by construction.
 class ThreadPool {
  public:
   /// Spawns `workers` threads (0 is valid: every batch runs on the caller).

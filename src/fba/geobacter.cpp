@@ -37,7 +37,8 @@ class NetworkBuilder {
 
 }  // namespace
 
-MetabolicNetwork build_geobacter(const GeobacterSpec& spec) {
+MetabolicNetwork build_geobacter() {
+  constexpr GeobacterSpec spec;
   MetabolicNetwork net;
   NetworkBuilder b(net);
   const double g = spec.generic_bound;

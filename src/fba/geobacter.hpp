@@ -24,10 +24,9 @@
 
 namespace rmp::fba {
 
-/// The network's size (settable: the registry's `reactions` key) and its
-/// calibrated model constants (`static constexpr`, read as `spec.*`).
+/// The network's size and its calibrated model constants.
 struct GeobacterSpec {
-  std::size_t total_reactions = 608;  ///< the paper's reaction count
+  static constexpr std::size_t total_reactions = 608;  ///< the paper's reaction count
   static constexpr double acetate_uptake_max = 26.1;   ///< mmol/gDW/h
   static constexpr double electron_capacity = 161.0;   ///< cytochrome-chain cap, mmol/gDW/h
   static constexpr double atp_maintenance = 0.45;      ///< fixed flux (paper Section 3.2)
@@ -48,8 +47,8 @@ inline constexpr const char* kBiomassExport = "EX_biomass";
 inline constexpr const char* kAtpMaintenance = "ATPM";
 }  // namespace geobacter_ids
 
-/// Builds the synthetic Geobacter network (exactly spec.total_reactions
-/// reactions; asserts no orphan metabolites).
-[[nodiscard]] MetabolicNetwork build_geobacter(const GeobacterSpec& spec = {});
+/// Builds the synthetic Geobacter network (exactly
+/// GeobacterSpec::total_reactions reactions; asserts no orphan metabolites).
+[[nodiscard]] MetabolicNetwork build_geobacter();
 
 }  // namespace rmp::fba

@@ -23,7 +23,6 @@ PhotosynthesisProblem::PhotosynthesisProblem(std::shared_ptr<const C3Model> mode
       min_uptake_(bounds.min_uptake),
       prescreen_margin_(bounds.prescreen_margin),
       prescreen_radius2_(bounds.prescreen_radius2),
-      cycle_prescreen_radius2_(bounds.cycle_prescreen_radius2),
       prescreen_(bounds.prescreen) {}
 
 std::string PhotosynthesisProblem::name() const {
@@ -50,7 +49,7 @@ double PhotosynthesisProblem::evaluate(std::span<const double> x,
     // Cycle-anchor predictions carry no tangent correction, so their skip
     // radius is tighter; the margin and soundness argument are the same.
     const double radius2 =
-        pred.cycle ? cycle_prescreen_radius2_ : prescreen_radius2_;
+        pred.cycle ? PhotosynthesisBounds::cycle_prescreen_radius2 : prescreen_radius2_;
     if (pred.valid && !pred.exact && pred.dist2 <= radius2 &&
         pred.uptake + prescreen_margin_ < min_uptake_) {
       prescreen_skips_.fetch_add(1, std::memory_order_relaxed);

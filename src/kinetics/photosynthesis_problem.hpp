@@ -50,7 +50,7 @@ struct PhotosynthesisBounds {
   /// the stored cycle-average uptake is a zeroth-order estimate — no tangent
   /// model corrects it toward the candidate — so skips demand a tighter
   /// neighbourhood than the first-order root predictions get.
-  double cycle_prescreen_radius2 = 0.25;
+  static constexpr double cycle_prescreen_radius2 = 0.25;
 };
 
 class PhotosynthesisProblem final : public moo::Problem {
@@ -119,7 +119,6 @@ class PhotosynthesisProblem final : public moo::Problem {
   double min_uptake_;
   double prescreen_margin_;
   double prescreen_radius2_;
-  double cycle_prescreen_radius2_;
   /// Runtime prescreen switch; mutable+atomic because toggling it (and the
   /// counters below) is instrumentation, not an observable result change —
   /// evaluate() stays const and concurrency-safe.

@@ -123,20 +123,12 @@ void Pmo2::evolve_islands(bool initial) {
   });
 }
 
-void Pmo2::run(const Observer& observer) {
-  initialize();
-  while (generation_ < opts_.generations) {
-    step();
-    if (observer) observer(generation_, *this);
-  }
-}
-
 void Pmo2::migrate() {
   // Canonical epoch schedule: edges arrive (from, to)-sorted and the
   // migration stream is consumed in exactly that order on the barrier
   // thread, so the epoch is deterministic for any island_threads.
   const auto edges = migration_edges(opts_.topology, islands_.size(), rng_,
-                                     opts_.random_topology_degree);
+                                     Pmo2Options::random_topology_degree);
 
   // Phase 1 — select: migrants are drawn from the epoch snapshot of every
   // source population, so an edge never re-exports candidates that arrived

@@ -71,12 +71,12 @@ namespace rmp::moo {
 
 struct Pmo2Options {
   std::size_t islands = 2;
-  std::size_t generations = 1000;          ///< generations per island
   std::size_t migration_interval = 200;    ///< generations between migrations
   double migration_probability = 0.5;      ///< per-edge chance a migration happens
   std::size_t migrants_per_edge = 5;       ///< candidates copied along one edge
   TopologyKind topology = TopologyKind::kAllToAll;
-  std::size_t random_topology_degree = 1;  ///< out-degree for TopologyKind::kRandom
+  /// Out-degree for TopologyKind::kRandom.
+  static constexpr std::size_t random_topology_degree = 1;
   std::size_t archive_capacity = 0;        ///< 0 = unbounded
   std::uint64_t seed = 7;
   /// Width of every epoch phase: the per-island staging and commit tasks
@@ -106,25 +106,12 @@ class Pmo2 final : public Optimizer {
   using AlgorithmFactory = std::function<std::unique_ptr<Optimizer>(
       const Problem& problem, std::uint64_t seed, std::size_t island_index)>;
 
-  /// Observer invoked after every generation (gen is 1-based), always with a
-  /// fully-committed epoch: archive merged, migration (if due) applied.
-  /// This is the Pmo2-typed convenience flavour; the inherited
-  /// Optimizer::run(generations, observer) delivers the same committed-epoch
-  /// callback through the base interface.
-  using Observer = std::function<void(std::size_t gen, const Pmo2& state)>;
-
   /// Default factory: NSGA-II with 100 individuals per island.
   [[nodiscard]] static AlgorithmFactory default_nsga2_factory(
       std::size_t population_per_island = 100);
 
   Pmo2(const Problem& problem, Pmo2Options options,
        AlgorithmFactory factory = nullptr);
-
-  /// Full run over options.generations: initialize all islands, evolve,
-  /// migrate, archive.  The inherited run(generations, observer) overload
-  /// does the same under a caller-chosen budget.
-  void run(const Observer& observer = nullptr);
-  using Optimizer::run;
 
   /// Step-wise API (used by the convergence ablation): one generation on
   /// every island (the three phases above), then the epoch barrier.

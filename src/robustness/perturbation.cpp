@@ -1,6 +1,5 @@
 #include "robustness/perturbation.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace rmp::robustness {
@@ -15,47 +14,13 @@ void clamp_to(const PerturbationConfig& cfg, num::Vec& x) {
 
 }  // namespace
 
-num::Vec perturb_global(std::span<const double> x, double max_relative, num::Rng& rng) {
-  num::Vec out(x.begin(), x.end());
-  for (double& v : out) v *= 1.0 + rng.uniform(-max_relative, max_relative);
-  return out;
-}
-
-num::Vec perturb_local(std::span<const double> x, std::size_t var, double max_relative,
-                       num::Rng& rng) {
-  assert(var < x.size());
-  num::Vec out(x.begin(), x.end());
-  out[var] *= 1.0 + rng.uniform(-max_relative, max_relative);
-  return out;
-}
-
 std::vector<num::Vec> global_ensemble(std::span<const double> x,
                                       const PerturbationConfig& cfg, num::Rng& rng) {
   std::vector<num::Vec> ensemble;
   ensemble.reserve(cfg.global_trials);
-
-  if (cfg.scheme == SamplingScheme::kLatinHypercube) {
-    // One stratified permutation per coordinate: trial t draws its delta for
-    // coordinate i from stratum perm_i[t], jittered inside the stratum.
-    const std::size_t n = x.size();
-    const std::size_t trials = cfg.global_trials;
-    std::vector<std::vector<std::size_t>> perms(n);
-    for (auto& p : perms) p = rng.permutation(trials);
-    for (std::size_t t = 0; t < trials; ++t) {
-      num::Vec p(x.begin(), x.end());
-      for (std::size_t i = 0; i < n; ++i) {
-        const double u = (static_cast<double>(perms[i][t]) + rng.uniform()) /
-                         static_cast<double>(trials);
-        p[i] *= 1.0 + cfg.max_relative * (2.0 * u - 1.0);
-      }
-      clamp_to(cfg, p);
-      ensemble.push_back(std::move(p));
-    }
-    return ensemble;
-  }
-
   for (std::size_t t = 0; t < cfg.global_trials; ++t) {
-    num::Vec p = perturb_global(x, cfg.max_relative, rng);
+    num::Vec p(x.begin(), x.end());
+    for (double& v : p) v *= 1.0 + rng.uniform(-cfg.max_relative, cfg.max_relative);
     clamp_to(cfg, p);
     ensemble.push_back(std::move(p));
   }
@@ -64,10 +29,12 @@ std::vector<num::Vec> global_ensemble(std::span<const double> x,
 
 std::vector<num::Vec> local_ensemble(std::span<const double> x, std::size_t var,
                                      const PerturbationConfig& cfg, num::Rng& rng) {
+  assert(var < x.size());
   std::vector<num::Vec> ensemble;
   ensemble.reserve(cfg.local_trials_per_variable);
   for (std::size_t t = 0; t < cfg.local_trials_per_variable; ++t) {
-    num::Vec p = perturb_local(x, var, cfg.max_relative, rng);
+    num::Vec p(x.begin(), x.end());
+    p[var] *= 1.0 + rng.uniform(-cfg.max_relative, cfg.max_relative);
     clamp_to(cfg, p);
     ensemble.push_back(std::move(p));
   }

@@ -16,28 +16,14 @@
 
 namespace rmp::robustness {
 
-enum class SamplingScheme {
-  kMonteCarlo,      ///< independent uniform draws (the paper's scheme)
-  kLatinHypercube,  ///< stratified per coordinate: lower variance estimates
-};
-
 struct PerturbationConfig {
   double max_relative = 0.10;      ///< +-10% per coordinate
   std::size_t global_trials = 5000;
   std::size_t local_trials_per_variable = 200;
-  SamplingScheme scheme = SamplingScheme::kMonteCarlo;
   /// Perturbed points are clamped into [lower, upper] when bounds are given.
   num::Vec lower;
   num::Vec upper;
 };
-
-/// One globally-perturbed copy of x.
-[[nodiscard]] num::Vec perturb_global(std::span<const double> x, double max_relative,
-                                      num::Rng& rng);
-
-/// One copy of x with only coordinate `var` perturbed.
-[[nodiscard]] num::Vec perturb_local(std::span<const double> x, std::size_t var,
-                                     double max_relative, num::Rng& rng);
 
 /// Full global ensemble T (size cfg.global_trials).
 [[nodiscard]] std::vector<num::Vec> global_ensemble(std::span<const double> x,

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "core/parallel.hpp"
 
 namespace rmp::robustness {
-
-bool robustness_condition(double nominal_value, double perturbed_value,
-                          double absolute_threshold) {
-  return std::fabs(nominal_value - perturbed_value) <= absolute_threshold;
-}
 
 YieldResult summarize_ensemble(double nominal_value, double epsilon_fraction,
                                std::span<const double> trial_values) {
@@ -29,59 +25,79 @@ YieldResult summarize_ensemble(double nominal_value, double epsilon_fraction,
   return r;
 }
 
+std::vector<YieldResult> score_ensembles(std::span<const EnsembleRequest> requests,
+                                         const PropertyFn& f, const YieldConfig& cfg) {
+  const auto trials_of = [&cfg](const EnsembleRequest& r) {
+    return r.variable == kAllVariables ? cfg.perturbation.global_trials
+                                       : cfg.perturbation.local_trials_per_variable;
+  };
+  std::vector<YieldResult> out(requests.size());
+  std::vector<num::Vec> trials;
+  std::vector<double> values;
+  for (std::size_t first = 0; first < requests.size();) {
+    // The chunk: whole ensembles laid end to end, each drawn from its own
+    // seeded RNG, until the next one would overflow kEnsembleChunkTrials.
+    trials.clear();
+    std::size_t last = first;
+    do {
+      const EnsembleRequest& r = requests[last];
+      num::Rng rng(r.seed);
+      std::vector<num::Vec> ensemble =
+          r.variable == kAllVariables ? global_ensemble(r.x, cfg.perturbation, rng)
+                                      : local_ensemble(r.x, r.variable, cfg.perturbation, rng);
+      std::move(ensemble.begin(), ensemble.end(), std::back_inserter(trials));
+      ++last;
+    } while (last < requests.size() &&
+             trials.size() + trials_of(requests[last]) <= kEnsembleChunkTrials);
+
+    // Score the chunk in parallel (PropertyFn is concurrency-safe by
+    // contract), then reduce each request serially in index order for
+    // bit-exact results.
+    values.assign(trials.size(), 0.0);
+    core::parallel_for(trials.size(), cfg.threads,
+                       [&](std::size_t i) { values[i] = f(trials[i]); });
+    std::size_t offset = 0;
+    for (std::size_t k = first; k < last; ++k) {
+      const std::size_t n = trials_of(requests[k]);
+      out[k] = summarize_ensemble(requests[k].nominal, cfg.epsilon_fraction,
+                                  std::span<const double>(values).subspan(offset, n));
+      offset += n;
+    }
+    first = last;
+  }
+  // Serial epoch barrier after the last chunk, so whatever is scored next
+  // warm-starts from these trials' roots.
+  if (cfg.epoch_commit) cfg.epoch_commit();
+  return out;
+}
+
 namespace {
 
-YieldResult run_ensemble(std::span<const double> x, const PropertyFn& f,
-                         const YieldConfig& cfg,
-                         const std::vector<num::Vec>& ensemble) {
-  const double nominal = cfg.nominal_value ? *cfg.nominal_value : f(x);
-  // Epoch barrier before the batch: the nominal solve (and anything staged
-  // by earlier stages) becomes warm-start snapshot for every trial below.
+/// f(x), then the epoch barrier that makes its solve the warm-start
+/// snapshot every trial of the ensembles measured against it reads.
+double committed_nominal(std::span<const double> x, const PropertyFn& f,
+                         const YieldConfig& cfg) {
+  const double nominal = f(x);
   if (cfg.epoch_commit) cfg.epoch_commit();
-  // Score the trials in parallel (PropertyFn is concurrency-safe by
-  // contract), then reduce serially in index order for bit-exact results.
-  std::vector<double> values(ensemble.size());
-  core::parallel_for(ensemble.size(), cfg.threads,
-                     [&](std::size_t i) { values[i] = f(ensemble[i]); });
-  // ... and after it, so the next ensemble starts from this one's roots.
-  if (cfg.epoch_commit) cfg.epoch_commit();
-  return summarize_ensemble(nominal, cfg.epsilon_fraction, values);
+  return nominal;
 }
 
 }  // namespace
 
 YieldResult global_yield(std::span<const double> x, const PropertyFn& f,
                          const YieldConfig& cfg) {
-  num::Rng rng(cfg.seed);
-  const auto ensemble = global_ensemble(x, cfg.perturbation, rng);
-  return run_ensemble(x, f, cfg, ensemble);
-}
-
-YieldResult local_yield(std::span<const double> x, std::size_t var, const PropertyFn& f,
-                        const YieldConfig& cfg) {
-  num::Rng rng(cfg.seed + var + 1);
-  const auto ensemble = local_ensemble(x, var, cfg.perturbation, rng);
-  return run_ensemble(x, f, cfg, ensemble);
+  const EnsembleRequest request{x, committed_nominal(x, f, cfg), cfg.seed, kAllVariables};
+  return score_ensembles({&request, 1}, f, cfg).front();
 }
 
 std::vector<YieldResult> local_yields(std::span<const double> x, const PropertyFn& f,
                                       const YieldConfig& cfg) {
-  // The nominal value is shared by every per-variable ensemble: evaluate it
-  // once up front (committing it into any epoch-accelerator snapshots)
-  // instead of once per variable.
-  YieldConfig shared = cfg;
-  if (!shared.nominal_value) {
-    shared.nominal_value = f(x);
-    if (shared.epoch_commit) shared.epoch_commit();
+  const double nominal = committed_nominal(x, f, cfg);
+  std::vector<EnsembleRequest> requests(x.size());
+  for (std::size_t var = 0; var < x.size(); ++var) {
+    requests[var] = {x, nominal, cfg.seed + var + 1, var};
   }
-  // Parallelize across variables (each has its own seeded ensemble); the
-  // per-variable ensembles then run serially thanks to the nested-batch
-  // guard in core::parallel_for.
-  std::vector<YieldResult> out(x.size());
-  core::parallel_for(x.size(), shared.threads, [&](std::size_t var) {
-    out[var] = local_yield(x, var, f, shared);
-  });
-  return out;
+  return score_ensembles(requests, f, cfg);
 }
 
 }  // namespace rmp::robustness

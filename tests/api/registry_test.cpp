@@ -235,6 +235,27 @@ TEST(OptimizerRegistryTest, RejectsOutOfRangeFractions) {
   EXPECT_THROW(moo::Pmo2(problem, pmo2), std::invalid_argument);
 }
 
+// Parameters that no spec set are fixed constants now; a reference that
+// still names one fails with the unknown-parameter error, naming it.
+TEST(RegistryTest, ConstantParametersAreRejectedByName) {
+  const auto expect_rejected = [](const auto& registry, const std::string& ref,
+                                  const std::string& key) {
+    SCOPED_TRACE(ref);
+    try {
+      registry.validate(ref);
+      ADD_FAILURE() << "accepted";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown parameter \"" + key + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(ProblemRegistry::global(),
+                  "photosynthesis?cycle_prescreen_radius2=0.5", "cycle_prescreen_radius2");
+  expect_rejected(ProblemRegistry::global(), "geobacter?reactions=700", "reactions");
+  expect_rejected(OptimizerRegistry::global(), "pmo2?topology=random&degree=2", "degree");
+}
+
 TEST(OptimizerRegistryTest, ValidateChecksKeysWithoutConstructing) {
   ProblemRegistry::global().validate("geobacter?repair=0");   // no network built
   OptimizerRegistry::global().validate("pmo2?islands=4&engines=nsga2");

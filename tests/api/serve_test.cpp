@@ -93,6 +93,21 @@ std::size_t count_events(const std::string& spool, const std::string& id,
   return count;
 }
 
+/// The "reason" of every quarantined event of job `id`, in log order.
+std::vector<std::string> quarantine_reasons(const std::string& spool,
+                                            const std::string& id) {
+  std::ifstream in(spool + "/events/" + id + ".jsonl");
+  std::vector<std::string> reasons;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty()) continue;
+    const core::Json event = core::Json::parse(line);
+    if (event.at("type").as_string() == "quarantined") {
+      reasons.push_back(event.at("reason").as_string());
+    }
+  }
+  return reasons;
+}
+
 void expect_conformant(const std::string& spool) {
   const auto issues = verify_spool_traces(spool, /*require_terminal=*/true);
   for (const TraceIssue& issue : issues) {
@@ -268,10 +283,21 @@ TEST(JobServerTest, TruncatedCheckpointIsQuarantinedAndTheJobRecovers) {
   const std::string ckpt_path = spool + "/work/alpha.checkpoint.json";
   const auto size = fs::file_size(ckpt_path);
   fs::resize_file(ckpt_path, size / 3);
+  std::string parse_error;
+  try {
+    (void)core::load_json_file(ckpt_path);
+  } catch (const core::JsonError& e) {
+    parse_error = e.what();
+  }
+  ASSERT_FALSE(parse_error.empty());
 
   JobServer second(ServeOptions{spool});
   drain(second);
   EXPECT_TRUE(fs::exists(spool + "/work/alpha.corrupt.0"));
+  // The event says why: the parser's own error, byte offset included.
+  const std::vector<std::string> reasons = quarantine_reasons(spool, "alpha");
+  ASSERT_EQ(reasons.size(), 1u);
+  EXPECT_NE(reasons[0].find(parse_error), std::string::npos) << reasons[0];
   EXPECT_EQ(result_fingerprint(spool, "alpha"), run(job_spec(11)).fingerprint);
   expect_conformant(spool);
 }
@@ -296,6 +322,10 @@ TEST(JobServerTest, Version2CheckpointIsQuarantinedAndTheJobRecovers) {
   EXPECT_TRUE(fs::exists(spool + "/work/alpha.corrupt.0"));
   EXPECT_FALSE(fs::exists(spool + "/failed/alpha.json"));
   EXPECT_EQ(count_events(spool, "alpha", "quarantined"), 1u);
+  // The event tells an old state_version from a torn file.
+  const std::vector<std::string> reasons = quarantine_reasons(spool, "alpha");
+  ASSERT_EQ(reasons.size(), 1u);
+  EXPECT_NE(reasons[0].find("state_version"), std::string::npos) << reasons[0];
   EXPECT_EQ(result_fingerprint(spool, "alpha"), run(job_spec(11)).fingerprint);
   expect_conformant(spool);
 }

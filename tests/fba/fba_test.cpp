@@ -84,25 +84,5 @@ TEST(FbaTest, FixedMaintenanceFluxRespected) {
   EXPECT_NEAR(r.objective_value, 17.0, 1e-6);  // 7*2 + 3*1
 }
 
-TEST(FvaTest, RangesAtOptimum) {
-  const MetabolicNetwork net = branched();
-  const auto fva = run_fva(net, "EX_bio", 1.0, {"to_b", "to_c", "uptake"});
-  ASSERT_EQ(fva.size(), 3u);
-  // At the unique optimum every flux is pinned.
-  EXPECT_NEAR(fva[0].min_flux, 8.0, 1e-6);
-  EXPECT_NEAR(fva[0].max_flux, 8.0, 1e-6);
-  EXPECT_NEAR(fva[1].min_flux, 2.0, 1e-6);
-  EXPECT_NEAR(fva[1].max_flux, 2.0, 1e-6);
-  EXPECT_NEAR(fva[2].min_flux, 10.0, 1e-6);
-}
-
-TEST(FvaTest, RelaxedOptimumWidensRanges) {
-  const MetabolicNetwork net = branched();
-  const auto fva = run_fva(net, "EX_bio", 0.5, {"to_c"});
-  ASSERT_EQ(fva.size(), 1u);
-  EXPECT_LT(fva[0].min_flux, 2.0 + 1e-9);
-  EXPECT_NEAR(fva[0].max_flux, 5.0, 1e-6);  // branch cap
-}
-
 }  // namespace
 }  // namespace rmp::fba

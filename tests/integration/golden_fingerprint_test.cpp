@@ -24,6 +24,7 @@
 // table.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
@@ -94,6 +95,60 @@ TEST(GoldenFingerprintTest, GeobacterFingerprintMatchesCommittedValue) {
   EXPECT_GT(result.front.size(), 0u);
 }
 
+// The robustness stage end to end: three mined candidates scored one
+// ensemble each, then a seven-pick surface whose 1050 trials span two chunks,
+// on a kinetic problem whose warm-start pool makes every Gamma depend on the
+// epoch barriers between those batches.  The digest covers every bit of
+// every YieldResult (mined, then surface), so a moved barrier, a reordered
+// draw or a changed reduction fails here at any thread count.
+RunSpec robustness_golden_spec(std::size_t threads) {
+  RunSpec spec = golden_spec(kGolden[0]);
+  spec.threads = threads;
+  spec.robustness.enabled = true;
+  spec.robustness.trials = 150;
+  spec.robustness.surface_samples = 7;
+  return spec;
+}
+
+std::uint64_t yield_digest(const RunResult& result) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;  // FNV prime
+    }
+  };
+  const auto mix_yield = [&mix](const robustness::YieldResult& y) {
+    mix(std::bit_cast<std::uint64_t>(y.gamma));
+    mix(std::bit_cast<std::uint64_t>(y.nominal_value));
+    mix(std::bit_cast<std::uint64_t>(y.absolute_threshold));
+    mix(y.robust_trials);
+    mix(y.total_trials);
+    mix(std::bit_cast<std::uint64_t>(y.max_deviation));
+  };
+  for (const MinedCandidate& c : result.mined) {
+    mix(c.front_index);
+    if (c.yield) mix_yield(*c.yield);
+  }
+  for (const robustness::SurfacePoint& p : result.surface) {
+    mix(p.front_index);
+    mix_yield(p);
+  }
+  return h;
+}
+
+constexpr std::uint64_t kRobustnessGolden = 0xde3199fd94fca076ULL;
+
+TEST(GoldenFingerprintTest, RobustnessYieldBitsArePinned) {
+  for (const std::size_t threads : {1u, 4u}) {
+    const RunResult result = run(robustness_golden_spec(threads));
+    ASSERT_EQ(result.mined.size(), 4u) << threads;
+    ASSERT_EQ(result.surface.size(), 7u) << threads;
+    EXPECT_EQ(result.fingerprint, kGolden[0].fingerprint) << threads;
+    EXPECT_EQ(yield_digest(result), kRobustnessGolden) << threads;
+  }
+}
+
 TEST(GoldenFingerprintTest, DISABLED_PrintCurrentTable) {
   for (const GoldenRow& row : kGolden) {
     const RunResult result = run(golden_spec(row));
@@ -103,6 +158,8 @@ TEST(GoldenFingerprintTest, DISABLED_PrintCurrentTable) {
   }
   std::printf("kGeobacterGolden = 0x%016" PRIx64 "ULL\n",
               run(geobacter_golden_spec()).fingerprint);
+  std::printf("kRobustnessGolden = 0x%016" PRIx64 "ULL\n",
+              yield_digest(run(robustness_golden_spec(1))));
 }
 
 }  // namespace

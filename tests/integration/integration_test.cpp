@@ -25,11 +25,10 @@ TEST(IntegrationTest, PhotosynthesisFrontDominatesNaturalLeaf) {
   auto problem = kinetics::make_problem(kinetics::table1_scenario());
   moo::Pmo2Options o;
   o.islands = 2;
-  o.generations = 40;
   o.migration_interval = 20;
   o.seed = 3;
   moo::Pmo2 pmo2(*problem, o, moo::Pmo2::default_nsga2_factory(30));
-  pmo2.run();
+  pmo2.run(40);
 
   const auto front = pareto::Front::from_population(pmo2.archive().solutions());
   ASSERT_GT(front.size(), 10u);
@@ -52,10 +51,9 @@ TEST(IntegrationTest, TradeoffPointsAreRobust) {
   auto problem = kinetics::make_problem(kinetics::figure2_scenario());
   moo::Pmo2Options o;
   o.islands = 2;
-  o.generations = 25;
   o.seed = 4;
   moo::Pmo2 pmo2(*problem, o, moo::Pmo2::default_nsga2_factory(24));
-  pmo2.run();
+  pmo2.run(25);
   const auto front = pareto::Front::from_population(pmo2.archive().solutions());
   ASSERT_FALSE(front.empty());
 
@@ -78,11 +76,10 @@ TEST(IntegrationTest, GeobacterOptimizationApproachesLpFront) {
   auto problem = std::make_shared<fba::GeobacterProblem>(net);
   moo::Pmo2Options o;
   o.islands = 2;
-  o.generations = 12;
   o.migration_interval = 6;
   o.seed = 5;
   moo::Pmo2 pmo2(*problem, o, moo::Pmo2::default_nsga2_factory(24));
-  pmo2.run();
+  pmo2.run(12);
 
   const auto front = pareto::Front::from_population(pmo2.archive().solutions());
   ASSERT_FALSE(front.empty());
@@ -112,11 +109,10 @@ TEST(IntegrationTest, Pmo2BeatsSingleMoeadOnCoverage) {
   for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
     moo::Pmo2Options po;
     po.islands = 2;
-    po.generations = 60;
     po.migration_interval = 15;
     po.seed = seed;
     moo::Pmo2 pmo2(problem, po, moo::Pmo2::default_nsga2_factory(30));
-    pmo2.run();
+    pmo2.run(60);
     const auto pmo2_front =
         pareto::Front::from_population(pmo2.archive().solutions());
 

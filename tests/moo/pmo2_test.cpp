@@ -73,13 +73,12 @@ TEST(Pmo2Test, PaperConfigurationRuns) {
   const Zdt1 problem(10);
   Pmo2Options o;
   o.islands = 2;
-  o.generations = 30;
   o.migration_interval = 10;
   o.migration_probability = 0.5;
   o.topology = TopologyKind::kAllToAll;
   o.seed = 99;
   Pmo2 pmo2(problem, o, Pmo2::default_nsga2_factory(20));
-  pmo2.run();
+  pmo2.run(30);
   EXPECT_EQ(pmo2.num_islands(), 2u);
   EXPECT_GT(pmo2.archive().size(), 10u);
   // 2 islands x 20 pop x (1 init + 30 gens)
@@ -90,11 +89,10 @@ TEST(Pmo2Test, MigrationHappensAtInterval) {
   const Zdt1 problem(8);
   Pmo2Options o;
   o.islands = 2;
-  o.generations = 40;
   o.migration_interval = 10;
   o.migration_probability = 1.0;  // deterministic
   Pmo2 pmo2(problem, o, Pmo2::default_nsga2_factory(12));
-  pmo2.run();
+  pmo2.run(40);
   // 4 migration events x 2 edges (all-to-all between 2 islands)
   EXPECT_EQ(pmo2.migrations_performed(), 8u);
 }
@@ -103,11 +101,10 @@ TEST(Pmo2Test, NoMigrationWhenProbabilityZero) {
   const Zdt1 problem(8);
   Pmo2Options o;
   o.islands = 2;
-  o.generations = 20;
   o.migration_interval = 5;
   o.migration_probability = 0.0;
   Pmo2 pmo2(problem, o, Pmo2::default_nsga2_factory(12));
-  pmo2.run();
+  pmo2.run(20);
   EXPECT_EQ(pmo2.migrations_performed(), 0u);
 }
 
@@ -115,11 +112,10 @@ TEST(Pmo2Test, ArchiveIsNondominatedAndConverges) {
   const Zdt1 problem(12);
   Pmo2Options o;
   o.islands = 2;
-  o.generations = 80;
   o.migration_interval = 20;
   o.seed = 7;
   Pmo2 pmo2(problem, o, Pmo2::default_nsga2_factory(40));
-  pmo2.run();
+  pmo2.run(80);
 
   double err = 0.0;
   for (const Individual& m : pmo2.archive().solutions()) {
@@ -133,7 +129,6 @@ TEST(Pmo2Test, HeterogeneousIslands) {
   const Zdt1 problem(8);
   Pmo2Options o;
   o.islands = 2;
-  o.generations = 15;
   Pmo2::AlgorithmFactory factory = [](const Problem& p, std::uint64_t seed,
                                       std::size_t island) -> std::unique_ptr<Optimizer> {
     if (island == 0) {
@@ -148,7 +143,7 @@ TEST(Pmo2Test, HeterogeneousIslands) {
     return std::make_unique<Moead>(p, mo);
   };
   Pmo2 pmo2(problem, o, factory);
-  pmo2.run();
+  pmo2.run(15);
   EXPECT_EQ(pmo2.island(0).name(), "NSGA-II");
   EXPECT_EQ(pmo2.island(1).name(), "MOEA/D");
   EXPECT_FALSE(pmo2.archive().empty());
@@ -158,13 +153,12 @@ TEST(Pmo2Test, ObserverSeesEveryGeneration) {
   const Zdt1 problem(6);
   Pmo2Options o;
   o.islands = 2;
-  o.generations = 12;
   Pmo2 pmo2(problem, o, Pmo2::default_nsga2_factory(10));
   std::size_t calls = 0;
-  pmo2.run([&](std::size_t gen, const Pmo2& state) {
+  pmo2.run(12, [&](std::size_t gen, const Optimizer& state) {
     ++calls;
     EXPECT_EQ(gen, calls);
-    EXPECT_GE(state.archive().size(), 1u);
+    EXPECT_GE(state.population().size(), 1u);
   });
   EXPECT_EQ(calls, 12u);
 }
@@ -186,12 +180,11 @@ TEST(Pmo2Test, DeterministicForSeed) {
   const Zdt3 problem(8);
   Pmo2Options o;
   o.islands = 2;
-  o.generations = 10;
   o.seed = 123;
   Pmo2 a(problem, o, Pmo2::default_nsga2_factory(12));
   Pmo2 b(problem, o, Pmo2::default_nsga2_factory(12));
-  a.run();
-  b.run();
+  a.run(10);
+  b.run(10);
   ASSERT_EQ(a.archive().size(), b.archive().size());
 }
 
@@ -212,13 +205,12 @@ TEST(Pmo2Test, ArchiveBitIdenticalAcrossIslandThreads) {
   auto run = [&](std::size_t island_threads) {
     Pmo2Options o;
     o.islands = 4;
-    o.generations = 20;
     o.migration_interval = 5;
     o.migration_probability = 0.5;
     o.seed = 321;
     o.island_threads = island_threads;
     Pmo2 pmo2(problem, o, Pmo2::default_nsga2_factory(16));
-    pmo2.run();
+    pmo2.run(20);
     RunOutput out;
     out.archive.assign(pmo2.archive().solutions().begin(),
                        pmo2.archive().solutions().end());
@@ -292,13 +284,12 @@ TEST(Pmo2Test, HeterogeneousArchipelagoBitIdenticalAcrossIslandThreads) {
   auto run = [&](std::size_t island_threads) {
     Pmo2Options o;
     o.islands = 6;  // two islands of each engine
-    o.generations = 12;
     o.migration_interval = 4;
     o.migration_probability = 0.5;
     o.seed = 99;
     o.island_threads = island_threads;
     Pmo2 pmo2(problem, o, factory);
-    pmo2.run();
+    pmo2.run(12);
     RunOutput out;
     out.archive.assign(pmo2.archive().solutions().begin(),
                        pmo2.archive().solutions().end());
@@ -547,11 +538,10 @@ TEST_P(Pmo2TopologyTest, RunsToCompletion) {
   const Zdt1 problem(8);
   Pmo2Options o;
   o.islands = 4;
-  o.generations = 10;
   o.migration_interval = 3;
   o.topology = GetParam();
   Pmo2 pmo2(problem, o, Pmo2::default_nsga2_factory(10));
-  pmo2.run();
+  pmo2.run(10);
   EXPECT_GT(pmo2.archive().size(), 5u);
 }
 

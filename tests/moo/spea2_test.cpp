@@ -127,7 +127,6 @@ TEST(Spea2Test, WorksAsIslandEngine) {
   const Zdt1 problem(8);
   Pmo2Options o;
   o.islands = 2;
-  o.generations = 12;
   o.migration_interval = 4;
   Pmo2::AlgorithmFactory factory = [](const Problem& p, std::uint64_t seed,
                                       std::size_t island) -> std::unique_ptr<Optimizer> {
@@ -144,7 +143,7 @@ TEST(Spea2Test, WorksAsIslandEngine) {
     return std::make_unique<Nsga2>(p, no);
   };
   Pmo2 pmo2(problem, o, factory);
-  pmo2.run();
+  pmo2.run(12);
   EXPECT_EQ(pmo2.island(0).name(), "SPEA2");
   EXPECT_GT(pmo2.archive().size(), 5u);
 }

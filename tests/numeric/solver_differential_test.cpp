@@ -331,12 +331,11 @@ TEST(SolverDifferentialTest, WindowGatePassesEveryValidPeriodScan) {
     const RecordingProblem recording(*problem);
     moo::Pmo2Options o;
     o.islands = 2;
-    o.generations = 2;
     o.migration_interval = 2;
     o.seed = 11;
     o.island_threads = 1;
     moo::Pmo2 pmo2(recording, o, moo::Pmo2::default_nsga2_factory(8));
-    pmo2.run();
+    pmo2.run(2);
     audit_gate(problem->model(), recording.candidates(), tally);
   }
   // Neither side of the premise may be vacuous.

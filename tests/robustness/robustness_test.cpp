@@ -9,17 +9,18 @@
 #include <cstdint>
 #include <set>
 
-#include "numeric/stats.hpp"
 #include "pareto/mining.hpp"
+#include "support/per_variable_local_yield.hpp"
 
 namespace rmp::robustness {
 namespace {
 
 TEST(PerturbationTest, GlobalStaysWithinRelativeBand) {
   num::Rng rng(1);
+  PerturbationConfig cfg;
+  cfg.global_trials = 500;
   const num::Vec x{1.0, 10.0, 100.0};
-  for (int t = 0; t < 500; ++t) {
-    const num::Vec p = perturb_global(x, 0.1, rng);
+  for (const num::Vec& p : global_ensemble(x, cfg, rng)) {
     for (std::size_t i = 0; i < x.size(); ++i) {
       EXPECT_GE(p[i], x[i] * 0.9 - 1e-12);
       EXPECT_LE(p[i], x[i] * 1.1 + 1e-12);
@@ -29,9 +30,10 @@ TEST(PerturbationTest, GlobalStaysWithinRelativeBand) {
 
 TEST(PerturbationTest, LocalChangesOnlyOneCoordinate) {
   num::Rng rng(2);
+  PerturbationConfig cfg;
+  cfg.local_trials_per_variable = 100;
   const num::Vec x{1.0, 2.0, 3.0};
-  for (int t = 0; t < 100; ++t) {
-    const num::Vec p = perturb_local(x, 1, 0.1, rng);
+  for (const num::Vec& p : local_ensemble(x, 1, cfg, rng)) {
     EXPECT_DOUBLE_EQ(p[0], 1.0);
     EXPECT_DOUBLE_EQ(p[2], 3.0);
     EXPECT_GE(p[1], 1.8 - 1e-12);
@@ -63,11 +65,15 @@ TEST(PerturbationTest, BoundsClampApplied) {
 }
 
 TEST(RhoTest, ThresholdSemantics) {
-  // eq. 3: rho = 1 iff |f(x) - f(x*)| <= eps.
-  EXPECT_TRUE(robustness_condition(10.0, 10.4, 0.5));
-  EXPECT_TRUE(robustness_condition(10.0, 9.6, 0.5));
-  EXPECT_FALSE(robustness_condition(10.0, 10.6, 0.5));
-  EXPECT_TRUE(robustness_condition(10.0, 10.5, 0.5));  // boundary inclusive
+  // eq. 3: rho = 1 iff |f(x) - f(x*)| <= eps; eps = 5% of 10 = 0.5.
+  const auto robust = [](double perturbed) {
+    return summarize_ensemble(10.0, 0.05, std::span<const double>(&perturbed, 1))
+               .robust_trials == 1;
+  };
+  EXPECT_TRUE(robust(10.4));
+  EXPECT_TRUE(robust(9.6));
+  EXPECT_FALSE(robust(10.6));
+  EXPECT_TRUE(robust(10.5));  // boundary inclusive
 }
 
 TEST(YieldTest, ConstantFunctionIsFullyRobust) {
@@ -119,6 +125,55 @@ TEST(YieldTest, LocalYieldIsolatesFragileVariable) {
   ASSERT_EQ(locals.size(), 2u);
   EXPECT_LT(locals[0].gamma, 0.2);
   EXPECT_DOUBLE_EQ(locals[1].gamma, 1.0);
+}
+
+// local_yields scores every variable's ensemble through one chunked
+// scorer call; each variable's result must still be exactly the answer of
+// its own per-variable batch.  7 variables x 300 trials split into chunks
+// of 3, 3 and 1 ensembles; the upper bounds clamp a quarter of the draws.
+TEST(YieldTest, LocalYieldsMatchPerVariableOracleBitForBit) {
+  const PropertyFn f = [](std::span<const double> x) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      s += std::sin(static_cast<double>(i + 1) * x[i]) * x[(i + 1) % x.size()];
+    }
+    return s;
+  };
+  const num::Vec x{0.3, 1.1, 2.0, 0.7, 1.6, 0.9, 1.3};
+  YieldConfig cfg;
+  cfg.seed = 23;
+  cfg.perturbation.local_trials_per_variable = 300;
+  cfg.perturbation.max_relative = 0.2;
+  cfg.perturbation.lower.assign(x.size(), 0.0);
+  for (const double v : x) cfg.perturbation.upper.push_back(1.1 * v);
+  ASSERT_GT(x.size() * 300, kEnsembleChunkTrials);
+  ASSERT_NE(x.size() % (kEnsembleChunkTrials / 300), 0u);
+
+  const double nominal = f(x);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    cfg.threads = threads;
+    const std::vector<YieldResult> locals = local_yields(x, f, cfg);
+    ASSERT_EQ(locals.size(), x.size());
+    std::set<double> distinct;
+    for (std::size_t var = 0; var < x.size(); ++var) {
+      const YieldResult expected =
+          rmp::testing::per_variable_local_yield(x, var, nominal, f, cfg);
+      const YieldResult& got = locals[var];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.gamma),
+                std::bit_cast<std::uint64_t>(expected.gamma))
+          << "threads=" << threads << " var " << var;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.nominal_value),
+                std::bit_cast<std::uint64_t>(expected.nominal_value));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.absolute_threshold),
+                std::bit_cast<std::uint64_t>(expected.absolute_threshold));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.max_deviation),
+                std::bit_cast<std::uint64_t>(expected.max_deviation));
+      EXPECT_EQ(got.robust_trials, expected.robust_trials);
+      EXPECT_EQ(got.total_trials, 300u);
+      distinct.insert(got.gamma);
+    }
+    EXPECT_GE(distinct.size(), 3u) << "near-constant gammas would not test the variables";
+  }
 }
 
 TEST(YieldTest, DeterministicForSeed) {
@@ -173,57 +228,6 @@ TEST(SurfaceTest, SamplesAlongFront) {
   }
 }
 
-TEST(PerturbationTest, LatinHypercubeStaysWithinBand) {
-  num::Rng rng(21);
-  PerturbationConfig cfg;
-  cfg.scheme = SamplingScheme::kLatinHypercube;
-  cfg.global_trials = 300;
-  const num::Vec x{1.0, 10.0};
-  for (const num::Vec& p : global_ensemble(x, cfg, rng)) {
-    EXPECT_GE(p[0], 0.9 - 1e-12);
-    EXPECT_LE(p[0], 1.1 + 1e-12);
-    EXPECT_GE(p[1], 9.0 - 1e-12);
-    EXPECT_LE(p[1], 11.0 + 1e-12);
-  }
-}
-
-TEST(PerturbationTest, LatinHypercubeIsStratified) {
-  // Exactly one sample per stratum along each coordinate.
-  num::Rng rng(22);
-  PerturbationConfig cfg;
-  cfg.scheme = SamplingScheme::kLatinHypercube;
-  cfg.global_trials = 50;
-  const num::Vec x{1.0};
-  const auto ensemble = global_ensemble(x, cfg, rng);
-  std::vector<int> counts(50, 0);
-  for (const num::Vec& p : ensemble) {
-    const double u = (p[0] / 1.0 - 1.0) / 0.1;  // in [-1, 1]
-    const auto stratum = static_cast<std::size_t>(
-        std::min(49.0, std::max(0.0, (u + 1.0) / 2.0 * 50.0)));
-    counts[stratum]++;
-  }
-  for (int c : counts) EXPECT_EQ(c, 1);
-}
-
-TEST(YieldTest, LatinHypercubeLowersEstimatorVariance) {
-  // Variance of the Gamma estimate across seeds should not be larger with
-  // stratified sampling than with plain Monte-Carlo.
-  const PropertyFn identity = [](std::span<const double> x) { return x[0]; };
-  auto spread = [&](SamplingScheme scheme) {
-    std::vector<double> gammas;
-    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-      YieldConfig cfg;
-      cfg.perturbation.global_trials = 120;
-      cfg.perturbation.scheme = scheme;
-      cfg.seed = seed;
-      gammas.push_back(global_yield(num::Vec{1.0}, identity, cfg).gamma);
-    }
-    return num::stddev(gammas);
-  };
-  EXPECT_LE(spread(SamplingScheme::kLatinHypercube),
-            spread(SamplingScheme::kMonteCarlo) + 0.02);
-}
-
 // The surface scores all picks' nominals as one flat batch, then their
 // trials in chunked flat batches; each point's gamma must still be exactly
 // the per-pick global_yield answer, whatever the thread count.  7 picks on 4
@@ -246,14 +250,14 @@ TEST(SurfaceTest, GammaMatchesPerPickGlobalYieldBitForBit) {
   cfg.yield.seed = 11;
   const std::vector<std::size_t> picks = pareto::equally_spaced(front, cfg.samples);
   ASSERT_NE(picks.size() % 4, 0u);
-  ASSERT_LE(picks.size() * 100, kSurfaceChunkTrials);
-  ASSERT_GT(picks.size() * 300, kSurfaceChunkTrials);
-  ASSERT_NE(picks.size() % (kSurfaceChunkTrials / 300), 0u);
+  ASSERT_LE(picks.size() * 100, kEnsembleChunkTrials);
+  ASSERT_GT(picks.size() * 300, kEnsembleChunkTrials);
+  ASSERT_NE(picks.size() % (kEnsembleChunkTrials / 300), 0u);
 
   for (const std::size_t trials : {std::size_t{100}, std::size_t{300}}) {
     cfg.yield.perturbation.global_trials = trials;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      cfg.threads = threads;
+      cfg.yield.threads = threads;
       const auto surface = robustness_surface(front, f, cfg);
       ASSERT_EQ(surface.size(), picks.size()) << "threads=" << threads;
       std::set<double> distinct;
