@@ -195,9 +195,9 @@ SAN_TESTS=(
   numeric_matrix_test numeric_newton_test numeric_ode_test numeric_rng_test
   numeric_shooting_test numeric_simplex_test numeric_simplex_differential_test
   numeric_solver_differential_test fba_geobacter_test
-  numeric_sparse_test numeric_stats_test numeric_vec_test
+  numeric_sparse_test numeric_vec_test
   numeric_workspace_test
-  kinetics_c3model_test kinetics_control_analysis_test kinetics_enzymes_test
+  kinetics_c3model_test kinetics_enzymes_test
   kinetics_problem_test kinetics_prescreen_test kinetics_warm_start_test
   integration_cache_differential_test
   robustness_robustness_test

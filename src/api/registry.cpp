@@ -153,6 +153,20 @@ std::size_t nsga2_population(const ParamMap& params, const char* optimizer,
   return population;
 }
 
+/// A size parameter with a floor: SPEA2 and MOEA/D draw mating indices
+/// from their archive, population or neighbourhood, so an empty one divides
+/// by zero and a population below the floor runs no search at all.
+std::size_t param_size_at_least(const ParamMap& params, const char* optimizer,
+                                const std::string& key, std::size_t fallback,
+                                std::size_t floor) {
+  const std::size_t value = param_size(params, key, fallback);
+  if (value < floor) {
+    throw SpecError(std::string(optimizer) + " " + key + " must be >= " +
+                    std::to_string(floor) + ", got " + std::to_string(value));
+  }
+  return value;
+}
+
 /// A fraction or probability parameter: a finite number in [0, 1].
 double param_fraction(const ParamMap& params, const std::string& key, double fallback) {
   const double value = param_double(params, key, fallback);
@@ -275,8 +289,9 @@ void register_builtins(OptimizerRegistry& reg) {
           [](const moo::Problem& problem, const OptimizerContext& ctx,
              const ParamMap& p) -> std::unique_ptr<moo::Optimizer> {
             moo::Spea2Options o;
-            o.population_size = param_size(p, "population", o.population_size);
-            o.archive_size = param_size(p, "archive", o.archive_size);
+            o.population_size =
+                param_size_at_least(p, "spea2", "population", o.population_size, 1);
+            o.archive_size = param_size_at_least(p, "spea2", "archive", o.archive_size, 1);
             o.seed = ctx.seed;
             o.eval_threads = ctx.threads;
             return std::make_unique<moo::Spea2>(problem, o);
@@ -286,8 +301,10 @@ void register_builtins(OptimizerRegistry& reg) {
           [](const moo::Problem& problem, const OptimizerContext& ctx,
              const ParamMap& p) -> std::unique_ptr<moo::Optimizer> {
             moo::MoeadOptions o;
-            o.population_size = param_size(p, "population", o.population_size);
-            o.neighborhood_size = param_size(p, "neighborhood", o.neighborhood_size);
+            o.population_size =
+                param_size_at_least(p, "moead", "population", o.population_size, 4);
+            o.neighborhood_size =
+                param_size_at_least(p, "moead", "neighborhood", o.neighborhood_size, 1);
             const std::string s = param_string(p, "scalarization", "tchebycheff");
             if (s == "tchebycheff") {
               o.scalarization = moo::Scalarization::kTchebycheff;

@@ -6,19 +6,6 @@
 
 namespace rmp::core {
 
-void write_front_csv(const pareto::Front& front, std::ostream& os,
-                     std::span<const bool> negate) {
-  pareto::Front sorted = front;
-  sorted.sort_by_objective(0);
-  for (const auto& m : sorted.members()) {
-    for (std::size_t j = 0; j < m.f.size(); ++j) {
-      const double v = (j < negate.size() && negate[j]) ? -m.f[j] : m.f[j];
-      os << (j == 0 ? "" : ",") << TextTable::num(v);
-    }
-    os << "\n";
-  }
-}
-
 TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header)) {}
 
 void TextTable::add_row(std::vector<std::string> cells) {

@@ -1,8 +1,8 @@
 // Report emitters used by the examples, the table/figure benches and the run
-// API: plain streams, gnuplot-ready columns, fixed-width tables, and the
-// JSON serialization of fronts, yields and surface points (schema notes in
-// docs/BENCHMARKS.md).  The run-level emitters (mined candidates, the whole
-// result) live with api::RunResult in api/run.hpp.
+// API: fixed-width tables and the JSON serialization of fronts, yields and
+// surface points (schema notes in docs/BENCHMARKS.md).  The run-level
+// emitters (mined candidates, the whole result) live with api::RunResult in
+// api/run.hpp.
 #pragma once
 
 #include <iosfwd>
@@ -15,12 +15,6 @@
 #include "robustness/surface.hpp"
 
 namespace rmp::core {
-
-/// Writes "f0,f1,...,fm" rows for every front member, sorted by f0.
-/// `negate` flips the sign of selected objectives for maximize-style display
-/// (e.g. CO2 uptake stored as -A).
-void write_front_csv(const pareto::Front& front, std::ostream& os,
-                     std::span<const bool> negate = {});
 
 /// Fixed-width table with a header row; column widths adapt to content.
 class TextTable {

@@ -1033,8 +1033,8 @@ void C3Model::note_living_solution(std::span<const double> mult,
   warm_pool_.record(mult, state);
   // Outside core parallel regions there is no epoch barrier coming, and no
   // determinism-across-thread-counts contract to protect either: committing
-  // right away keeps sequential callers (control analysis, A-Ci curves,
-  // ad-hoc scans) warm-starting from the candidate they just solved.
+  // right away keeps sequential callers (the benches' candidate scans)
+  // warm-starting from the candidate they just solved.
   // Inside a region the entry stays staged until the engine's serial
   // barrier calls commit_warm_starts().
   if (!core::in_deterministic_region()) warm_pool_.commit();
@@ -1128,19 +1128,19 @@ bool C3Model::pool_exact_lookup(std::span<const double> mult,
   return false;
 }
 
-void C3Model::steady_state_into(std::span<const double> mult,
-                                std::span<const double> start_hint,
-                                SteadyState& out) const {
-  // With a caller hint the full ladder must run (the hint attempt comes
-  // before the exact-key short circuits, and its work lands in the
-  // counters); without one, an exact pool hit answers in place and
-  // allocation-free.
-  if (start_hint.empty() && pool_exact_lookup(mult, out)) return;
-  out = steady_state(mult, start_hint);
+SteadyState C3Model::steady_state(std::span<const double> mult) const {
+  SteadyState out;
+  steady_state_into(mult, out);
+  return out;
 }
 
-SteadyState C3Model::steady_state(std::span<const double> mult,
-                                  std::span<const double> start_hint) const {
+void C3Model::steady_state_into(std::span<const double> mult,
+                                SteadyState& out) const {
+  if (pool_exact_lookup(mult, out)) return;
+  out = solve_ladder(mult);
+}
+
+SteadyState C3Model::solve_ladder(std::span<const double> mult) const {
   // The collapsed ("dead leaf") state is a genuine root of the kinetics, so
   // a start inside its basin converges to it even when the candidate also
   // has a healthy attractor.  The search therefore prefers LIVING roots:
@@ -1180,23 +1180,9 @@ SteadyState C3Model::steady_state(std::span<const double> mult,
     return std::nullopt;
   };
 
-  // 1. Cheap Newton attempts: the caller's hint (e.g. control analysis
-  //    probing around a base it already solved), the nearest committed
-  //    warm-start-pool entry — a pure function of (candidate, snapshot), so
-  //    parallel batches stay bit-identical for any thread count — then the
-  //    anchor ladder.
-  if (!start_hint.empty()) {
-    if (auto alive = consider(quick_attempt(start_hint, mult), true)) {
-      return finalize(std::move(*alive));
-    }
-  }
-  {
-    SteadyState exact;
-    if (pool_exact_lookup(mult, exact)) {
-      rhs += exact.rhs_evaluations;
-      return finalize(std::move(exact));
-    }
-  }
+  // 1. Cheap Newton attempts: the nearest committed warm-start-pool entry —
+  //    a pure function of (candidate, snapshot), so parallel batches stay
+  //    bit-identical for any thread count — then the anchor ladder.
   {
     const WarmStartPool::Hit hit = warm_pool_.nearest_entry(mult);
     if (hit.entry != nullptr) {

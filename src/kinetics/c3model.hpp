@@ -205,8 +205,8 @@ struct SteadyState {
   /// the bench and tests measure work, not just wall time.
   std::size_t rhs_evaluations = 0;
   std::size_t jacobian_factorizations = 0;
-  /// True when the accepted root came from a warm start (caller hint or the
-  /// epoch pool) rather than the anchor ladder.
+  /// True when the accepted root came from a warm start (the epoch pool)
+  /// rather than the anchor ladder.
   bool warm_started = false;
   /// True when the candidate's key matched a committed pool entry BITWISE
   /// and the stored root was returned directly (no Newton iterations): the
@@ -295,27 +295,22 @@ class C3Model {
   [[nodiscard]] double co2_uptake(std::span<const double> y,
                                   std::span<const double> mult) const;
 
-  /// Steady state for an enzyme partition: warm starts (optional caller
-  /// hint, then the epoch-committed pool), the anchor ladder, damped
-  /// Newton/PTC, with an adaptive-integration fallback when everything
-  /// cheaper fails.  Deterministic: the result is a pure function of
-  /// (candidate, committed pool snapshot) for any thread count.
-  [[nodiscard]] SteadyState steady_state(
-      std::span<const double> mult,
-      std::span<const double> start_hint = {}) const;
+  /// Steady state for an enzyme partition: steady_state_into() into a
+  /// fresh result.
+  [[nodiscard]] SteadyState steady_state(std::span<const double> mult) const;
 
-  /// steady_state() variant that writes into a caller-owned result, reusing
-  /// `out.state`'s capacity.  Bitwise-identical to steady_state() in every
-  /// field.  When the candidate is an exact (bitwise) repeat of a committed
-  /// pool entry and no hint is given, the answer is produced WITHOUT ANY
-  /// heap allocation — scratch comes from the thread's workspace arena and
-  /// the state is assigned in place — which is the form of PR 7's
-  /// "warm settled solve allocates nothing" claim the allocation sentinel
-  /// pins down as a hard test (tests/core/sentinel_test.cpp).  Service
-  /// loops replaying pooled candidates get an allocation-free fast path.
-  void steady_state_into(std::span<const double> mult,
-                         std::span<const double> start_hint,
-                         SteadyState& out) const;
+  /// Steady state for an enzyme partition, written into a caller-owned
+  /// result whose `out.state` capacity is reused: an exact (bitwise) repeat
+  /// of a committed pool entry answers from the pool, anything else runs
+  /// the solve ladder — a warm start from the nearest committed pool entry,
+  /// the anchor ladder, damped Newton/PTC, then the integration fallback
+  /// and the limit-cycle path.  Deterministic: the result is a pure
+  /// function of (candidate, committed pool snapshot) for any thread count.
+  /// The exact-repeat answer is produced WITHOUT ANY heap allocation —
+  /// scratch comes from the thread's workspace arena and the state is
+  /// assigned in place — which the allocation sentinel pins down as a hard
+  /// test (tests/core/sentinel_test.cpp).
+  void steady_state_into(std::span<const double> mult, SteadyState& out) const;
 
   /// Folds steady states recorded since the last commit into the warm-start
   /// pool's snapshot.  Call only from serial sections — the engines do so at
@@ -369,12 +364,16 @@ class C3Model {
                                        std::span<const double> mult,
                                        bool allow_fallback) const;
 
-  /// Exact-key (bitwise) pool short circuits shared by steady_state and
-  /// steady_state_into: a pooled LIVING cycle's stored average, or a pooled
-  /// root returned directly.  Fills `out` in place — no allocation beyond
-  /// what growing out.state's capacity needs — and returns true on a hit.
-  /// Work counters in `out` reflect only this lookup (one RHS evaluation).
+  /// Exact-key (bitwise) pool short circuits of steady_state_into: a
+  /// pooled LIVING cycle's stored average, or a pooled root returned
+  /// directly.  Fills `out` in place — no allocation beyond what growing
+  /// out.state's capacity needs — and returns true on a hit.  Work counters
+  /// in `out` reflect only this lookup (one RHS evaluation).
   bool pool_exact_lookup(std::span<const double> mult, SteadyState& out) const;
+
+  /// The steady-state solve for a candidate that is not an exact pool
+  /// repeat (see steady_state_into).
+  [[nodiscard]] SteadyState solve_ladder(std::span<const double> mult) const;
 
   /// Fills jac with the closed-form Jacobian only (shared by the public
   /// derivatives_and_jacobian and the solver's num::JacobianFn).
@@ -446,12 +445,12 @@ class C3Model {
   /// Short-budget damped Newton for warm starts: a good warm start lands in
   /// a handful of iterations, and a bad one must fail FAST so the anchor
   /// ladder still gets its full say — without this, every pool miss would
-  /// cost a whole Newton+PTC budget on top of the ladder.  `warm_lu`
-  /// optionally seeds the chord with a neighbour's cached root
-  /// factorization (cross-solve reuse).
+  /// cost a whole Newton+PTC budget on top of the ladder.  A non-null
+  /// `warm_lu` seeds the chord with a neighbour's cached root factorization
+  /// (cross-solve reuse).
   [[nodiscard]] SteadyState quick_attempt(
       std::span<const double> start, std::span<const double> mult,
-      const num::LuFactorization* warm_lu = nullptr) const;
+      const num::LuFactorization* warm_lu) const;
 
   /// The model's flow under one multiplier partition, bound once per solve:
   /// every solver callback (system, Jacobian, ODE right-hand side, ODE

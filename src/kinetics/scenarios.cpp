@@ -1,5 +1,7 @@
 #include "kinetics/scenarios.hpp"
 
+#include <array>
+
 namespace rmp::kinetics {
 
 namespace {
@@ -15,8 +17,6 @@ const std::array<Scenario, 6>& scenario_table() {
   return table;
 }
 }  // namespace
-
-std::array<Scenario, 6> figure1_scenarios() { return scenario_table(); }
 
 std::span<const Scenario> all_scenarios() { return scenario_table(); }
 
@@ -43,22 +43,6 @@ std::shared_ptr<const C3Model> make_model(const Scenario& s) {
 
 std::shared_ptr<PhotosynthesisProblem> make_problem(const Scenario& s) {
   return std::make_shared<PhotosynthesisProblem>(make_model(s));
-}
-
-std::vector<AciPoint> aci_curve(std::span<const double> multipliers,
-                                std::span<const double> ci_values,
-                                double triose_export_vmax) {
-  std::vector<AciPoint> curve;
-  curve.reserve(ci_values.size());
-  for (const double ci : ci_values) {
-    C3Config cfg;
-    cfg.ci_ppm = ci;
-    cfg.triose_export_vmax = triose_export_vmax;
-    const C3Model model(cfg);
-    const SteadyState ss = model.steady_state(multipliers);
-    curve.push_back({ci, ss.co2_uptake, ss.converged});
-  }
-  return curve;
 }
 
 }  // namespace rmp::kinetics

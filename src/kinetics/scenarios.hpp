@@ -3,12 +3,10 @@
 // maximal triose-phosphate export rates.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "kinetics/c3model.hpp"
 #include "kinetics/photosynthesis_problem.hpp"
@@ -31,11 +29,9 @@ inline constexpr double kCiFuture = 490.0;   ///< predicted for 2100
 inline constexpr double kExportLow = 1.0;    ///< mmol l^-1 s^-1
 inline constexpr double kExportHigh = 3.0;
 
-/// The six (Ci, export) pairs of Figure 1, past->future, low export first.
-[[nodiscard]] std::array<Scenario, 6> figure1_scenarios();
-
-/// All named conditions — currently exactly the six of Figure 1, in the
-/// figure1_scenarios() order.  Static storage; the span stays valid.
+/// All named conditions — currently exactly the six (Ci, export) pairs of
+/// Figure 1, past->future, low export first.  Static storage; the span
+/// stays valid.
 [[nodiscard]] std::span<const Scenario> all_scenarios();
 
 /// Looks a condition up by its canonical label ("past-low" ... "future-high");
@@ -58,20 +54,5 @@ inline constexpr double kExportHigh = 3.0;
 
 /// Builds the full design problem for a scenario.
 [[nodiscard]] std::shared_ptr<PhotosynthesisProblem> make_problem(const Scenario& s);
-
-/// One point of an assimilation-vs-CO2 response curve.
-struct AciPoint {
-  double ci_ppm = 0.0;
-  double uptake = 0.0;   ///< A, umol m^-2 s^-1
-  bool converged = false;
-};
-
-/// The classic A-Ci curve of a given enzyme partition: steady-state CO2
-/// uptake across a range of intercellular CO2 levels (each point solved on a
-/// model configured for that Ci).  Rubisco-limited at low Ci, sink/ATP
-/// limited at high Ci — the standard fingerprint of a C3 leaf model.
-[[nodiscard]] std::vector<AciPoint> aci_curve(std::span<const double> multipliers,
-                                              std::span<const double> ci_values,
-                                              double triose_export_vmax = kExportHigh);
 
 }  // namespace rmp::kinetics

@@ -29,26 +29,6 @@ void axpy(Vec& y, double s, std::span<const double> a) {
   for (std::size_t i = 0; i < y.size(); ++i) y[i] += s * a[i];
 }
 
-Vec add(std::span<const double> a, std::span<const double> b) {
-  assert(a.size() == b.size());
-  Vec out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-Vec sub(std::span<const double> a, std::span<const double> b) {
-  assert(a.size() == b.size());
-  Vec out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-Vec scaled(std::span<const double> a, double s) {
-  Vec out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = s * a[i];
-  return out;
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   assert(a.size() == b.size());
   double acc = 0.0;
@@ -107,33 +87,6 @@ void clamp_inplace(Vec& y, std::span<const double> lo, std::span<const double> h
 
 bool all_finite(std::span<const double> a) {
   return std::all_of(a.begin(), a.end(), [](double v) { return std::isfinite(v); });
-}
-
-double sum(std::span<const double> a) {
-  double acc = 0.0;
-  for (double v : a) acc += v;
-  return acc;
-}
-
-double min_element(std::span<const double> a) {
-  assert(!a.empty());
-  return *std::min_element(a.begin(), a.end());
-}
-
-double max_element(std::span<const double> a) {
-  assert(!a.empty());
-  return *std::max_element(a.begin(), a.end());
-}
-
-Vec constant(std::size_t n, double value) { return Vec(n, value); }
-
-Vec linspace(double lo, double hi, std::size_t n) {
-  assert(n >= 2);
-  Vec out(n);
-  const double step = (hi - lo) / static_cast<double>(n - 1);
-  for (std::size_t i = 0; i < n; ++i) out[i] = lo + step * static_cast<double>(i);
-  out.back() = hi;
-  return out;
 }
 
 }  // namespace rmp::num

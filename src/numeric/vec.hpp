@@ -30,15 +30,6 @@ void scale_inplace(Vec& y, double s);
 /// y += s * a  (AXPY).
 void axpy(Vec& y, double s, std::span<const double> a);
 
-/// out = a + b.
-[[nodiscard]] Vec add(std::span<const double> a, std::span<const double> b);
-
-/// out = a - b.
-[[nodiscard]] Vec sub(std::span<const double> a, std::span<const double> b);
-
-/// out = s * a.
-[[nodiscard]] Vec scaled(std::span<const double> a, double s);
-
 /// Dot product; spans must be the same length.
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
 
@@ -79,20 +70,5 @@ void clamp_inplace(Vec& y, std::span<const double> lo, std::span<const double> h
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
-
-/// Sum of elements.
-[[nodiscard]] double sum(std::span<const double> a);
-
-/// Smallest element (vector must be non-empty).
-[[nodiscard]] double min_element(std::span<const double> a);
-
-/// Largest element (vector must be non-empty).
-[[nodiscard]] double max_element(std::span<const double> a);
-
-/// Vector filled with a constant.
-[[nodiscard]] Vec constant(std::size_t n, double value);
-
-/// Linearly spaced vector of n >= 2 points covering [lo, hi] inclusive.
-[[nodiscard]] Vec linspace(double lo, double hi, std::size_t n);
 
 }  // namespace rmp::num

@@ -1,8 +1,5 @@
 #include "pareto/coverage.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "moo/dominance.hpp"
 
 namespace rmp::pareto {
@@ -39,20 +36,6 @@ std::vector<CoverageResult> coverage_against_union(std::span<const Front> fronts
   out.reserve(fronts.size());
   for (const Front& f : fronts) out.push_back(coverage(f, global));
   return out;
-}
-
-double inverted_generational_distance(const Front& front, const Front& reference) {
-  if (reference.empty()) return 0.0;
-  if (front.empty()) return std::numeric_limits<double>::infinity();
-  double total = 0.0;
-  for (const Individual& r : reference.members()) {
-    double nearest = std::numeric_limits<double>::infinity();
-    for (const Individual& m : front.members()) {
-      nearest = std::min(nearest, num::dist(r.f, m.f));
-    }
-    total += nearest;
-  }
-  return total / static_cast<double>(reference.size());
 }
 
 }  // namespace rmp::pareto

@@ -28,11 +28,4 @@ struct CoverageResult {
 [[nodiscard]] std::vector<CoverageResult> coverage_against_union(
     std::span<const Front> fronts);
 
-/// Inverted generational distance: mean Euclidean distance from each member
-/// of `reference` to its nearest member of `front` (lower is better; 0 when
-/// the front covers the reference exactly).  The standard complement to the
-/// hypervolume for convergence+spread assessment.
-[[nodiscard]] double inverted_generational_distance(const Front& front,
-                                                    const Front& reference);
-
 }  // namespace rmp::pareto

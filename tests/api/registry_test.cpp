@@ -194,6 +194,37 @@ TEST(OptimizerRegistryTest, RejectsOddNsga2Population) {
   EXPECT_NE(reg.make("pmo2?population=32&islands=2", problem, ctx), nullptr);
 }
 
+/// Constructing optimizer `ref` on ZDT1 fails with a SpecError naming `key`.
+void expect_optimizer_rejected(const std::string& ref, const std::string& key) {
+  const moo::Zdt1 problem(6);
+  try {
+    (void)OptimizerRegistry::global().make(ref, problem, OptimizerContext{5, 1});
+    ADD_FAILURE() << ref << " was accepted";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+}
+
+TEST(OptimizerRegistryTest, RejectsDegenerateSpea2AndMoeadSizes) {
+  // SPEA2 and MOEA/D draw mating indices from their archive and
+  // neighbourhood: an empty one used to kill the process with SIGFPE, and a
+  // zero population ran no search and reported an empty front.  The spec
+  // layer rejects both, naming the parameter, also for pmo2 islands.
+  expect_optimizer_rejected("spea2?population=10&archive=0", "spea2 archive");
+  expect_optimizer_rejected("spea2?population=0", "spea2 population");
+  expect_optimizer_rejected("moead?population=10&neighborhood=0", "moead neighborhood");
+  expect_optimizer_rejected("moead?population=0", "moead population");
+  expect_optimizer_rejected("moead?population=3", "moead population");
+  expect_optimizer_rejected("pmo2?islands=2&population=2&engines=moead", "moead population");
+  expect_optimizer_rejected("pmo2?islands=2&population=0&engines=spea2", "spea2 population");
+  // The smallest sizes the engines run with still construct.
+  const moo::Zdt1 problem(6);
+  const OptimizerContext ctx{5, 1};
+  const auto& reg = OptimizerRegistry::global();
+  EXPECT_NE(reg.make("spea2?population=1&archive=1", problem, ctx), nullptr);
+  EXPECT_NE(reg.make("moead?population=4&neighborhood=1", problem, ctx), nullptr);
+}
+
 TEST(OptimizerRegistryTest, RejectsOutOfRangeFractions) {
   // seeded_fraction and migration_probability are fractions.  Outside
   // [0, 1] the LP seeds overfill the population, a negative fraction is
@@ -203,20 +234,12 @@ TEST(OptimizerRegistryTest, RejectsOutOfRangeFractions) {
   const moo::Zdt1 problem(6);
   const OptimizerContext ctx{5, 1};
   const auto& reg = OptimizerRegistry::global();
-  const auto expect_rejected = [&](const std::string& ref, const std::string& key) {
-    try {
-      (void)reg.make(ref, problem, ctx);
-      ADD_FAILURE() << ref << " was accepted";
-    } catch (const SpecError& e) {
-      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
-    }
-  };
   for (const char* v : {"2", "-0.5", "1.0000001"}) {
-    expect_rejected(std::string("nsga2?seeded_fraction=") + v, "seeded_fraction");
-    expect_rejected(std::string("pmo2?migration_probability=") + v,
-                    "migration_probability");
+    expect_optimizer_rejected(std::string("nsga2?seeded_fraction=") + v, "seeded_fraction");
+    expect_optimizer_rejected(std::string("pmo2?migration_probability=") + v,
+                              "migration_probability");
   }
-  expect_rejected("pmo2?migration_probability=50", "migration_probability");
+  expect_optimizer_rejected("pmo2?migration_probability=50", "migration_probability");
   // Both ends of the interval stay valid.
   for (const char* v : {"0", "1"}) {
     EXPECT_NE(reg.make(std::string("nsga2?seeded_fraction=") + v, problem, ctx), nullptr);

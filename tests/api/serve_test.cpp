@@ -245,6 +245,26 @@ TEST(JobServerTest, MalformedJobsFailLoudlyAndKeepTheSchedulerAlive) {
   EXPECT_TRUE(fs::exists(spool + "/results/good.json"));
 }
 
+TEST(JobServerTest, DegenerateEngineSizeFailsTheJobAndTheServerKeepsServing) {
+  // An empty SPEA2 archive used to divide by zero inside the engine: the
+  // whole server died, and every restart reclaimed the job and died again.
+  const std::string spool = make_spool("degenerate_engine");
+  RunSpec bad = job_spec(12);
+  bad.optimizer = "spea2?population=10&archive=0";
+  submit(spool, "empty_archive", spec_to_json(bad));
+  submit(spool, "good", spec_to_json(job_spec(11)));
+
+  JobServer server(ServeOptions{spool});
+  drain(server);
+
+  ASSERT_TRUE(fs::exists(spool + "/failed/empty_archive.json"));
+  EXPECT_FALSE(fs::exists(spool + "/results/empty_archive.json"));
+  const core::Json failed = core::load_json_file(spool + "/failed/empty_archive.json");
+  EXPECT_NE(failed.at("error").as_string().find("spea2 archive"), std::string::npos)
+      << failed.at("error").as_string();
+  EXPECT_TRUE(fs::exists(spool + "/results/good.json"));
+}
+
 TEST(JobServerTest, CorruptCheckpointIsQuarantinedAndTheJobRecovers) {
   const std::string spool = make_spool("bad_ckpt");
   submit(spool, "alpha", spec_to_json(job_spec(11)));

@@ -9,19 +9,6 @@
 namespace rmp::core {
 namespace {
 
-TEST(ReportTest, FrontCsvSortedAndSigned) {
-  pareto::Front front;
-  pareto::Individual a, b;
-  a.f = {-2.0, 5.0};
-  b.f = {-1.0, 7.0};
-  front.add(b);
-  front.add(a);
-  std::ostringstream os;
-  const bool negate[] = {true, false};
-  write_front_csv(front, os, negate);
-  EXPECT_EQ(os.str(), "2,5\n1,7\n");
-}
-
 TEST(ReportTest, TextTableAlignsColumns) {
   TextTable t({"name", "value"});
   t.add_row({"alpha", "1"});

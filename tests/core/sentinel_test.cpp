@@ -84,7 +84,7 @@ TEST(AllocSentinelDeathTest, ColdSolveUnderBanAborts) {
       {
         core::ScopedAllocationBan ban("cold steady_state under ban");
         kinetics::SteadyState out;
-        model.steady_state_into(mult, {}, out);
+        model.steady_state_into(mult, out);
       },
       "heap allocation under ScopedAllocationBan");
 }
@@ -105,11 +105,11 @@ TEST(AllocSentinel, WarmSettledSolveAllocatesNothing) {
   const kinetics::SteadyState primed = model.steady_state(mult);
   ASSERT_TRUE(primed.converged);
   kinetics::SteadyState out;
-  model.steady_state_into(mult, {}, out);
+  model.steady_state_into(mult, out);
   ASSERT_TRUE(out.pool_exact_hit);
 
   const std::uint64_t before = core::thread_allocation_count();
-  model.steady_state_into(mult, {}, out);
+  model.steady_state_into(mult, out);
   const std::uint64_t after = core::thread_allocation_count();
 
   EXPECT_TRUE(out.converged);
@@ -121,7 +121,7 @@ TEST(AllocSentinel, WarmSettledSolveAllocatesNothing) {
   // Same property, abort-grade: the whole solve runs under a ban.
   {
     core::ScopedAllocationBan ban("warm settled steady_state");
-    model.steady_state_into(mult, {}, out);
+    model.steady_state_into(mult, out);
   }
   EXPECT_TRUE(out.pool_exact_hit);
 }

@@ -14,6 +14,7 @@
 #include "kinetics/scenarios.hpp"
 #include "numeric/fd_oracle.hpp"
 #include "numeric/newton.hpp"
+#include "numeric/rng.hpp"
 
 namespace rmp::kinetics {
 namespace {
@@ -116,7 +117,7 @@ TEST(C3ModelTest, UptakeRespondsToCi) {
 }
 
 TEST(C3ModelTest, AllSixScenariosHaveLivingNaturalState) {
-  for (const Scenario& s : figure1_scenarios()) {
+  for (const Scenario& s : all_scenarios()) {
     const auto model = make_model(s);
     EXPECT_TRUE(model->natural_state().converged) << s.label;
     EXPECT_GT(model->natural_state().co2_uptake, 5.0) << s.label;
@@ -209,7 +210,7 @@ TEST(C3ModelTest, RatesAndJacobianBitsArePinned) {
   };
   num::Vec y(kNumMetabolites), mult(kNumEnzymes), dydt(kNumMetabolites);
   num::Matrix jac;
-  for (const Scenario& s : figure1_scenarios()) {
+  for (const Scenario& s : all_scenarios()) {
     const auto model = make_model(s);
     num::Rng rng(2024);
     for (int trial = 0; trial < 16; ++trial) {
@@ -319,14 +320,65 @@ TEST(C3ModelTest, SequentialSolvesWarmStartFromThePool) {
   EXPECT_TRUE(s2.warm_started);
 }
 
-TEST(C3ModelTest, CallerHintShortCircuitsTheLadder) {
-  const C3Model& m = present_low();
-  num::Vec mult(kNumEnzymes, 1.0);
-  mult[kRubisco] = 1.02;  // a control-analysis-sized probe
-  const SteadyState ss = m.steady_state(mult, m.natural_state().state);
-  ASSERT_TRUE(ss.converged);
-  EXPECT_TRUE(ss.warm_started);
-  EXPECT_FALSE(ss.used_integration_fallback);
+/// Every SteadyState field of `a` and `b` has the same bits.
+void expect_same_bits(const SteadyState& a, const SteadyState& b) {
+  const auto bits = [](double v) {
+    std::uint64_t u;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  };
+  EXPECT_TRUE(num::bitwise_equal(a.state, b.state));
+  EXPECT_EQ(bits(a.co2_uptake), bits(b.co2_uptake));
+  EXPECT_EQ(bits(a.residual), bits(b.residual));
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.newton_iterations, b.newton_iterations);
+  EXPECT_EQ(a.rhs_evaluations, b.rhs_evaluations);
+  EXPECT_EQ(a.jacobian_factorizations, b.jacobian_factorizations);
+  EXPECT_EQ(a.warm_started, b.warm_started);
+  EXPECT_EQ(a.pool_exact_hit, b.pool_exact_hit);
+  EXPECT_EQ(a.used_integration_fallback, b.used_integration_fallback);
+  EXPECT_EQ(a.oscillatory, b.oscillatory);
+  EXPECT_EQ(a.used_shooting, b.used_shooting);
+  EXPECT_EQ(bits(a.cycle_period), bits(b.cycle_period));
+}
+
+TEST(C3ModelTest, SteadyStateAndSteadyStateIntoAgreeBitForBit) {
+  // Two models walk the same candidates, one through steady_state and one
+  // through steady_state_into, so their pools stay in step: a pool miss, a
+  // root's exact repeat, a living cycle's miss and its exact repeat.
+  const C3Model by_value{C3Config{}};
+  const C3Model into{C3Config{}};
+  const num::Vec settled(kNumEnzymes, 1.08);
+  num::Rng rng(20260808);
+  num::Vec cycling(kNumEnzymes);
+  for (double& m : cycling) m = std::clamp(1.0 + rng.normal(0.0, 0.05), 0.02, 5.0);
+
+  // A stale result from another candidate: every field must be overwritten.
+  SteadyState out = present_high().natural_state();
+  out.pool_exact_hit = true;
+  out.cycle_period = 7.0;
+  const auto step = [&](const num::Vec& mult, bool exact_hit, bool oscillatory) {
+    const SteadyState expected = by_value.steady_state(mult);
+    into.steady_state_into(mult, out);
+    expect_same_bits(expected, out);
+    EXPECT_EQ(out.pool_exact_hit, exact_hit);
+    EXPECT_EQ(out.oscillatory, oscillatory);
+    if (exact_hit) {
+      EXPECT_EQ(out.newton_iterations, 0u);
+      EXPECT_EQ(out.rhs_evaluations, 1u);
+      EXPECT_EQ(out.jacobian_factorizations, 0u);
+    }
+  };
+  {
+    SCOPED_TRACE("root: miss, then exact hit");
+    step(settled, false, false);
+    step(settled, true, false);
+  }
+  {
+    SCOPED_TRACE("living cycle: miss, then exact hit");
+    step(cycling, false, true);
+    step(cycling, true, true);
+  }
 }
 
 TEST(C3ModelTest, DisabledPoolNeverWarmStarts) {

@@ -69,7 +69,7 @@ TEST(PhotosynthesisProblemTest, ToPaperUnitsFlipsUptakeSign) {
 }
 
 TEST(ScenarioTest, SixConditionsOfFigure1) {
-  const auto scenarios = figure1_scenarios();
+  const auto scenarios = all_scenarios();
   EXPECT_EQ(scenarios.size(), 6u);
   int low = 0, high = 0;
   for (const Scenario& s : scenarios) {
@@ -107,19 +107,20 @@ TEST(ScenarioTest, LookupByCanonicalLabel) {
 TEST(AciCurveTest, MonotoneThenSaturatingForNaturalLeaf) {
   const num::Vec ones(kNumEnzymes, 1.0);
   const num::Vec cis{150.0, 270.0, 420.0};
-  const auto curve = aci_curve(ones, cis, kExportHigh);
-  ASSERT_EQ(curve.size(), 3u);
-  for (const AciPoint& p : curve) {
-    EXPECT_TRUE(p.converged) << p.ci_ppm;
-    EXPECT_GT(p.uptake, 0.0);
+  // One steady-state solve per Ci, each on a model configured for that Ci.
+  num::Vec uptake;
+  for (const double ci : cis) {
+    const C3Model model(scenario_config({"aci", ci, kExportHigh}));
+    const SteadyState ss = model.steady_state(ones);
+    EXPECT_TRUE(ss.converged) << ci;
+    EXPECT_GT(ss.co2_uptake, 0.0) << ci;
+    uptake.push_back(ss.co2_uptake);
   }
   // Rising limb: more CO2, more assimilation at the low end.
-  EXPECT_LT(curve[0].uptake, curve[1].uptake);
+  EXPECT_LT(uptake[0], uptake[1]);
   // Saturation: the gain flattens (second increment smaller per ppm).
-  const double slope_low =
-      (curve[1].uptake - curve[0].uptake) / (cis[1] - cis[0]);
-  const double slope_high =
-      (curve[2].uptake - curve[1].uptake) / (cis[2] - cis[1]);
+  const double slope_low = (uptake[1] - uptake[0]) / (cis[1] - cis[0]);
+  const double slope_high = (uptake[2] - uptake[1]) / (cis[2] - cis[1]);
   EXPECT_LT(slope_high, slope_low + 0.05);
 }
 

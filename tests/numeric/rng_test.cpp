@@ -3,13 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <set>
 #include <vector>
 
-#include "numeric/stats.hpp"
-
 namespace rmp::num {
 namespace {
+
+double mean(const std::vector<double>& xs) {
+  return std::accumulate(xs.begin(), xs.end(), 0.0) / static_cast<double>(xs.size());
+}
+
+/// Sample standard deviation (n - 1 denominator).
+double stddev(const std::vector<double>& xs) {
+  const double m = mean(xs);
+  double acc = 0.0;
+  for (const double x : xs) acc += (x - m) * (x - m);
+  return std::sqrt(acc / static_cast<double>(xs.size() - 1));
+}
 
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(123), b(123);

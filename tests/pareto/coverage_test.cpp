@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace rmp::pareto {
 namespace {
 
@@ -66,42 +64,6 @@ TEST(CoverageTest, GpRewardsLargeFronts) {
   EXPECT_DOUBLE_EQ(results[0].relative, 1.0);
   EXPECT_DOUBLE_EQ(results[1].relative, 1.0);
   EXPECT_GT(results[0].global, results[1].global);
-}
-
-TEST(IgdTest, ZeroWhenFrontCoversReference) {
-  Front ref;
-  ref.add(make(1.0, 3.0));
-  ref.add(make(3.0, 1.0));
-  EXPECT_DOUBLE_EQ(inverted_generational_distance(ref, ref), 0.0);
-}
-
-TEST(IgdTest, MeanNearestDistance) {
-  Front ref, approx;
-  ref.add(make(0.0, 0.0));
-  ref.add(make(2.0, 0.0));
-  approx.add(make(0.0, 1.0));  // distance 1 to first, sqrt(5) to second
-  // nearest for (0,0) is 1; nearest for (2,0) is sqrt(4+1).
-  EXPECT_NEAR(inverted_generational_distance(approx, ref),
-              (1.0 + std::sqrt(5.0)) / 2.0, 1e-12);
-}
-
-TEST(IgdTest, BetterFrontLowerIgd) {
-  Front ref, good, bad;
-  for (int i = 0; i <= 10; ++i) {
-    const double t = i / 10.0;
-    ref.add(make(t, 1.0 - t));
-    good.add(make(t, 1.0 - t + 0.01));
-    bad.add(make(t, 1.0 - t + 0.3));
-  }
-  EXPECT_LT(inverted_generational_distance(good, ref),
-            inverted_generational_distance(bad, ref));
-}
-
-TEST(IgdTest, EmptyFrontInfinite) {
-  Front ref;
-  ref.add(make(1.0, 1.0));
-  EXPECT_TRUE(std::isinf(inverted_generational_distance(Front{}, ref)));
-  EXPECT_DOUBLE_EQ(inverted_generational_distance(ref, Front{}), 0.0);
 }
 
 TEST(CoverageTest, EmptyFront) {
