@@ -1,14 +1,15 @@
 // Figure 3 reproduction — the photosynthetic Pareto-Surface: robustness
 // (uptake yield Gamma, %) as a function of CO2 uptake and nitrogen along the
-// Pareto front.  50 equally spaced Pareto points are screened with the
-// Monte-Carlo ensemble of Section 2.3; rows print as
-// "nitrogen,uptake,robustness%" (gnuplot splot-ready).
+// Pareto front, written as a thin client of the spec-driven run API.  50
+// equally spaced Pareto points are screened with the Monte-Carlo ensemble of
+// Section 2.3 (the run's robustness stage, surface_samples = 50); rows print
+// as "nitrogen,uptake,robustness%" (gnuplot splot-ready).
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
-#include "kinetics/scenarios.hpp"
-#include "moo/pmo2.hpp"
-#include "robustness/surface.hpp"
+#include "api/run.hpp"
+#include "api/spec.hpp"
 
 #include "bench_util.hpp"
 
@@ -23,38 +24,29 @@ int main() {
   // the 50-point sweep stays in benchmark territory (raise RMP_TRIALS to
   // reproduce the full ensemble).
   const std::size_t trials = env_or("RMP_TRIALS", 400);
+  const std::size_t migration_interval = std::max<std::size_t>(1, generations / 4);
 
   std::printf("== Figure 3: robustness vs CO2 uptake vs nitrogen ==\n");
   std::printf("condition: Ci = 270, export = 3; 50 points x %zu trials\n\n", trials);
 
-  auto problem = kinetics::make_problem(kinetics::table1_scenario());
-  const auto& model = problem->model();
+  api::RunSpec spec;
+  spec.problem = "photosynthesis?scenario=present-high";
+  spec.optimizer = "pmo2?islands=2&population=" + std::to_string(population) +
+                   "&migration_interval=" + std::to_string(migration_interval);
+  spec.generations = generations;
+  spec.seed = 51;
+  spec.mining.enabled = false;  // the figure plots the surface only
+  spec.robustness.enabled = true;
+  spec.robustness.trials = trials;
+  spec.robustness.surface_samples = 50;
+  const api::RunResult result = api::run(spec);
+  std::printf("front: %zu points\n", result.front.size());
+  if (result.front.empty()) return 1;
 
-  moo::Pmo2Options po;
-  po.islands = 2;
-  po.migration_interval = std::max<std::size_t>(1, generations / 4);
-  po.seed = 51;
-  moo::Pmo2 pmo2(*problem, po, moo::Pmo2::default_nsga2_factory(population));
-  pmo2.run(generations);
-  const auto front = pareto::Front::from_population(pmo2.archive().solutions());
-  std::printf("front: %zu points\n", front.size());
-  if (front.empty()) return 1;
-
-  const robustness::PropertyFn uptake = [&model](std::span<const double> x) {
-    return model.steady_state(x).co2_uptake;
-  };
-
-  robustness::SurfaceConfig cfg;
-  cfg.samples = 50;
-  cfg.yield.perturbation.global_trials = trials;
-  cfg.yield.perturbation.max_relative = 0.10;
-  cfg.yield.epsilon_fraction = 0.05;
-
-  const auto surface = robustness::robustness_surface(front, uptake, cfg);
-
+  // Objective 0 is the negated CO2 uptake, objective 1 the nitrogen cost.
   std::printf("# nitrogen(mg/l),uptake(umol m^-2 s^-1),robustness(%%)\n");
   double min_gamma = 1.0, max_gamma = 0.0;
-  for (const auto& p : surface) {
+  for (const api::SurfacePoint& p : result.surface) {
     const double a = -p.objectives[0];
     const double n = p.objectives[1];
     std::printf("%.0f,%.3f,%.1f\n", n, a, 100.0 * p.gamma);
@@ -62,7 +54,7 @@ int main() {
     max_gamma = std::max(max_gamma, p.gamma);
   }
   std::printf("\nsurface range: Gamma in [%.1f%%, %.1f%%] over %zu screened points\n",
-              100.0 * min_gamma, 100.0 * max_gamma, surface.size());
+              100.0 * min_gamma, 100.0 * max_gamma, result.surface.size());
   std::printf(
       "paper shape: a rugged surface; Pareto relative minima (front extremes)\n"
       "are the unstable points, while slightly sub-optimal interior solutions\n"

@@ -82,6 +82,14 @@ grep -q '^per-enzyme local yield' "${BUILD_DIR}/robustness_screening.txt" \
 test "$(grep -cE '%[[:space:]]+[0-9.]+[[:space:]]*$' "${BUILD_DIR}/robustness_screening.txt")" -eq 23 \
   || { echo "robustness_screening did not print 23 local yields" >&2; exit 1; }
 
+# Figure 3 smoke: fig3_robustness_surface runs the paper's surface through
+# api::run (one robustness batch over the screened front members); at a
+# small scale it must finish and print its surface range.
+RMP_GENERATIONS=4 RMP_POPULATION=8 RMP_TRIALS=20 \
+  "${BUILD_DIR}/bench/fig3_robustness_surface" > "${BUILD_DIR}/fig3_smoke.txt"
+grep -q '^surface range: Gamma in' "${BUILD_DIR}/fig3_smoke.txt" \
+  || { echo "fig3_robustness_surface printed no surface range" >&2; exit 1; }
+
 # rmp_serve smoke: the daemon must survive a deterministic mid-run stop
 # (--step-limit drains to checkpoints), a real SIGTERM mid-run, and a final
 # --drain restart — with both spooled jobs completing to validated result
@@ -286,8 +294,9 @@ echo "chaos smoke: torn checkpoint quarantined, lease reclaimed, fingerprint mat
 
 # ThreadSanitizer lane over the concurrency-bearing binaries: the island
 # engine + migration topology (moo_pmo2), the three-phase engine hooks its
-# epochs drive (moo_nsga2, moo_spea2), the flat robustness surface
-# (robustness_robustness), the whole pipeline at threads=4 (api_run), the
+# epochs drive (moo_nsga2, moo_spea2), the chunked robustness scorer
+# (robustness_robustness), the whole pipeline at threads=4 (api_run, whose
+# robustness stage scores every screened front member in one batch), the
 # epoch-committed warm pool (kinetics_warm_start), the thread-pool core
 # itself, the sentinel suite, and the two differential harnesses that run
 # plain and prescreened archipelagos at several thread counts.

@@ -1,5 +1,6 @@
 #include "api/registry.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -303,8 +304,15 @@ void register_builtins(OptimizerRegistry& reg) {
             moo::MoeadOptions o;
             o.population_size =
                 param_size_at_least(p, "moead", "population", o.population_size, 4);
-            o.neighborhood_size =
-                param_size_at_least(p, "moead", "neighborhood", o.neighborhood_size, 1);
+            o.neighborhood_size = param_size_at_least(
+                p, "moead", "neighborhood",
+                std::min(o.neighborhood_size, o.population_size), 1);
+            if (o.neighborhood_size > o.population_size) {
+              throw SpecError("moead neighborhood " +
+                              std::to_string(o.neighborhood_size) +
+                              " exceeds the population of " +
+                              std::to_string(o.population_size));
+            }
             const std::string s = param_string(p, "scalarization", "tchebycheff");
             if (s == "tchebycheff") {
               o.scalarization = moo::Scalarization::kTchebycheff;

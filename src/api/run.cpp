@@ -53,6 +53,14 @@ core::Json candidate_to_json(const MinedCandidate& candidate) {
   return doc;
 }
 
+/// {"front_index", "f", "gamma"}: the surface point's place and its gamma.
+core::Json surface_point_to_json(const SurfacePoint& point) {
+  return core::Json::object()
+      .set("front_index", point.front_index)
+      .set("f", core::to_json(point.objectives))
+      .set("gamma", point.gamma);
+}
+
 }  // namespace
 
 core::Json result_to_json(const RunResult& result) {
@@ -60,7 +68,7 @@ core::Json result_to_json(const RunResult& result) {
   Json mined = Json::array();
   for (const auto& c : result.mined) mined.push_back(candidate_to_json(c));
   Json surface = Json::array();
-  for (const auto& p : result.surface) surface.push_back(core::to_json(p));
+  for (const auto& p : result.surface) surface.push_back(surface_point_to_json(p));
   return Json::object()
       .set("schema_version", 1)
       .set("spec", spec_to_json(result.spec))

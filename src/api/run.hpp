@@ -5,7 +5,8 @@
 //   spec.json --parse--> RunSpec --ProblemRegistry/OptimizerRegistry--> run()
 //        optimize (api::Session::step_epoch + per-generation archive merge)
 //     -> mine (closest-to-ideal, shadow minima)
-//     -> robustness (global yields; optional surface + max-yield pick)
+//     -> robustness (one global yield per mined or surface-picked front member,
+//                    all in one scorer call; optional max-yield pick)
 //     -> RunResult --result_to_json--> result.json
 //
 // run() is the one-shot wrapper over api::Session (api/session.hpp), which
@@ -29,7 +30,7 @@
 #include "core/json.hpp"
 #include "moo/problem.hpp"
 #include "pareto/front.hpp"
-#include "robustness/surface.hpp"
+#include "robustness/yield.hpp"
 
 namespace rmp::api {
 
@@ -40,6 +41,14 @@ struct MinedCandidate {
   num::Vec x;
   num::Vec objectives;
   std::optional<robustness::YieldResult> yield;
+};
+
+/// One point of the robustness surface (Figure 3): the global-yield result
+/// of a front member (gamma, the nominal it was measured against, trial
+/// counts, worst deviation) plus where it sits on the front.
+struct SurfacePoint : robustness::YieldResult {
+  num::Vec objectives;  ///< objective vector of the Pareto point (as stored)
+  std::size_t front_index = 0;
 };
 
 struct RunResult {
@@ -60,7 +69,9 @@ struct RunResult {
   /// Closest-to-ideal and the shadow minima (when mining is on), then the
   /// max-yield pick of the robustness surface (when it ran).
   std::vector<MinedCandidate> mined;
-  std::vector<robustness::SurfacePoint> surface;
+  /// spec.robustness.surface_samples equally-spaced front members with their
+  /// yields.  A member that is also mined shares its YieldResult bitwise.
+  std::vector<SurfacePoint> surface;
   double optimize_seconds = 0.0;
   double mining_seconds = 0.0;
   double robustness_seconds = 0.0;

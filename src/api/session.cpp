@@ -45,8 +45,9 @@ robustness::YieldConfig yield_config(const RunSpec& spec, const moo::Problem& pr
   cfg.epsilon_fraction = spec.robustness.epsilon_fraction;
   cfg.seed = spec.robustness.seed;
   cfg.threads = spec.threads;
-  // Serial barriers around each ensemble fold solved steady states into the
-  // problem's evaluation accelerators (the kinetic warm-start pool).
+  // The serial barrier after the robustness batch folds its solved steady
+  // states into the problem's evaluation accelerators (the kinetic
+  // warm-start pool).
   cfg.epoch_commit = [p = &problem] { p->commit_epoch(); };
   return cfg;
 }
@@ -262,18 +263,19 @@ RunResult Session::finish() {
   const robustness::YieldConfig ycfg =
       robust ? yield_config(spec_, *problem_) : robustness::YieldConfig{};
 
+  const auto mine = [&](std::string selection, std::size_t idx) -> MinedCandidate& {
+    MinedCandidate c;
+    c.selection = std::move(selection);
+    c.front_index = idx;
+    c.x = result.front[idx].x;
+    c.objectives = result.front[idx].f;
+    return result.mined.emplace_back(std::move(c));
+  };
+
   // Mine trade-off candidates (Section 2.2), then estimate each one's
   // robustness (Section 2.3) when enabled.
   if (spec_.mining.enabled) {
     const auto mining_start = clock::now();
-    auto mine = [&](std::string selection, std::size_t idx) {
-      MinedCandidate c;
-      c.selection = std::move(selection);
-      c.front_index = idx;
-      c.x = result.front[idx].x;
-      c.objectives = result.front[idx].f;
-      result.mined.push_back(std::move(c));
-    };
     mine("closest-to-ideal",
          pareto::closest_to_ideal(result.front, spec_.mining.metric));
     const auto shadows = pareto::shadow_minima(result.front);
@@ -285,35 +287,50 @@ RunResult Session::finish() {
 
   if (robust) {
     const auto robustness_start = clock::now();
-    for (MinedCandidate& c : result.mined) {
-      // The mined candidate's archived objective 0 IS the property's nominal
-      // value (bitwise — the archive stores what evaluate() reported), so
-      // hand it through instead of re-evaluating the nominal point.  One
-      // call per candidate keeps an epoch barrier after each ensemble.
-      const robustness::EnsembleRequest request{c.x, c.objectives[0], ycfg.seed,
-                                                robustness::kAllVariables};
-      c.yield = robustness::score_ensembles({&request, 1}, property, ycfg).front();
+    // Every front member mining or the surface (Figure 3) picks is scored
+    // once, in first-appearance order: one global ensemble per member,
+    // measured against its archived objective 0 (bitwise what evaluate()
+    // reported, so no nominal is solved again), all in one scorer call that
+    // reads the snapshot committed at the end of optimisation.
+    const std::vector<std::size_t> picks =
+        pareto::equally_spaced(result.front, spec_.robustness.surface_samples);
+    std::vector<std::size_t> screened;
+    const auto slot_of = [&screened](std::size_t idx) {
+      return static_cast<std::size_t>(
+          std::find(screened.begin(), screened.end(), idx) - screened.begin());
+    };
+    for (const MinedCandidate& c : result.mined) {
+      if (slot_of(c.front_index) == screened.size()) screened.push_back(c.front_index);
     }
-    // Surface screening + the max-yield selection (Figure 3 / Table 2).
-    if (spec_.robustness.surface_samples > 0) {
-      robustness::SurfaceConfig scfg;
-      scfg.yield = ycfg;
-      scfg.samples = spec_.robustness.surface_samples;
-      result.surface = robustness::robustness_surface(result.front, property, scfg);
-      if (!result.surface.empty()) {
-        const auto best = std::max_element(
-            result.surface.begin(), result.surface.end(),
-            [](const auto& a, const auto& b) { return a.gamma < b.gamma; });
-        MinedCandidate c;
-        c.selection = "max-yield";
-        c.front_index = best->front_index;
-        c.x = result.front[best->front_index].x;
-        c.objectives = result.front[best->front_index].f;
-        // The surface measured this pick's whole yield (same x, same config):
-        // take it as measured instead of re-running the ensemble.
-        c.yield = static_cast<const robustness::YieldResult&>(*best);
-        result.mined.push_back(std::move(c));
-      }
+    for (const std::size_t idx : picks) {
+      if (slot_of(idx) == screened.size()) screened.push_back(idx);
+    }
+    std::vector<robustness::EnsembleRequest> requests;
+    requests.reserve(screened.size());
+    for (const std::size_t idx : screened) {
+      requests.push_back({result.front[idx].x, result.front[idx].f[0], ycfg.seed,
+                          robustness::kAllVariables});
+    }
+    const std::vector<robustness::YieldResult> yields =
+        requests.empty() ? std::vector<robustness::YieldResult>{}
+                         : robustness::score_ensembles(requests, property, ycfg);
+
+    for (MinedCandidate& c : result.mined) c.yield = yields[slot_of(c.front_index)];
+    result.surface.resize(picks.size());
+    for (std::size_t k = 0; k < picks.size(); ++k) {
+      SurfacePoint& p = result.surface[k];
+      static_cast<robustness::YieldResult&>(p) = yields[slot_of(picks[k])];
+      p.front_index = picks[k];
+      p.objectives = result.front[picks[k]].f;
+    }
+    // The max-yield selection (Table 2): the first surface point of highest
+    // gamma, with the yield it was measured at.
+    if (!result.surface.empty()) {
+      const auto best = std::max_element(
+          result.surface.begin(), result.surface.end(),
+          [](const auto& a, const auto& b) { return a.gamma < b.gamma; });
+      mine("max-yield", best->front_index).yield =
+          static_cast<const robustness::YieldResult&>(*best);
     }
     result.robustness_seconds = seconds_since(robustness_start);
   }

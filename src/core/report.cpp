@@ -65,13 +65,6 @@ Json to_json(const robustness::YieldResult& yield) {
       .set("max_deviation", yield.max_deviation);
 }
 
-Json to_json(const robustness::SurfacePoint& point) {
-  return Json::object()
-      .set("front_index", point.front_index)
-      .set("f", to_json(point.objectives))
-      .set("gamma", point.gamma);
-}
-
 Json to_json(const pareto::Front& front, bool include_x) {
   Json members = Json::array();
   for (const auto& m : front.members()) {

@@ -1,7 +1,7 @@
 // Report emitters used by the examples, the table/figure benches and the run
-// API: fixed-width tables and the JSON serialization of fronts, yields and
-// surface points (schema notes in docs/BENCHMARKS.md).  The run-level
-// emitters (mined candidates, the whole result) live with api::RunResult in
+// API: fixed-width tables and the JSON serialization of fronts and yields
+// (schema notes in docs/BENCHMARKS.md).  The run-level emitters (mined
+// candidates, surface points, the whole result) live with api::RunResult in
 // api/run.hpp.
 #pragma once
 
@@ -12,7 +12,7 @@
 
 #include "core/json.hpp"
 #include "pareto/front.hpp"
-#include "robustness/surface.hpp"
+#include "robustness/yield.hpp"
 
 namespace rmp::core {
 
@@ -39,8 +39,6 @@ class TextTable {
 /// A number array.
 [[nodiscard]] Json to_json(std::span<const double> values);
 [[nodiscard]] Json to_json(const robustness::YieldResult& yield);
-/// {"front_index", "f", "gamma"}: the surface point's place and its gamma.
-[[nodiscard]] Json to_json(const robustness::SurfacePoint& point);
 /// Front members as {"f": [...], "violation": v} objects; include_x adds the
 /// decision vectors (off by default — a Geobacter front would serialize 608
 /// doubles per member).

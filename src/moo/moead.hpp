@@ -15,6 +15,8 @@ enum class Scalarization { kTchebycheff, kWeightedSum };
 
 struct MoeadOptions {
   std::size_t population_size = 100;  ///< number of subproblems / weights
+  /// Clamped to population_size by the constructor; the spec layer rejects
+  /// a larger one.
   std::size_t neighborhood_size = 20;
   Scalarization scalarization = Scalarization::kTchebycheff;
   VariationParams variation;

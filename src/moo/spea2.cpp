@@ -13,9 +13,7 @@ namespace rmp::moo {
 constexpr double kViolationPenalty = 1e6;
 
 Spea2::Spea2(const Problem& problem, Spea2Options options)
-    : problem_(problem), opts_(options), rng_(options.seed) {
-  if (opts_.population_size % 2 != 0) ++opts_.population_size;
-}
+    : problem_(problem), opts_(options), rng_(options.seed) {}
 
 std::vector<double> Spea2::fitness(std::span<const Individual> all) const {
   const std::size_t n = all.size();

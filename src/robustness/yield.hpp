@@ -7,10 +7,11 @@
 // paper uses eps = 5% of the nominal uptake rate): the absolute threshold
 // used in eq. 3 is eps_fraction * |f(x_nominal)|.
 //
-// Every yield — global, local, the robustness surface's — is scored by one
-// routine, score_ensembles: a list of (x, nominal, seed, variable) requests
-// whose ensembles are drawn and scored in flat chunks, then reduced one
-// request at a time in index order.
+// Every yield — global, local, and the run's batch of mined and surface
+// picks (api::Session::finish) — is scored by one routine, score_ensembles:
+// a list of (x, nominal, seed, variable) requests whose ensembles are drawn
+// and scored in flat chunks, then reduced one request at a time in index
+// order.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +41,9 @@ struct YieldConfig {
   PerturbationConfig perturbation;
   double epsilon_fraction = 0.05;  ///< eps as a fraction of the nominal value
   std::uint64_t seed = 99;
-  /// Threads used to score each chunk of trials and the surface's nominals
-  /// (0 = hardware concurrency, 1 = serial).  Ensembles are drawn up front
-  /// from their seeded RNGs and reduced in index order, so gamma is
-  /// identical for any thread count.
+  /// Threads used to score each chunk of trials (0 = hardware concurrency,
+  /// 1 = serial).  Ensembles are drawn up front from their seeded RNGs and
+  /// reduced in index order, so gamma is identical for any thread count.
   std::size_t threads = 0;
   /// Epoch barrier hook, invoked from serial sections only: after a yield
   /// evaluates its own nominal, and once after all of a score_ensembles

@@ -1,6 +1,7 @@
 // Problem/optimizer registries: every registered name constructs and
 // evaluates, references parse strictly, and parameters reach the instances.
 #include "api/registry.hpp"
+#include "api/run.hpp"
 
 #include <gtest/gtest.h>
 
@@ -223,6 +224,26 @@ TEST(OptimizerRegistryTest, RejectsDegenerateSpea2AndMoeadSizes) {
   const auto& reg = OptimizerRegistry::global();
   EXPECT_NE(reg.make("spea2?population=1&archive=1", problem, ctx), nullptr);
   EXPECT_NE(reg.make("moead?population=4&neighborhood=1", problem, ctx), nullptr);
+}
+
+TEST(OptimizerRegistryTest, MoeadNeighborhoodMustFitThePopulation) {
+  // A neighbourhood is drawn from the population, so a larger one is a spec
+  // error naming it rather than a silent clamp; left out, it defaults to
+  // min(20, population).
+  expect_optimizer_rejected("moead?population=10&neighborhood=11",
+                            "moead neighborhood 11 exceeds the population of 10");
+  expect_optimizer_rejected("moead?neighborhood=101",
+                            "moead neighborhood 101 exceeds the population of 100");
+  RunSpec spec;
+  spec.problem = "zdt1?n=6";
+  spec.generations = 3;
+  spec.threads = 1;
+  spec.optimizer = "moead?population=10";
+  const RunResult by_default = run(spec);
+  spec.optimizer = "moead?population=10&neighborhood=10";
+  EXPECT_EQ(by_default.fingerprint, run(spec).fingerprint);
+  spec.optimizer = "moead?population=10&neighborhood=9";
+  EXPECT_NE(by_default.fingerprint, run(spec).fingerprint);
 }
 
 TEST(OptimizerRegistryTest, RejectsOutOfRangeFractions) {

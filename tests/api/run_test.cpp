@@ -9,12 +9,16 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "api/registry.hpp"
 #include "api/spec.hpp"
 #include "moo/pmo2.hpp"
 #include "moo/testproblems.hpp"
+#include "pareto/mining.hpp"
 #include "robustness/yield.hpp"
 
 namespace rmp::api {
@@ -238,14 +242,58 @@ TEST(DesignerTest, RobustnessDisabledByConfig) {
   expect_no_robustness(run(spec));
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every field of two YieldResults agrees bitwise.
+void expect_same_yield(const robustness::YieldResult& got,
+                       const robustness::YieldResult& expected, const std::string& what) {
+  EXPECT_EQ(bits(got.gamma), bits(expected.gamma)) << what;
+  EXPECT_EQ(bits(got.nominal_value), bits(expected.nominal_value)) << what;
+  EXPECT_EQ(bits(got.absolute_threshold), bits(expected.absolute_threshold)) << what;
+  EXPECT_EQ(got.robust_trials, expected.robust_trials) << what;
+  EXPECT_EQ(got.total_trials, expected.total_trials) << what;
+  EXPECT_EQ(bits(got.max_deviation), bits(expected.max_deviation)) << what;
+}
+
+/// The ZDT1 objective-0 property and the yield configuration a run of `spec`
+/// screens with, for scoring oracles outside the run.
+struct Zdt1Screen {
+  moo::Zdt1 problem;
+  robustness::PropertyFn property;
+  robustness::YieldConfig cfg;
+
+  Zdt1Screen(const Zdt1Screen&) = delete;  // property points at problem
+  Zdt1Screen(std::size_t n, const RunSpec& spec) : problem(n) {
+    property = [this](std::span<const double> x) {
+      num::Vec f(problem.num_objectives());
+      (void)problem.evaluate(x, f);
+      return f[0];
+    };
+    cfg.perturbation.global_trials = spec.robustness.trials;
+    cfg.perturbation.max_relative = spec.robustness.max_relative;
+    cfg.perturbation.lower.assign(problem.lower_bounds().begin(),
+                                  problem.lower_bounds().end());
+    cfg.perturbation.upper.assign(problem.upper_bounds().begin(),
+                                  problem.upper_bounds().end());
+    cfg.epsilon_fraction = spec.robustness.epsilon_fraction;
+    cfg.seed = spec.robustness.seed;
+    cfg.threads = 1;
+  }
+};
+
+RunSpec surface_zdt1_spec(std::size_t threads, std::size_t trials, std::size_t samples) {
+  RunSpec spec = small_zdt1_spec();
+  spec.threads = threads;
+  spec.robustness.enabled = true;
+  spec.robustness.trials = trials;
+  spec.robustness.surface_samples = samples;
+  return spec;
+}
+
 // The max-yield record is the surface's own measurement of that pick: the
 // same YieldResult global_yield reports for its x, field for field.
 TEST(ApiRunTest, MaxYieldRecordIsTheMeasuredGlobalYield) {
-  RunSpec spec = small_zdt1_spec();
-  spec.threads = 4;
-  spec.robustness.enabled = true;
-  spec.robustness.trials = 50;
-  spec.robustness.surface_samples = 5;
+  const RunSpec spec = surface_zdt1_spec(4, 50, 5);
   const RunResult result = run(spec);
   ASSERT_FALSE(result.mined.empty());
   const MinedCandidate& best = result.mined.back();
@@ -253,32 +301,158 @@ TEST(ApiRunTest, MaxYieldRecordIsTheMeasuredGlobalYield) {
   ASSERT_TRUE(best.yield.has_value());
   ASSERT_LT(best.yield->gamma, 1.0);
 
-  const moo::Zdt1 problem(6);
-  const robustness::PropertyFn property = [&](std::span<const double> x) {
-    num::Vec f(problem.num_objectives());
-    (void)problem.evaluate(x, f);
-    return f[0];
-  };
-  robustness::YieldConfig cfg;
-  cfg.perturbation.global_trials = spec.robustness.trials;
-  cfg.perturbation.max_relative = spec.robustness.max_relative;
-  cfg.perturbation.lower.assign(problem.lower_bounds().begin(),
-                                problem.lower_bounds().end());
-  cfg.perturbation.upper.assign(problem.upper_bounds().begin(),
-                                problem.upper_bounds().end());
-  cfg.epsilon_fraction = spec.robustness.epsilon_fraction;
-  cfg.seed = spec.robustness.seed;
-  const robustness::YieldResult expected = robustness::global_yield(best.x, property, cfg);
+  const Zdt1Screen screen(6, spec);
+  expect_same_yield(*best.yield,
+                    robustness::global_yield(best.x, screen.property, screen.cfg),
+                    "max-yield");
+  EXPECT_GT(best.yield->max_deviation, 0.0);
+}
 
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  const robustness::YieldResult& got = *best.yield;
-  EXPECT_EQ(bits(got.gamma), bits(expected.gamma));
-  EXPECT_EQ(bits(got.nominal_value), bits(expected.nominal_value));
-  EXPECT_EQ(bits(got.absolute_threshold), bits(expected.absolute_threshold));
-  EXPECT_EQ(got.robust_trials, expected.robust_trials);
-  EXPECT_EQ(got.total_trials, expected.total_trials);
-  EXPECT_EQ(bits(got.max_deviation), bits(expected.max_deviation));
-  EXPECT_GT(got.max_deviation, 0.0);
+// The surface is spec.robustness.surface_samples equally-spaced front members,
+// each with its place, its archived objectives and a gamma in [0, 1].
+TEST(ApiRunSurfaceTest, PicksLieAlongTheFront) {
+  const RunResult result = run(surface_zdt1_spec(1, 200, 7));
+  const std::vector<std::size_t> picks = pareto::equally_spaced(result.front, 7);
+  ASSERT_EQ(result.surface.size(), picks.size());
+  EXPECT_GE(result.surface.size(), 5u);
+  for (std::size_t k = 0; k < picks.size(); ++k) {
+    const SurfacePoint& p = result.surface[k];
+    EXPECT_EQ(p.front_index, picks[k]);
+    EXPECT_EQ(p.objectives, result.front[picks[k]].f);
+    EXPECT_GE(p.gamma, 0.0);
+    EXPECT_LE(p.gamma, 1.0);
+    EXPECT_EQ(p.total_trials, 200u);
+  }
+}
+
+// Every screened record is the one-request scorer's answer for its front
+// member against the archived objective 0, bit for bit, whatever the thread
+// count and however the batch is chunked: 100 trials fit all ensembles in
+// one chunk, 300 split them.
+TEST(ApiRunSurfaceTest, YieldsMatchAOneRequestOracleBitForBit) {
+  for (const std::size_t trials : {std::size_t{100}, std::size_t{300}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const RunSpec spec = surface_zdt1_spec(threads, trials, 7);
+      const RunResult result = run(spec);
+      ASSERT_LE(result.surface.size() * 100, robustness::kEnsembleChunkTrials);
+      ASSERT_GT(result.surface.size() * 300, robustness::kEnsembleChunkTrials);
+      const Zdt1Screen screen(6, spec);
+      const auto oracle = [&](std::size_t idx) {
+        const robustness::EnsembleRequest request{
+            result.front[idx].x, result.front[idx].f[0], spec.robustness.seed,
+            robustness::kAllVariables};
+        return robustness::score_ensembles({&request, 1}, screen.property, screen.cfg)
+            .front();
+      };
+      const std::string where =
+          "trials=" + std::to_string(trials) + " threads=" + std::to_string(threads);
+      std::set<double> distinct;
+      for (const SurfacePoint& p : result.surface) {
+        expect_same_yield(p, oracle(p.front_index),
+                          where + " surface " + std::to_string(p.front_index));
+        distinct.insert(p.max_deviation);
+      }
+      EXPECT_GE(distinct.size(), 2u) << "identical records would not test the picks";
+      for (const MinedCandidate& c : result.mined) {
+        ASSERT_TRUE(c.yield.has_value()) << c.selection;
+        expect_same_yield(*c.yield, oracle(c.front_index), where + " " + c.selection);
+      }
+    }
+  }
+}
+
+// A past-low run whose mined shadow minimum of f1 is also a surface pick.
+// On this kinetic problem an evaluation reads the warm-start pool, so a
+// nominal solved again, or trials scored after another member's commit, read
+// a different snapshot and give different bits: a second measurement of a
+// member shows here.  Run once, shared by the three invariants below.
+const RunResult& kinetic_screen_run() {
+  static const RunResult result = [] {
+    RunSpec spec;
+    spec.problem = "photosynthesis?scenario=past-low";
+    spec.optimizer = "pmo2?islands=4&population=16";
+    spec.generations = 6;
+    spec.seed = 3;
+    spec.threads = 4;
+    spec.robustness.enabled = true;
+    spec.robustness.trials = 100;
+    spec.robustness.surface_samples = 5;
+    spec.robustness.seed = 102;
+    return run(spec);
+  }();
+  return result;
+}
+
+// Records on the same front member are one measurement: each shares its
+// YieldResult with every other record on that index.
+TEST(ApiRunSurfaceTest, RecordsSharingAFrontIndexAreBitwiseEqual) {
+  const RunResult& result = kinetic_screen_run();
+  std::vector<std::pair<std::size_t, robustness::YieldResult>> records;
+  for (const MinedCandidate& c : result.mined) {
+    ASSERT_TRUE(c.yield.has_value()) << c.selection;
+    records.emplace_back(c.front_index, *c.yield);
+  }
+  for (const SurfacePoint& p : result.surface) records.emplace_back(p.front_index, p);
+  std::size_t shared = 0;
+  for (std::size_t a = 0; a < records.size(); ++a) {
+    for (std::size_t b = a + 1; b < records.size(); ++b) {
+      if (records[a].first != records[b].first) continue;
+      ++shared;
+      expect_same_yield(records[a].second, records[b].second,
+                        "front index " + std::to_string(records[a].first));
+    }
+  }
+  // Both shadow minima are front extremes, which equal spacing always picks,
+  // and max-yield repeats a surface point.
+  EXPECT_GE(shared, 3u);
+}
+
+// The nominal every ensemble is measured against is the archived objective 0
+// of its front member, bitwise.
+TEST(ApiRunSurfaceTest, NominalIsTheArchivedObjective) {
+  const RunResult& result = kinetic_screen_run();
+  ASSERT_FALSE(result.surface.empty());
+  for (const SurfacePoint& p : result.surface) {
+    EXPECT_EQ(bits(p.nominal_value), bits(result.front[p.front_index].f[0]))
+        << "surface " << p.front_index;
+  }
+  for (const MinedCandidate& c : result.mined) {
+    ASSERT_TRUE(c.yield.has_value()) << c.selection;
+    EXPECT_EQ(bits(c.yield->nominal_value), bits(result.front[c.front_index].f[0]))
+        << c.selection;
+  }
+}
+
+// The run's evaluation count is exact: the optimizer's evaluations plus one
+// ensemble per distinct screened front member, and not one nominal solve
+// more.
+TEST(ApiRunSurfaceTest, EachScreenedMemberCostsItsTrialsOnly) {
+  const RunResult& result = kinetic_screen_run();
+  ASSERT_FALSE(result.surface.empty());
+  std::set<std::size_t> screened;
+  for (const MinedCandidate& c : result.mined) screened.insert(c.front_index);
+  for (const SurfacePoint& p : result.surface) screened.insert(p.front_index);
+  EXPECT_LT(screened.size(), result.mined.size() + result.surface.size());
+  EXPECT_EQ(result.eval_stats.evaluations,
+            result.evaluations + screened.size() * result.spec.robustness.trials);
+}
+
+// No samples, no surface: the mined candidates keep their yields and no
+// max-yield pick is made.  With mining off as well nothing is screened.
+TEST(ApiRunSurfaceTest, ZeroSamplesGiveAnEmptySurface) {
+  RunSpec spec = surface_zdt1_spec(1, 50, 0);
+  const RunResult result = run(spec);
+  EXPECT_TRUE(result.surface.empty());
+  ASSERT_EQ(result.mined.size(), 3u);
+  for (const MinedCandidate& c : result.mined) {
+    ASSERT_TRUE(c.yield.has_value()) << c.selection;
+    EXPECT_NE(c.selection, "max-yield");
+  }
+
+  spec.mining.enabled = false;
+  const RunResult bare = run(spec);
+  EXPECT_TRUE(bare.surface.empty());
+  EXPECT_TRUE(bare.mined.empty());
 }
 
 TEST(ApiRunTest, ResultJsonCarriesTheFingerprint) {

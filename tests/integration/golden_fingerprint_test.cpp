@@ -17,11 +17,11 @@
 //     build/tests/integration_golden_fingerprint_test
 //         --gtest_also_run_disabled_tests --gtest_filter='*PrintCurrentTable*'
 //
-// then paste the printed rows over kGolden and kGeobacterGolden below, and
-// say why in the commit message.  Goldens were generated with the Release
-// (-O2) toolchain; the table must match in every build type — -ffp-contract
-// drift would be a portability bug worth catching, not an excuse to fork the
-// table.
+// then paste the printed rows over kGolden, kGeobacterGolden and the
+// robustness digests below, and say why in the commit message.  Goldens
+// were generated with the Release (-O2) toolchain; the table must match in
+// every build type — -ffp-contract drift would be a portability bug worth
+// catching, not an excuse to fork the table.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -95,14 +95,17 @@ TEST(GoldenFingerprintTest, GeobacterFingerprintMatchesCommittedValue) {
   EXPECT_GT(result.front.size(), 0u);
 }
 
-// The robustness stage end to end: three mined candidates scored one
-// ensemble each, then a seven-pick surface whose 1050 trials span two chunks,
-// on a kinetic problem whose warm-start pool makes every Gamma depend on the
-// epoch barriers between those batches.  The digest covers every bit of
-// every YieldResult (mined, then surface), so a moved barrier, a reordered
-// draw or a changed reduction fails here at any thread count.
-RunSpec robustness_golden_spec(std::size_t threads) {
-  RunSpec spec = golden_spec(kGolden[0]);
+// The robustness stage end to end: three mined candidates and a seven-pick
+// surface share eight distinct front members, whose 1200 trials are scored
+// in one call over two chunks.  The digest covers every bit of every
+// YieldResult (mined, then surface), so a re-solved nominal, a reordered
+// draw or a changed reduction fails here at any thread count.  The trials
+// warm-start from the pool snapshot, so a commit moved in among the
+// ensembles fails too: one between the two chunks moves a max_deviation on
+// the past-low row and a Gamma on the present-high row, whose trials take
+// the cycle path.
+RunSpec robustness_golden_spec(const GoldenRow& row, std::size_t threads) {
+  RunSpec spec = golden_spec(row);
   spec.threads = threads;
   spec.robustness.enabled = true;
   spec.robustness.trials = 150;
@@ -130,23 +133,32 @@ std::uint64_t yield_digest(const RunResult& result) {
     mix(c.front_index);
     if (c.yield) mix_yield(*c.yield);
   }
-  for (const robustness::SurfacePoint& p : result.surface) {
+  for (const SurfacePoint& p : result.surface) {
     mix(p.front_index);
     mix_yield(p);
   }
   return h;
 }
 
-constexpr std::uint64_t kRobustnessGolden = 0xde3199fd94fca076ULL;
+constexpr std::uint64_t kRobustnessGolden = 0xe87007556582aec2ULL;
+constexpr std::uint64_t kPresentHighRobustnessGolden = 0x16ccb113116c3f58ULL;
+
+void expect_robustness_digest(const GoldenRow& row, std::uint64_t digest) {
+  for (const std::size_t threads : {1u, 4u}) {
+    const RunResult result = run(robustness_golden_spec(row, threads));
+    ASSERT_EQ(result.mined.size(), 4u) << row.name << " threads=" << threads;
+    ASSERT_EQ(result.surface.size(), 7u) << row.name << " threads=" << threads;
+    EXPECT_EQ(result.fingerprint, row.fingerprint) << row.name << " threads=" << threads;
+    EXPECT_EQ(yield_digest(result), digest) << row.name << " threads=" << threads;
+  }
+}
 
 TEST(GoldenFingerprintTest, RobustnessYieldBitsArePinned) {
-  for (const std::size_t threads : {1u, 4u}) {
-    const RunResult result = run(robustness_golden_spec(threads));
-    ASSERT_EQ(result.mined.size(), 4u) << threads;
-    ASSERT_EQ(result.surface.size(), 7u) << threads;
-    EXPECT_EQ(result.fingerprint, kGolden[0].fingerprint) << threads;
-    EXPECT_EQ(yield_digest(result), kRobustnessGolden) << threads;
-  }
+  expect_robustness_digest(kGolden[0], kRobustnessGolden);
+}
+
+TEST(GoldenFingerprintTest, PresentHighRobustnessYieldBitsArePinned) {
+  expect_robustness_digest(kGolden[2], kPresentHighRobustnessGolden);
 }
 
 TEST(GoldenFingerprintTest, DISABLED_PrintCurrentTable) {
@@ -159,7 +171,9 @@ TEST(GoldenFingerprintTest, DISABLED_PrintCurrentTable) {
   std::printf("kGeobacterGolden = 0x%016" PRIx64 "ULL\n",
               run(geobacter_golden_spec()).fingerprint);
   std::printf("kRobustnessGolden = 0x%016" PRIx64 "ULL\n",
-              yield_digest(run(robustness_golden_spec(1))));
+              yield_digest(run(robustness_golden_spec(kGolden[0], 1))));
+  std::printf("kPresentHighRobustnessGolden = 0x%016" PRIx64 "ULL\n",
+              yield_digest(run(robustness_golden_spec(kGolden[2], 1))));
 }
 
 }  // namespace

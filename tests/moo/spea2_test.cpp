@@ -35,6 +35,18 @@ TEST(Spea2Test, ArchiveBoundedAfterSteps) {
   EXPECT_EQ(alg.evaluations(), 20u + 10u * 20u);
 }
 
+// An odd population runs as given: each generation breeds exactly
+// population_size offspring, the second child of the last pair unused.
+TEST(Spea2Test, OddPopulationRunsAsGiven) {
+  const Zdt1 problem(8);
+  Spea2Options o;
+  o.population_size = 11;
+  o.archive_size = 8;
+  Spea2 alg(problem, o);
+  alg.run(5);
+  EXPECT_EQ(alg.evaluations(), 11u + 5u * 11u);
+}
+
 TEST(Spea2Test, ConvergesOnZdt1) {
   const Zdt1 problem(12);
   Spea2Options o;

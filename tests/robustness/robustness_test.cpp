@@ -1,5 +1,4 @@
 #include "robustness/perturbation.hpp"
-#include "robustness/surface.hpp"
 #include "robustness/yield.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +8,6 @@
 #include <cstdint>
 #include <set>
 
-#include "pareto/mining.hpp"
 #include "support/per_variable_local_yield.hpp"
 
 namespace rmp::robustness {
@@ -204,91 +202,6 @@ TEST_P(YieldEpsilonSweep, MonotoneInEpsilon) {
 
 INSTANTIATE_TEST_SUITE_P(Epsilons, YieldEpsilonSweep,
                          ::testing::Values(0.01, 0.02, 0.05, 0.08));
-
-TEST(SurfaceTest, SamplesAlongFront) {
-  pareto::Front front;
-  for (int i = 0; i <= 20; ++i) {
-    pareto::Individual ind;
-    const double t = i / 20.0;
-    ind.f = {t, 1.0 - t};
-    ind.x = {t, 1.0};
-    front.add(ind);
-  }
-  const PropertyFn f = [](std::span<const double> x) { return x[0]; };
-  SurfaceConfig cfg;
-  cfg.samples = 7;
-  cfg.yield.perturbation.global_trials = 200;
-  const auto surface = robustness_surface(front, f, cfg);
-  EXPECT_GE(surface.size(), 5u);
-  EXPECT_LE(surface.size(), 7u);
-  for (const SurfacePoint& p : surface) {
-    EXPECT_GE(p.gamma, 0.0);
-    EXPECT_LE(p.gamma, 1.0);
-    EXPECT_EQ(p.objectives.size(), 2u);
-  }
-}
-
-// The surface scores all picks' nominals as one flat batch, then their
-// trials in chunked flat batches; each point's gamma must still be exactly
-// the per-pick global_yield answer, whatever the thread count.  7 picks on 4
-// threads leave a ragged last round in every batch; 100 trials fit all
-// ensembles in one chunk, 300 split them into chunks of 3, 3 and 1 picks.
-TEST(SurfaceTest, GammaMatchesPerPickGlobalYieldBitForBit) {
-  pareto::Front front;
-  for (int i = 0; i <= 30; ++i) {
-    pareto::Individual ind;
-    const double t = i / 30.0;
-    ind.f = {t, 1.0 - t};
-    ind.x = {0.2 + t, 1.0 + 2.0 * t};
-    front.add(ind);
-  }
-  const PropertyFn f = [](std::span<const double> x) {
-    return x[0] * x[1] + std::sin(3.0 * x[1]);
-  };
-  SurfaceConfig cfg;
-  cfg.samples = 7;
-  cfg.yield.seed = 11;
-  const std::vector<std::size_t> picks = pareto::equally_spaced(front, cfg.samples);
-  ASSERT_NE(picks.size() % 4, 0u);
-  ASSERT_LE(picks.size() * 100, kEnsembleChunkTrials);
-  ASSERT_GT(picks.size() * 300, kEnsembleChunkTrials);
-  ASSERT_NE(picks.size() % (kEnsembleChunkTrials / 300), 0u);
-
-  for (const std::size_t trials : {std::size_t{100}, std::size_t{300}}) {
-    cfg.yield.perturbation.global_trials = trials;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      cfg.yield.threads = threads;
-      const auto surface = robustness_surface(front, f, cfg);
-      ASSERT_EQ(surface.size(), picks.size()) << "threads=" << threads;
-      std::set<double> distinct;
-      for (std::size_t k = 0; k < surface.size(); ++k) {
-        const SurfacePoint& p = surface[k];
-        EXPECT_EQ(p.front_index, picks[k]);
-        EXPECT_EQ(p.objectives, front[picks[k]].f);
-        YieldConfig oracle = cfg.yield;
-        oracle.threads = 1;
-        const YieldResult expected = global_yield(front[picks[k]].x, f, oracle);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(p.gamma),
-                  std::bit_cast<std::uint64_t>(expected.gamma))
-            << "trials=" << trials << " threads=" << threads << " pick " << k;
-        // The rest of the point's YieldResult is the per-pick answer too.
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(p.nominal_value),
-                  std::bit_cast<std::uint64_t>(expected.nominal_value));
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(p.max_deviation),
-                  std::bit_cast<std::uint64_t>(expected.max_deviation));
-        EXPECT_EQ(p.robust_trials, expected.robust_trials);
-        EXPECT_EQ(p.total_trials, trials);
-        distinct.insert(p.gamma);
-      }
-      EXPECT_GE(distinct.size(), 2u) << "a constant gamma would not test the picks";
-    }
-  }
-}
-
-TEST(SurfaceTest, EmptyFrontGivesEmptySurface) {
-  const PropertyFn f = [](std::span<const double> x) { return x[0]; };
-  EXPECT_TRUE(robustness_surface(pareto::Front{}, f, {}).empty());
-}
 
 }  // namespace
 }  // namespace rmp::robustness
