@@ -32,22 +32,25 @@ std::vector<double> Spea2::fitness(std::span<const Individual> all) const {
       if (i != j && constrained_dominates(all[j], all[i])) raw[i] += strength[j];
     }
   }
-  // Density: inverse distance to the k-th nearest neighbor, k = sqrt(N).
+  // Density: inverse distance to the k-th nearest neighbor, k = sqrt(N).  A
+  // lone individual (a population of one, before its first archive) has no
+  // neighbor and so no density term.
   const auto k = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
   std::vector<double> fit(n, 0.0);
   std::vector<double> dists;
   for (std::size_t i = 0; i < n; ++i) {
     dists.clear();
-    dists.reserve(n - 1);
     for (std::size_t j = 0; j < n; ++j) {
       if (i != j) dists.push_back(num::dist(all[i].f, all[j].f));
     }
-    std::nth_element(dists.begin(),
-                     dists.begin() + static_cast<long>(std::min(k, dists.size() - 1)),
-                     dists.end());
-    const double dk = dists[std::min(k, dists.size() - 1)];
-    fit[i] = raw[i] + 1.0 / (dk + 2.0) +
-             kViolationPenalty * std::max(all[i].violation, 0.0) * 1e-6;
+    double density = 0.0;
+    if (!dists.empty()) {
+      const std::size_t kth = std::min(k, dists.size() - 1);
+      std::nth_element(dists.begin(), dists.begin() + static_cast<long>(kth),
+                       dists.end());
+      density = 1.0 / (dists[kth] + 2.0);
+    }
+    fit[i] = raw[i] + density + kViolationPenalty * std::max(all[i].violation, 0.0) * 1e-6;
   }
   return fit;
 }

@@ -218,12 +218,25 @@ TEST(OptimizerRegistryTest, RejectsDegenerateSpea2AndMoeadSizes) {
   expect_optimizer_rejected("moead?population=3", "moead population");
   expect_optimizer_rejected("pmo2?islands=2&population=2&engines=moead", "moead population");
   expect_optimizer_rejected("pmo2?islands=2&population=0&engines=spea2", "spea2 population");
-  // The smallest sizes the engines run with still construct.
+  // The smallest sizes the engines run with still construct, and run.
   const moo::Zdt1 problem(6);
   const OptimizerContext ctx{5, 1};
   const auto& reg = OptimizerRegistry::global();
   EXPECT_NE(reg.make("spea2?population=1&archive=1", problem, ctx), nullptr);
   EXPECT_NE(reg.make("moead?population=4&neighborhood=1", problem, ctx), nullptr);
+  RunSpec spec;
+  spec.problem = "zdt1?n=6";
+  spec.generations = 3;
+  spec.threads = 1;
+  for (const char* optimizer :
+       {"spea2?population=1", "spea2?population=1&archive=1",
+        "pmo2?islands=2&population=1&engines=spea2&migration_interval=1",
+        "moead?population=4&neighborhood=1"}) {
+    spec.optimizer = optimizer;
+    const RunResult result = run(spec);
+    EXPECT_FALSE(result.front.empty()) << optimizer;
+    EXPECT_GT(result.evaluations, 0u) << optimizer;
+  }
 }
 
 TEST(OptimizerRegistryTest, MoeadNeighborhoodMustFitThePopulation) {

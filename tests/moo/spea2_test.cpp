@@ -47,6 +47,23 @@ TEST(Spea2Test, OddPopulationRunsAsGiven) {
   EXPECT_EQ(alg.evaluations(), 11u + 5u * 11u);
 }
 
+// A population of one: the first environmental selection sees a lone
+// individual, which has no k-th neighbor to measure density against.
+TEST(Spea2Test, PopulationOfOneRuns) {
+  const Zdt1 problem(6);
+  for (std::size_t archive : {1u, 4u}) {
+    Spea2Options o;
+    o.population_size = 1;
+    o.archive_size = archive;
+    Spea2 alg(problem, o);
+    alg.run(4);
+    EXPECT_EQ(alg.evaluations(), 1u + 4u * 1u);
+    ASSERT_FALSE(alg.population().empty());
+    EXPECT_LE(alg.population().size(), archive);
+    for (const Individual& m : alg.population()) EXPECT_TRUE(num::all_finite(m.f));
+  }
+}
+
 TEST(Spea2Test, ConvergesOnZdt1) {
   const Zdt1 problem(12);
   Spea2Options o;
